@@ -1,6 +1,7 @@
 #include "common/rng.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -108,7 +109,27 @@ Rng::sampleDistinct(int n, int k)
     UNISTC_ASSERT(k >= 0 && k <= n, "sampleDistinct requires 0 <= k <= n");
     std::vector<int> chosen;
     chosen.reserve(k);
-    // Floyd's algorithm: O(k) samples, no O(n) shuffle.
+    // Floyd's algorithm: O(k) samples, no O(n) shuffle. Draw j keeps
+    // t = nextBelow(j + 1), or j itself when t is already taken; j is
+    // always free, since every earlier pick is below it.
+    const int words = n / 64 + (n % 64 != 0);
+    if (words <= k) {
+        // A bitmap over [0, n) is no larger than the result: test
+        // membership in O(1) and scan it to emit the picks in order.
+        std::vector<std::uint64_t> taken(words, 0);
+        for (int j = n - k; j < n; ++j) {
+            const int t = static_cast<int>(nextBelow(j + 1));
+            const int pick = (taken[t / 64] >> (t % 64)) & 1 ? j : t;
+            taken[pick / 64] |= 1ull << (pick % 64);
+        }
+        for (int w = 0; w < words; ++w) {
+            for (std::uint64_t m = taken[w]; m != 0; m &= m - 1)
+                chosen.push_back(w * 64 + std::countr_zero(m));
+        }
+        return chosen;
+    }
+    // Few picks from a wide range: a linear test and a sort of the k
+    // picks cost less than a pass over the bitmap.
     for (int j = n - k; j < n; ++j) {
         const int t = static_cast<int>(nextBelow(j + 1));
         if (std::find(chosen.begin(), chosen.end(), t) == chosen.end())

@@ -52,7 +52,11 @@ class Rng
 
     /**
      * Sample @p k distinct integers from [0, n) in increasing order
-     * (Floyd's algorithm followed by a sort).
+     * (Floyd's algorithm, k draws). When a bitmap over [0, n) is no
+     * larger than the result (ceil(n/64) <= k) membership is a bit
+     * test and the picks come out of a bitmap scan; otherwise a
+     * linear test and a sort of the k picks. Both paths make the same
+     * draws and return the same picks.
      */
     std::vector<int> sampleDistinct(int n, int k);
 

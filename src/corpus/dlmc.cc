@@ -20,10 +20,20 @@ genPrunedWeightsImpl(int rows, int cols, double sparsity,
 {
     Rng rng(seed);
     const double keep = 1.0 - sparsity;
-    CooMatrix coo(rows, cols);
+    const double expect = keep * cols;
+    // Rows arrive in order, each with sorted distinct columns and
+    // values of magnitude >= 0.05, so the CSR arrays are appended
+    // directly: a COO round trip would find nothing to sort, merge or
+    // drop. No row keeps more than floor(expect) + 1 entries.
+    const int k_max = std::min(cols, static_cast<int>(expect) + 1);
+    std::vector<std::int64_t> row_ptr{0};
+    std::vector<int> col_idx;
+    std::vector<double> vals;
+    row_ptr.reserve(rows + 1);
+    col_idx.reserve(static_cast<std::size_t>(rows) * k_max);
+    vals.reserve(static_cast<std::size_t>(rows) * k_max);
     for (int r = 0; r < rows; ++r) {
         // Row population ~ Binomial(cols, keep), clamped to >= 1.
-        double expect = keep * cols;
         int k = static_cast<int>(std::floor(expect));
         if (rng.nextBool(expect - k))
             ++k;
@@ -31,10 +41,13 @@ genPrunedWeightsImpl(int rows, int cols, double sparsity,
         for (int c : rng.sampleDistinct(cols, k)) {
             // Magnitude-pruned survivors are bounded away from zero.
             const double mag = 0.05 + std::fabs(rng.nextGaussian());
-            coo.add(r, c, rng.nextBool(0.5) ? mag : -mag);
+            col_idx.push_back(c);
+            vals.push_back(rng.nextBool(0.5) ? mag : -mag);
         }
+        row_ptr.push_back(static_cast<std::int64_t>(col_idx.size()));
     }
-    return cooToCsr(std::move(coo));
+    return CsrMatrix(rows, cols, std::move(row_ptr), std::move(col_idx),
+                     std::move(vals));
 }
 
 CsrMatrix

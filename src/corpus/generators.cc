@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -58,8 +59,10 @@ genBandedImpl(int n, int half_bandwidth, double fill, std::uint64_t seed)
     Rng rng(seed);
     CooMatrix coo(n, n);
     for (int r = 0; r < n; ++r) {
+        // 64-bit sum: a --gen half_bandwidth may be as large as INT_MAX.
         const int lo = std::max(0, r - half_bandwidth);
-        const int hi = std::min(n - 1, r + half_bandwidth);
+        const int hi = static_cast<int>(std::min<std::int64_t>(
+            n - 1, std::int64_t{r} + half_bandwidth));
         for (int c = lo; c <= hi; ++c) {
             if (c == r || rng.nextBool(fill))
                 coo.add(r, c, val(rng));
@@ -110,8 +113,12 @@ genPowerLawImpl(int n, double avg_degree, double alpha, std::uint64_t seed)
 
     CooMatrix coo(n, n);
     for (int r = 0; r < n; ++r) {
-        int deg = static_cast<int>(std::floor(weight[r] * scale));
-        if (rng.nextBool(weight[r] * scale - deg))
+        // Capping at n before the cast keeps a huge avg_degree defined;
+        // the row ends up full either way.
+        const double expect = std::min(weight[r] * scale,
+                                       static_cast<double>(n));
+        int deg = static_cast<int>(std::floor(expect));
+        if (rng.nextBool(expect - deg))
             ++deg;
         deg = std::clamp(deg, 1, n);
         for (int c : rng.sampleDistinct(n, deg))
@@ -581,24 +588,57 @@ generateFromSpec(const std::string &spec)
         }
     }
 
+    // Range-check every field before it is cast or handed to a
+    // generator, so out-of-range input is a fatal naming the field
+    // rather than a generator assertion or an out-of-range cast.
     auto arg = [&](std::size_t i, double dflt) {
         return i < args.size() ? args[i] : dflt;
     };
+    auto reject = [&](const char *name, double v,
+                      const std::string &domain) {
+        UNISTC_FATAL("malformed --gen spec '", spec, "': ", name, " ", v,
+                     " is not ", domain);
+    };
+    auto size = [&](std::size_t i, double dflt, const char *name,
+                    int lo, int hi) {
+        const double v = arg(i, dflt);
+        if (v != std::floor(v) || v < lo || v > hi) {
+            reject(name, v,
+                   "an integer in [" + std::to_string(lo) + ", " +
+                       std::to_string(hi) + "]");
+        }
+        return static_cast<int>(v);
+    };
+    auto fraction = [&](std::size_t i, double dflt, const char *name) {
+        const double v = arg(i, dflt);
+        if (v < 0.0 || v > 1.0)
+            reject(name, v, "in [0, 1]");
+        return v;
+    };
+    constexpr int int_max = std::numeric_limits<int>::max();
     if (family == "banded") {
-        return genBanded(static_cast<int>(arg(0, 1024)),
-                         static_cast<int>(arg(1, 16)), arg(2, 0.5),
-                         1);
+        const int n = size(0, 1024, "n", 1, int_max);
+        const int hb = size(1, 16, "half_bandwidth", 0, int_max);
+        return genBanded(n, hb, fraction(2, 0.5, "fill"), 1);
     }
     if (family == "random") {
-        const int n = static_cast<int>(arg(0, 1024));
-        return genRandomUniform(n, n, arg(1, 0.01), 1);
+        const int n = size(0, 1024, "n", 1, int_max);
+        return genRandomUniform(n, n, fraction(1, 0.01, "density"), 1);
     }
     if (family == "powerlaw") {
-        return genPowerLaw(static_cast<int>(arg(0, 1024)),
-                           arg(1, 8.0), arg(2, 2.3), 1);
+        const int n = size(0, 1024, "n", 1, int_max);
+        const double degree = arg(1, 8.0);
+        const double alpha = arg(2, 2.3);
+        if (degree <= 0.0)
+            reject("avg_degree", degree, "> 0");
+        if (alpha <= 1.0)
+            reject("alpha", alpha, "> 1");
+        return genPowerLaw(n, degree, alpha, 1);
     }
-    if (family == "stencil")
-        return genStencil2d(static_cast<int>(arg(0, 32)));
+    if (family == "stencil") {
+        // The matrix has grid^2 rows, which must fit an int too.
+        return genStencil2d(size(0, 32, "grid", 1, 46340));
+    }
     UNISTC_FATAL("malformed --gen spec '", spec,
                  "': unknown generator family '", family, "'");
 }

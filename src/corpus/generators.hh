@@ -26,8 +26,11 @@ namespace unistc
  *   powerlaw:n,avg_degree,alpha  | stencil:grid
  *
  * Omitted numeric fields take family defaults. Malformed specs
- * (unknown family, non-numeric or empty fields, trailing commas)
- * report the offending spec via fatal() instead of throwing.
+ * (unknown family, non-numeric or empty fields, trailing commas) and
+ * out-of-range fields (sizes that are not integers in [1, INT_MAX],
+ * a negative half_bandwidth, fill or density outside [0, 1],
+ * avg_degree <= 0, alpha <= 1, grid^2 > INT_MAX) report the spec and
+ * the field via fatal() instead of throwing or asserting.
  */
 CsrMatrix generateFromSpec(const std::string &spec);
 

@@ -11,12 +11,14 @@
 #include <cmath>
 
 #include "bbc/bbc_matrix.hh"
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "corpus/dlmc.hh"
 #include "corpus/generators.hh"
 #include "corpus/representative.hh"
 #include "corpus/suite.hh"
 #include "kernels/reference.hh"
+#include "sparse/convert.hh"
 
 namespace unistc
 {
@@ -199,6 +201,50 @@ TEST(Dlmc, MagnitudesBoundedAwayFromZero)
     const CsrMatrix w = genPrunedWeights(64, 64, 0.9, 411);
     for (double v : w.vals())
         EXPECT_GE(std::abs(v), 0.05);
+}
+
+// The same draws as genPrunedWeights, assembled the general way: into
+// a COO matrix, then sorted, merged and zero-dropped by cooToCsr.
+CsrMatrix
+referencePrunedWeights(int rows, int cols, double sparsity,
+                       std::uint64_t seed)
+{
+    Rng rng(seed);
+    const double expect = (1.0 - sparsity) * cols;
+    CooMatrix coo(rows, cols);
+    for (int r = 0; r < rows; ++r) {
+        int k = static_cast<int>(std::floor(expect));
+        if (rng.nextBool(expect - k))
+            ++k;
+        k = std::clamp(k, 1, cols);
+        for (int c : rng.sampleDistinct(cols, k)) {
+            const double mag = 0.05 + std::fabs(rng.nextGaussian());
+            coo.add(r, c, rng.nextBool(0.5) ? mag : -mag);
+        }
+    }
+    return cooToCsr(std::move(coo));
+}
+
+TEST(Dlmc, DirectAssemblyMatchesCooRoundTrip)
+{
+    // cols = 1 and 0% sparsity make every row full; 99.9% of 147
+    // clamps k to 1; 98% of 4608 keeps ~92 picks against 72 bitmap
+    // words, 99.9% of 4608 takes the linear sampler path.
+    for (int cols : {1, 3, 64, 65, 147, 4608}) {
+        for (double sparsity : {0.0, 0.7, 0.98, 0.999}) {
+            const CsrMatrix got = genPrunedWeights(24, cols, sparsity, 412);
+            const CsrMatrix want =
+                referencePrunedWeights(24, cols, sparsity, 412);
+            EXPECT_EQ(got.rows(), want.rows());
+            EXPECT_EQ(got.cols(), want.cols());
+            EXPECT_EQ(got.rowPtr(), want.rowPtr())
+                << "cols=" << cols << " sparsity=" << sparsity;
+            EXPECT_EQ(got.colIdx(), want.colIdx())
+                << "cols=" << cols << " sparsity=" << sparsity;
+            EXPECT_EQ(got.vals(), want.vals())
+                << "cols=" << cols << " sparsity=" << sparsity;
+        }
+    }
 }
 
 } // namespace

@@ -945,5 +945,48 @@ TEST(GenerateFromSpecDeath, RejectsUnknownFamily)
                 ::testing::ExitedWithCode(1), "unknown generator");
 }
 
+TEST(GenerateFromSpecDeath, RejectsSizesThatAreNotPositiveInts)
+{
+    // Sizes are integers in [1, INT_MAX], checked before any cast;
+    // a stencil grid must also keep grid^2 within an int.
+    EXPECT_EXIT(generateFromSpec("random:-5"),
+                ::testing::ExitedWithCode(1), "'random:-5': n -5 ");
+    EXPECT_EXIT(generateFromSpec("powerlaw:-5"),
+                ::testing::ExitedWithCode(1), "'powerlaw:-5': n -5 ");
+    EXPECT_EXIT(generateFromSpec("random:3e9"),
+                ::testing::ExitedWithCode(1), "n 3e\\+09 is not an integer");
+    EXPECT_EXIT(generateFromSpec("banded:64.7,4,0.5"),
+                ::testing::ExitedWithCode(1), "n 64.7 is not an integer");
+    EXPECT_EXIT(generateFromSpec("banded:64,-1"),
+                ::testing::ExitedWithCode(1), "half_bandwidth -1 ");
+    EXPECT_EXIT(generateFromSpec("stencil:0"),
+                ::testing::ExitedWithCode(1), "grid 0 ");
+    EXPECT_EXIT(generateFromSpec("stencil:46341"),
+                ::testing::ExitedWithCode(1), "grid 46341 ");
+}
+
+TEST(GenerateFromSpecDeath, RejectsFractionsAndShapesOutOfDomain)
+{
+    EXPECT_EXIT(generateFromSpec("random:64,1.5"),
+                ::testing::ExitedWithCode(1), "density 1.5 is not in");
+    EXPECT_EXIT(generateFromSpec("banded:64,4,-0.1"),
+                ::testing::ExitedWithCode(1), "fill -0.1 is not in");
+    EXPECT_EXIT(generateFromSpec("powerlaw:64,0"),
+                ::testing::ExitedWithCode(1), "avg_degree 0 is not > 0");
+    EXPECT_EXIT(generateFromSpec("powerlaw:64,4,1"),
+                ::testing::ExitedWithCode(1), "alpha 1 is not > 1");
+}
+
+TEST(GenerateFromSpec, AcceptsTheEdgesOfEachDomain)
+{
+    EXPECT_EQ(generateFromSpec("banded:1,0,0").nnz(), 1);
+    EXPECT_EQ(generateFromSpec("random:8,1").nnz(), 64);
+    EXPECT_EQ(generateFromSpec("random:8,0").nnz(), 0);
+    EXPECT_EQ(generateFromSpec("stencil:1").nnz(), 1);
+    // A band or degree wider than the matrix just fills every row.
+    EXPECT_EQ(generateFromSpec("banded:16,2147483647,1").nnz(), 256);
+    EXPECT_EQ(generateFromSpec("powerlaw:16,1e12,2.1").nnz(), 256);
+}
+
 } // namespace
 } // namespace unistc

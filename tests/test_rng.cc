@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/rng.hh"
@@ -116,6 +117,45 @@ TEST(Rng, SampleDistinctEdgeCases)
     EXPECT_TRUE(rng.sampleDistinct(10, 0).empty());
     const auto all = rng.sampleDistinct(5, 5);
     EXPECT_EQ(all, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+// Floyd's algorithm with a linear membership test and a final sort:
+// the original sampler, kept as the oracle for both production paths.
+std::vector<int>
+referenceSampleDistinct(Rng &rng, int n, int k)
+{
+    std::vector<int> chosen;
+    for (int j = n - k; j < n; ++j) {
+        const int t = static_cast<int>(rng.nextBelow(j + 1));
+        if (std::find(chosen.begin(), chosen.end(), t) == chosen.end())
+            chosen.push_back(t);
+        else
+            chosen.push_back(j);
+    }
+    std::sort(chosen.begin(), chosen.end());
+    return chosen;
+}
+
+TEST(Rng, SampleDistinctMatchesLinearFloyd)
+{
+    // Widths straddle word boundaries; k covers both sides of the
+    // bitmap rule (ceil(n/64) <= k) plus the empty and full samples.
+    for (int n : {1, 4, 63, 64, 65, 147, 1024, 4608}) {
+        const int words = (n + 63) / 64;
+        for (int k : {0, 1, words - 1, words, n / 3, n}) {
+            k = std::clamp(k, 0, n);
+            for (std::uint64_t seed : {3u, 29u, 4040u}) {
+                Rng fast(seed);
+                Rng ref(seed);
+                EXPECT_EQ(fast.sampleDistinct(n, k),
+                          referenceSampleDistinct(ref, n, k))
+                    << "n=" << n << " k=" << k << " seed=" << seed;
+                // Same stream position: the paths made the same draws.
+                EXPECT_EQ(fast.next(), ref.next())
+                    << "n=" << n << " k=" << k << " seed=" << seed;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -607,16 +607,18 @@ TEST(ExecRecovery, WatchdogFlagsOverrunningJobs)
 {
     const auto a = std::make_shared<const BbcMatrix>(sampleBbc());
 
+    // The budget leaves the fast job room for a loaded sanitizer run,
+    // where the simulator core tests share the cores.
     SweepExecutor::Options opt;
     opt.jobs = 1;
-    opt.maxJobSeconds = 0.01;
+    opt.maxJobSeconds = 0.05;
     opt.quarantine = true;
     opt.statsPrefix = "t.";
     SweepExecutor exec(opt);
 
     JobSpec slow = tinyJob(a, "slow");
     auto fault = std::make_shared<FaultSpec>();
-    fault->delayMs = 100; // well past the 10 ms budget
+    fault->delayMs = 500; // well past the 50 ms budget
     slow.fault = fault;
     const std::size_t i_slow = exec.submit(std::move(slow));
     const std::size_t i_fast = exec.submit(tinyJob(a, "fast"));

@@ -476,6 +476,21 @@ TEST(ServeCore, MalformedArgvIsAnErrorNotACrash)
     EXPECT_EQ(counters.at("robust.serve_completed"), 0u);
 }
 
+TEST(ServeCore, OutOfRangeGenSpecIsAnErrorNotAnAbort)
+{
+    // generateFromSpec range-checks its fields with fatal(), so a bad
+    // size fails this request and the daemon serves the next one.
+    serve::ServeCore core{serve::ServeOptions{}};
+    const driver::WireResponse bad = core.submit(runRequest(
+        "r1", {"--kernel", "spmv", "--gen", "random:-5"}));
+    EXPECT_EQ(bad.status, "error");
+    EXPECT_NE(bad.error.find("random:-5"), std::string::npos)
+        << bad.error;
+    const driver::WireResponse next =
+        core.submit(runRequest("r2", tinyArgv()));
+    EXPECT_EQ(next.status, "ok") << next.error;
+}
+
 // ---------------------------------------------------------------
 // BenchSink manual mode (warehouse/sink.hh)
 // ---------------------------------------------------------------
