@@ -1,5 +1,6 @@
 #include "stc/trapezoid.hh"
 
+#include "common/logging.hh"
 #include "obs/trace.hh"
 #include "stc/row_dataflow.hh"
 
@@ -33,24 +34,28 @@ Trapezoid::runBlock(const BlockTask &task, RunResult &res,
         {8, 4, fp64 ? 2 : 4},  // TrGS
     };
 
-    // Run each mode into a scratch result and keep the fastest.
-    RunResult best;
-    bool have_best = false;
+    // Count every mode's cycles and simulate only the fastest (the
+    // first on a tie). Trapezoid sweeps fixed column chunks (no
+    // B-column gather): strong on dot-product-shaped work (SpMV),
+    // weak when B is sparse (SpGEMM) — the Fig. 21 asymmetry.
+    const Mode *best = nullptr;
+    std::uint64_t best_cycles = 0;
     for (const Mode &mode : modes) {
-        RunResult scratch;
-        // Trapezoid sweeps fixed column chunks (no B-column gather):
-        // strong on dot-product-shaped work (SpMV), weak when B is
-        // sparse (SpGEMM) — the Fig. 21 asymmetry.
-        runRowDataflow(task, cfg_, mode.m, mode.n, mode.k,
-                       network().cNetUnits, scratch,
-                       /*gather_columns=*/false);
-        if (!have_best || scratch.cycles < best.cycles) {
-            best = scratch;
-            have_best = true;
+        // No cycle multiplies more than M x N x K pairs, so this
+        // bounds the modes that are counted but not simulated too.
+        UNISTC_ASSERT(mode.m * mode.n * mode.k <= cfg_.macCount,
+                      "Trapezoid mode ", mode.m, "x", mode.n, "x",
+                      mode.k, " exceeds ", cfg_.macCount, " MACs");
+        const std::uint64_t cycles = rowDataflowCycles(
+            task, mode.m, mode.n, mode.k, /*gather_columns=*/false);
+        if (best == nullptr || cycles < best_cycles) {
+            best = &mode;
+            best_cycles = cycles;
         }
     }
     const std::uint64_t t0 = res.cycles;
-    res.merge(best);
+    runRowDataflow(task, cfg_, best->m, best->n, best->k,
+                   network().cNetUnits, res, /*gather_columns=*/false);
 
     UNISTC_TRACE_COMPLETE(trace, TraceTrack::Sdpu,
                           task.isMv ? "T1 MV (trapezoid)"

@@ -6,9 +6,9 @@
  *   TrGT: 16 x 4 x (2 or 1),
  *   TrGS:  8 x 4 x (4 or 2).
  * Following §VI-C ("for multi-mode architectures ... we select their
- * best-performing configurations"), each T1 task is executed under
- * all three geometries and the fastest result is kept. As in the
- * paper, this is a throughput-aligned adaptation rather than a
+ * best-performing configurations"), each T1 task's cycles are counted
+ * under all three geometries and only the fastest is simulated. As
+ * in the paper, this is a throughput-aligned adaptation rather than a
  * faithful reimplementation of the original accelerator.
  */
 

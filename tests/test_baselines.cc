@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "common/rng.hh"
 #include "stc/ds_stc.hh"
 #include "stc/nv_dtc.hh"
 #include "stc/registry.hh"
 #include "stc/rm_stc.hh"
+#include "stc/row_dataflow.hh"
+
+#include "run_result_eq.hh"
 
 namespace unistc
 {
@@ -209,18 +214,98 @@ TEST(Sigma, StationaryRowStreamsAllColumns)
     EXPECT_EQ(r.traffic.wastedB, 16u * 16);
 }
 
+/** Each Trapezoid mode (TrIP, TrGT, TrGS) simulated in full. */
+std::array<RunResult, 3>
+trapezoidModes(const BlockTask &t, const MachineConfig &cfg)
+{
+    const bool fp64 = cfg.precision == Precision::FP64;
+    const int modes[3][3] = {
+        {16, fp64 ? 2 : 4, 2},
+        {16, 4, fp64 ? 1 : 2},
+        {8, 4, fp64 ? 2 : 4},
+    };
+    std::array<RunResult, 3> out;
+    for (int i = 0; i < 3; ++i)
+        runRowDataflow(t, cfg, modes[i][0], modes[i][1], modes[i][2],
+                       /*c_net_units=*/32, out[i],
+                       /*gather_columns=*/false);
+    return out;
+}
+
+/** Reference pick: the first mode with the fewest cycles. */
+const RunResult &
+bestMode(const std::array<RunResult, 3> &modes)
+{
+    const RunResult *best = &modes[0];
+    for (const RunResult &r : modes)
+        if (r.cycles < best->cycles)
+            best = &r;
+    return *best;
+}
+
 TEST(Trapezoid, PicksBestModePerBlock)
 {
-    auto trap = makeStcModel("Trapezoid", kFp64);
-    auto rm = makeStcModel("RM-STC", kFp64);
     Rng rng(5);
-    for (int trial = 0; trial < 8; ++trial) {
-        const BlockPattern a = BlockPattern::random(rng, 0.2);
-        const BlockPattern b = BlockPattern::random(rng, 0.2);
-        RunResult rt, rr;
-        trap->runBlock(BlockTask::mm(a, b), rt);
-        rm->runBlock(BlockTask::mm(a, b), rr);
-        EXPECT_EQ(rt.products, rr.products);
+    for (const MachineConfig &cfg :
+         {MachineConfig::fp64(), MachineConfig::fp32()}) {
+        auto trap = makeStcModel("Trapezoid", cfg);
+        for (int trial = 0; trial < 24; ++trial) {
+            const double density = 0.02 + 0.04 * trial;
+            const BlockPattern a = BlockPattern::random(rng, density);
+            const BlockPattern b = BlockPattern::random(rng, density);
+            for (const BlockTask &t :
+                 {BlockTask::mm(a, b), BlockTask::mv(a, b.rowBits(3))}) {
+                SCOPED_TRACE(testing::Message()
+                             << "macs " << cfg.macCount << " trial "
+                             << trial << (t.isMv ? " MV" : " MM"));
+                expectSameResult(bestMode(trapezoidModes(t, cfg)),
+                                 run(*trap, t));
+            }
+        }
+    }
+
+    // Ties keep the first mode. FP64: row 0 reads B row 0 (columns
+    // 0-1), row 8 reads B row 1 (columns 2-3); TrIP (16x2x2) and TrGT
+    // (16x4x1) both take one cycle, and TrGT would write whole 4-wide
+    // chunks.
+    BlockPattern a64, b64;
+    a64.set(0, 0);
+    a64.set(8, 1);
+    b64.set(0, 0);
+    b64.set(0, 1);
+    b64.set(1, 2);
+    b64.set(1, 3);
+    // FP32: row 0 holds four scalars, row 8 one. TrIP (16x4x2) takes
+    // two cycles for row 0's two pairs, TrGS (8x4x4) one per row
+    // group, and TrGS would issue fewer T3 tasks.
+    BlockPattern a32, b32;
+    for (int k = 0; k < 4; ++k) {
+        a32.set(0, k);
+        b32.set(k, 0);
+    }
+    a32.set(8, 0);
+    const struct
+    {
+        MachineConfig cfg;
+        BlockPattern a, b;
+        int tiedWith; ///< Later mode that ties with TrIP.
+    } ties[] = {
+        {MachineConfig::fp64(), a64, b64, 1},
+        {MachineConfig::fp32(), a32, b32, 2},
+    };
+    for (const auto &c : ties) {
+        SCOPED_TRACE(testing::Message() << "tie at macs "
+                                        << c.cfg.macCount);
+        const BlockTask t = BlockTask::mm(c.a, c.b);
+        const std::array<RunResult, 3> modes = trapezoidModes(t, c.cfg);
+        const RunResult &tied = modes[c.tiedWith];
+        ASSERT_EQ(bestMode(modes).cycles, modes[0].cycles);
+        ASSERT_EQ(tied.cycles, modes[0].cycles);
+        // The counters must tell the tied modes apart.
+        ASSERT_TRUE(tied.traffic.writesC != modes[0].traffic.writesC ||
+                    tied.tasksT3 != modes[0].tasksT3);
+        expectSameResult(modes[0],
+                         run(*makeStcModel("Trapezoid", c.cfg), t));
     }
 }
 

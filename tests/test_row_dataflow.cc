@@ -1,13 +1,22 @@
 /**
  * @file
  * Direct tests of the grouped row-dataflow engine shared by RM-STC
- * and Trapezoid, including the gathered vs fixed-chunk column sweep.
+ * and Trapezoid, including the gathered vs fixed-chunk column sweep,
+ * and an exact differential against the per-row step-trace engine it
+ * replaced.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.hh"
+#include "common/small_vector.hh"
+#include "obs/trace.hh"
 #include "stc/row_dataflow.hh"
+
+#include "run_result_eq.hh"
 
 namespace unistc
 {
@@ -15,13 +24,236 @@ namespace
 {
 
 const MachineConfig kFp64 = MachineConfig::fp64();
+const MachineConfig kFp32 = MachineConfig::fp32();
 
 RunResult
-runEngine(const BlockTask &t, int m, int n, int k, bool gather)
+runEngine(const BlockTask &t, int m, int n, int k, bool gather,
+          const MachineConfig &cfg = kFp64)
 {
     RunResult r;
-    runRowDataflow(t, kFp64, m, n, k, 8, r, gather);
+    runRowDataflow(t, cfg, m, n, k, 8, r, gather);
     return r;
+}
+
+// ---------------------------------------------------------------------
+// Reference: the engine as it was before the count-only pass. Every
+// row records its sub-steps as RowStep events, then the group merges
+// the rows in lock-step, one cycle per step index.
+// ---------------------------------------------------------------------
+
+struct RowStep
+{
+    int products = 0;
+    int readsB = 0;
+    int wastedB = 0;
+    int writesC = 0;
+};
+
+void
+referenceRowDataflow(const BlockTask &task, const MachineConfig &cfg,
+                     int t3m, int t3n, int t3k, int c_net_units,
+                     RunResult &res, bool gather_columns,
+                     TraceSink *trace)
+{
+    ++res.tasksT1;
+    const std::uint64_t t1_start = res.cycles;
+    const int mac = cfg.macCount;
+    const int n_ext = task.nExtent();
+    const std::uint16_t n_mask = n_ext == kBlockSize
+        ? 0xFFFFu
+        : static_cast<std::uint16_t>((1u << n_ext) - 1u);
+    const std::uint16_t *b_cols = task.bInfo().cols.data();
+
+    SmallVector<RowStep, 64> row_steps[kBlockSize];
+
+    for (int g = 0; g < kBlockSize; g += t3m) {
+        const int n_rows = std::min(t3m, kBlockSize - g);
+
+        for (int ri = 0; ri < n_rows; ++ri) {
+            SmallVector<RowStep, 64> &steps = row_steps[ri];
+            steps.clear();
+            std::uint8_t ks[kBlockSize];
+            int n_ks = 0;
+            forEachSetBit(task.a.rowBits(g + ri), [&](int k) {
+                ks[n_ks++] = static_cast<std::uint8_t>(k);
+            });
+
+            for (int p = 0; p < n_ks; p += t3k) {
+                const int group_sz = std::min(t3k, n_ks - p);
+                res.traffic.readsA += group_sz;
+                res.traffic.wastedA += t3k - group_sz;
+                ++res.tasksT3;
+
+                std::uint16_t merged = 0;
+                std::uint16_t gmask = 0;
+                for (int q = 0; q < group_sz; ++q) {
+                    merged = static_cast<std::uint16_t>(
+                        merged | task.b.rowBits(ks[p + q]));
+                    gmask = setBit(gmask, ks[p + q]);
+                }
+                merged &= n_mask;
+
+                if (!merged) {
+                    steps.push_back(RowStep{});
+                    continue;
+                }
+
+                std::uint8_t cols[kBlockSize];
+                int n_cols = 0;
+                if (gather_columns) {
+                    forEachSetBit(merged, [&](int c) {
+                        cols[n_cols++] = static_cast<std::uint8_t>(c);
+                    });
+                } else {
+                    for (int base = 0; base < n_ext; base += t3n) {
+                        const int hi = std::min(base + t3n, n_ext);
+                        const std::uint16_t chunk_mask =
+                            static_cast<std::uint16_t>(
+                                ((1u << (hi - base)) - 1u) << base);
+                        if (!(merged & chunk_mask))
+                            continue;
+                        for (int c = base; c < hi; ++c)
+                            cols[n_cols++] =
+                                static_cast<std::uint8_t>(c);
+                    }
+                }
+                for (int ci = 0; ci < n_cols; ci += t3n) {
+                    RowStep step;
+                    const int chunk = std::min(t3n, n_cols - ci);
+                    for (int x = 0; x < chunk; ++x) {
+                        const int hits = popcount16(
+                            b_cols[cols[ci + x]] & gmask);
+                        step.products += hits;
+                        step.readsB += hits;
+                        step.wastedB += group_sz - hits;
+                        ++step.writesC;
+                    }
+                    steps.push_back(step);
+                }
+            }
+        }
+
+        std::size_t group_cycles = 0;
+        for (int ri = 0; ri < n_rows; ++ri)
+            group_cycles = std::max(group_cycles, row_steps[ri].size());
+
+        const std::uint64_t group_start = res.cycles;
+        for (std::size_t cyc = 0; cyc < group_cycles; ++cyc) {
+            int eff = 0;
+            for (int ri = 0; ri < n_rows; ++ri) {
+                const SmallVector<RowStep, 64> &steps = row_steps[ri];
+                if (cyc < steps.size()) {
+                    eff += steps[cyc].products;
+                    res.traffic.readsB += steps[cyc].readsB;
+                    res.traffic.wastedB += steps[cyc].wastedB;
+                    res.traffic.writesC += steps[cyc].writesC;
+                }
+            }
+            res.recordCycle(mac, eff, 0, c_net_units);
+        }
+        if (group_cycles > 0) {
+            UNISTC_TRACE_COMPLETE(trace, TraceTrack::Sdpu,
+                                  "row group " + std::to_string(g / t3m),
+                                  group_start, res.cycles - group_start);
+        }
+    }
+
+    UNISTC_TRACE_COMPLETE(trace, TraceTrack::Sdpu, "T1 (row dataflow)",
+                          t1_start, res.cycles - t1_start);
+}
+
+void
+expectSameTrace(const TraceSink &want, const TraceSink &got)
+{
+    const std::vector<TraceEvent> w = want.events();
+    const std::vector<TraceEvent> g = got.events();
+    ASSERT_EQ(g.size(), w.size());
+    for (std::size_t i = 0; i < w.size(); ++i) {
+        EXPECT_EQ(g[i].phase, w[i].phase);
+        EXPECT_EQ(g[i].tid, w[i].tid);
+        EXPECT_EQ(g[i].ts, w[i].ts);
+        EXPECT_EQ(g[i].dur, w[i].dur);
+        EXPECT_EQ(g[i].name, w[i].name);
+    }
+}
+
+/** A block whose entries are set with probability @p density. */
+BlockPattern
+patternAt(Rng &rng, double density)
+{
+    if (density >= 1.0)
+        return BlockPattern::dense();
+    if (density <= 0.0)
+        return BlockPattern{};
+    return BlockPattern::random(rng, density);
+}
+
+TEST(RowDataflow, MatchesStepTraceReference)
+{
+    const struct
+    {
+        int m, n, k;
+        const MachineConfig *cfg;
+        const char *what;
+    } geoms[] = {
+        {8, 4, 2, &kFp64, "RM-STC and TrGS fp64"},
+        {16, 4, 2, &kFp32, "RM-STC, TrIP and TrGT fp32"},
+        {16, 2, 2, &kFp64, "TrIP fp64"},
+        {16, 4, 1, &kFp64, "TrGT fp64"},
+        {8, 4, 4, &kFp32, "TrGS fp32"},
+        // 256 sub-steps per dense row: past the old inline capacity.
+        {1, 1, 1, &kFp64, "1x1x1"},
+    };
+    const double densities[] = {0.0,  0.002, 0.01, 0.05,
+                                0.15, 0.3,   0.5,  1.0};
+    Rng rng(664);
+    for (const auto &g : geoms) {
+        for (bool gather : {true, false}) {
+            for (bool mv : {false, true}) {
+                // Accumulators carried across every case of this
+                // configuration: the engines must also agree when
+                // adding into a non-empty result.
+                RunResult want_acc, got_acc;
+                for (double da : densities) {
+                    for (double db : densities) {
+                        const BlockPattern a = patternAt(rng, da);
+                        const BlockPattern b = patternAt(rng, db);
+                        const BlockTask t = mv
+                            ? BlockTask::mv(a, b.rowBits(0))
+                            : BlockTask::mm(a, b);
+                        const std::string what =
+                            std::string(g.what) +
+                            (gather ? " gather" : " chunks") +
+                            (mv ? " MV" : " MM") + " dA=" +
+                            std::to_string(da) +
+                            " dB=" + std::to_string(db);
+
+                        RunResult want, got;
+                        TraceSink want_trace(64), got_trace(64);
+                        referenceRowDataflow(t, *g.cfg, g.m, g.n, g.k,
+                                             32, want, gather,
+                                             &want_trace);
+                        runRowDataflow(t, *g.cfg, g.m, g.n, g.k, 32,
+                                       got, gather, &got_trace);
+                        SCOPED_TRACE(what);
+                        expectSameResult(want, got);
+                        expectSameTrace(want_trace, got_trace);
+                        EXPECT_EQ(rowDataflowCycles(t, g.m, g.n, g.k,
+                                                    gather),
+                                  got.cycles);
+
+                        referenceRowDataflow(t, *g.cfg, g.m, g.n, g.k,
+                                             32, want_acc, gather,
+                                             nullptr);
+                        runRowDataflow(t, *g.cfg, g.m, g.n, g.k, 32,
+                                       got_acc, gather);
+                        SCOPED_TRACE("accumulated");
+                        expectSameResult(want_acc, got_acc);
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(RowDataflow, ProductConservationAllGeometries)
@@ -30,16 +262,21 @@ TEST(RowDataflow, ProductConservationAllGeometries)
     const struct
     {
         int m, n, k;
-    } geoms[] = {{8, 4, 2}, {16, 4, 1}, {16, 2, 2}, {8, 4, 2}};
+    } geoms[] = {
+        {8, 4, 2}, {16, 4, 1}, {16, 2, 2}, {8, 4, 4}, {16, 4, 2},
+    };
     for (int trial = 0; trial < 10; ++trial) {
         const BlockPattern a = BlockPattern::random(rng, 0.2);
         const BlockPattern b = BlockPattern::random(rng, 0.2);
         const BlockTask t = BlockTask::mm(a, b);
         const int expect = blockProductCount(a, b);
         for (const auto &g : geoms) {
+            // The 128-MAC geometries need the FP32 array.
+            const MachineConfig &cfg =
+                g.m * g.n * g.k <= kFp64.macCount ? kFp64 : kFp32;
             for (bool gather : {true, false}) {
                 const RunResult r =
-                    runEngine(t, g.m, g.n, g.k, gather);
+                    runEngine(t, g.m, g.n, g.k, gather, cfg);
                 EXPECT_EQ(r.products,
                           static_cast<std::uint64_t>(expect));
             }
