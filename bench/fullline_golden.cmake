@@ -1,10 +1,12 @@
 # Exact-counter gate for the full seven-model lineup: simulate_cli
 # --model all runs NV-DTC, DS-STC, RM-STC, GAMMA, SIGMA, Trapezoid and
-# Uni-STC on three small generated matrices, and its stdout plus the
+# Uni-STC on small generated matrices, and its stdout plus the
 # UNISTC_BENCH_JSON dump of every RunResult must match the committed
 # goldens in bench/golden/fullline_smoke/ byte for byte. The cases
 # cover SpGEMM at 50% density (dense tasks), SpGEMM at 2% (sparse
-# tasks) and SpMV (the N = 1 extent).
+# tasks), SpMV (the N = 1 extent), SpMM (dense B blocks) and SpMSpV
+# (the masked-popcount skip test), so every kernel is pinned on every
+# model.
 # Driven by ctest (see CMakeLists.txt):
 #
 #   cmake -DCLI=<simulate_cli> -DGOLDEN_DIR=<bench/golden/fullline_smoke> \
@@ -51,6 +53,8 @@ endfunction()
 run_case(spgemm_random256_d50 spgemm random:256,0.5)
 run_case(spgemm_random256_d2 spgemm random:256,0.02)
 run_case(spmv_random256_d5 spmv random:256,0.05)
+run_case(spmm_random256_d5 spmm random:256,0.05)
+run_case(spmspv_random256_d5 spmspv random:256,0.05)
 
 message(STATUS "all seven models reproduce the fullline_smoke goldens "
                "byte for byte")

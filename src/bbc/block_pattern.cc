@@ -1,7 +1,6 @@
 #include "bbc/block_pattern.hh"
 
 #include "common/bitops.hh"
-#include "common/bitops_simd.hh"
 #include "common/rng.hh"
 
 namespace unistc
@@ -43,8 +42,7 @@ BlockPattern::colBits(int c) const
 int
 BlockPattern::nnz() const
 {
-    return static_cast<int>(popcountBuffer16(rows_.data(),
-                                             rows_.size()));
+    return popcountBuffer16(rows_.data());
 }
 
 bool
@@ -146,8 +144,7 @@ blockMvPattern(const BlockPattern &a, std::uint16_t x_mask)
 int
 blockMvProductCount(const BlockPattern &a, std::uint16_t x_mask)
 {
-    return static_cast<int>(
-        maskedPopcount16(a.rowData(), kBlockSize, x_mask));
+    return maskedPopcount16(a.rowData(), x_mask);
 }
 
 BlockPattern

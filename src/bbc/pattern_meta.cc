@@ -1,7 +1,6 @@
 #include "bbc/pattern_meta.hh"
 
 #include "common/bitops.hh"
-#include "common/bitops_simd.hh"
 
 namespace unistc
 {

@@ -1,17 +1,18 @@
 /**
  * @file
  * Bit-manipulation helpers mirroring the simple hardware primitives the
- * paper's functional units rely on (popcounts, prefix sums over bitmap
- * words, per-bit iteration). All operate on 16-bit words because every
- * bitmap in Uni-STC (tile-level and element-level) is a 4x4 = 16-bit map.
+ * paper's functional units rely on (popcounts, per-bit iteration,
+ * bitmap transposes). All operate on 16-bit words because every bitmap
+ * in Uni-STC (tile-level and element-level) is a 4x4 = 16-bit map, and
+ * a 16x16 block is sixteen such words, one per row.
  */
 
 #ifndef UNISTC_COMMON_BITOPS_HH
 #define UNISTC_COMMON_BITOPS_HH
 
-#include <array>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 
 namespace unistc
 {
@@ -23,11 +24,24 @@ popcount16(std::uint16_t v)
     return std::popcount(v);
 }
 
-/** Number of set bits in a 64-bit word. */
+/** Total set bits across the 16 row words of a 16x16 bitmap. */
 inline int
-popcount64(std::uint64_t v)
+popcountBuffer16(const std::uint16_t words[16])
 {
-    return std::popcount(v);
+    int total = 0;
+    for (int i = 0; i < 16; ++i)
+        total += popcount16(words[i]);
+    return total;
+}
+
+/** Sum of popcount(words[i] & mask) over the 16 row words. */
+inline int
+maskedPopcount16(const std::uint16_t words[16], std::uint16_t mask)
+{
+    int total = 0;
+    for (int i = 0; i < 16; ++i)
+        total += popcount16(static_cast<std::uint16_t>(words[i] & mask));
+    return total;
 }
 
 /** True when bit @p idx (0 = LSB) is set. */
@@ -42,51 +56,6 @@ inline std::uint16_t
 setBit(std::uint16_t v, int idx)
 {
     return static_cast<std::uint16_t>(v | (1u << idx));
-}
-
-/**
- * Rank of a set bit: number of set bits strictly below position @p idx.
- * This is the hardware prefix-sum primitive the DPG uses to map a
- * bitmap position to a compacted value-array offset.
- */
-inline int
-bitRank(std::uint16_t v, int idx)
-{
-    const std::uint16_t mask =
-        static_cast<std::uint16_t>((1u << idx) - 1u);
-    return std::popcount(static_cast<std::uint16_t>(v & mask));
-}
-
-/** Index (0 = LSB) of the n-th (0-based) set bit; -1 when absent. */
-inline int
-selectBit(std::uint16_t v, int n)
-{
-    for (int i = 0; i < 16; ++i) {
-        if (testBit(v, i)) {
-            if (n == 0)
-                return i;
-            --n;
-        }
-    }
-    return -1;
-}
-
-/**
- * Exclusive prefix-sum of set bits across a 16-entry bitmap, i.e. the
- * compacted offset of every position. Models the prefix-sum units that
- * the paper says drive task dispatch and vector concatenation.
- */
-inline std::array<int, 16>
-exclusivePrefixRanks(std::uint16_t v)
-{
-    std::array<int, 16> out{};
-    int running = 0;
-    for (int i = 0; i < 16; ++i) {
-        out[i] = running;
-        if (testBit(v, i))
-            ++running;
-    }
-    return out;
 }
 
 /** Call @p fn(bitIndex) for every set bit, LSB first. */
@@ -138,6 +107,35 @@ inline std::uint16_t
 col4(std::uint16_t v, int c)
 {
     return row4(transpose4x4(v), c);
+}
+
+/**
+ * Transpose a 16x16 bit matrix: out[c] holds column c (bit r set when
+ * in[r] has bit c). Safe with in == out.
+ *
+ * Hacker's Delight delta-swap transpose, 16-bit edition: four rounds
+ * of exchanging j-strided sub-blocks, the 16x16 counterpart of
+ * transpose4x4. The swap direction is mirrored relative to the book
+ * (high bits of the upper row trade with low bits of the lower row)
+ * because our bit convention has column 0 at the LSB, not the MSB.
+ */
+inline void
+transpose16x16(const std::uint16_t in[16], std::uint16_t out[16])
+{
+    std::uint16_t a[16];
+    std::memcpy(a, in, sizeof(a));
+    std::uint16_t m = 0x00FFu;
+    for (int j = 8; j != 0; j >>= 1,
+             m = static_cast<std::uint16_t>(m ^ (m << j))) {
+        for (int k = 0; k < 16; k = (k + j + 1) & ~j) {
+            const std::uint16_t t =
+                static_cast<std::uint16_t>(((a[k] >> j) ^ a[k + j]) &
+                                           m);
+            a[k] = static_cast<std::uint16_t>(a[k] ^ (t << j));
+            a[k + j] = static_cast<std::uint16_t>(a[k + j] ^ t);
+        }
+    }
+    std::memcpy(out, a, sizeof(a));
 }
 
 /** Broadcast a 4-bit value into all four nibbles of a 16-bit word. */

@@ -1,12 +1,16 @@
 /**
  * @file
- * BlockPattern tests: bitmap views, tile extraction and the
- * structural product helpers every STC model depends on.
+ * BlockPattern tests: bitmap views, tile extraction, the structural
+ * product helpers every STC model depends on, and the PatternMeta
+ * summaries the models read in their place.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bbc/block_pattern.hh"
+#include "bbc/pattern_meta.hh"
 #include "common/bitops.hh"
 #include "common/rng.hh"
 
@@ -170,6 +174,76 @@ TEST(BlockPattern, RandomDensityIsPlausible)
         total += BlockPattern::random(rng, 0.3).nnz();
     const double mean = static_cast<double>(total) / trials / 256.0;
     EXPECT_NEAR(mean, 0.3, 0.05);
+}
+
+/**
+ * Check every PatternMeta field of @p p against the BlockPattern
+ * accessors, with row/column/total counts brute-forced from test().
+ */
+void
+expectMetaMatchesAccessors(const BlockPattern &p)
+{
+    const PatternMeta meta = computePatternMeta(p);
+    for (int c = 0; c < kBlockSize; ++c)
+        ASSERT_EQ(meta.cols[c], p.colBits(c)) << "c=" << c;
+    for (int ti = 0; ti < kTilesPerEdge; ++ti) {
+        for (int tj = 0; tj < kTilesPerEdge; ++tj) {
+            ASSERT_EQ(meta.tiles[ti * kTilesPerEdge + tj],
+                      p.tilePattern(ti, tj))
+                << "tile " << ti << "," << tj;
+        }
+    }
+    ASSERT_EQ(meta.tileBits, p.tileBitmap());
+
+    int nnz = 0;
+    for (int i = 0; i < kBlockSize; ++i) {
+        int row = 0, col = 0;
+        for (int j = 0; j < kBlockSize; ++j) {
+            row += p.test(i, j) ? 1 : 0;
+            col += p.test(j, i) ? 1 : 0;
+        }
+        ASSERT_EQ(meta.rowCnt[i], row) << "row " << i;
+        ASSERT_EQ(meta.colCnt[i], col) << "col " << i;
+        nnz += row;
+    }
+    ASSERT_EQ(meta.nnz, nnz);
+    ASSERT_EQ(p.nnz(), nnz);
+}
+
+TEST(PatternMeta, MatchesAccessorsOnEdgeBlocks)
+{
+    ASSERT_NO_FATAL_FAILURE(expectMetaMatchesAccessors(BlockPattern{}));
+    ASSERT_NO_FATAL_FAILURE(
+        expectMetaMatchesAccessors(BlockPattern::dense()));
+    for (int r = 0; r < kBlockSize; ++r) {
+        for (int c = 0; c < kBlockSize; ++c) {
+            SCOPED_TRACE("single bit " + std::to_string(r) + "," +
+                         std::to_string(c));
+            BlockPattern p;
+            p.set(r, c);
+            ASSERT_NO_FATAL_FAILURE(expectMetaMatchesAccessors(p));
+        }
+    }
+}
+
+TEST(PatternMeta, MatchesAccessorsOnRandomBlocks)
+{
+    Rng rng(83);
+    for (const double density : {0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9}) {
+        for (int trial = 0; trial < 20; ++trial) {
+            SCOPED_TRACE("density " + std::to_string(density) +
+                         " trial " + std::to_string(trial));
+            ASSERT_NO_FATAL_FAILURE(expectMetaMatchesAccessors(
+                BlockPattern::random(rng, density)));
+        }
+    }
+    for (int trial = 0; trial < 100; ++trial) {
+        const auto mask =
+            static_cast<std::uint16_t>(rng.nextInRange(0, 0xFFFF));
+        SCOPED_TRACE("vectorAsBlock mask " + std::to_string(mask));
+        ASSERT_NO_FATAL_FAILURE(
+            expectMetaMatchesAccessors(vectorAsBlock(mask)));
+    }
 }
 
 } // namespace

@@ -15,8 +15,6 @@
 #include <vector>
 
 #include "bbc/bbc_matrix.hh"
-#include "common/arena.hh"
-#include "common/bitops_simd.hh"
 #include "common/rng.hh"
 #include "corpus/generators.hh"
 #include "engine/kernel_pipeline.hh"
@@ -180,63 +178,6 @@ TEST(EngineDifferential, AllKernelsAllModelsSinglePassMatchesLegacy)
             }
         }
     }
-}
-
-// Tentpole acceptance: the SIMD kernels and the task-scratch arena
-// are pure accelerations. For every kernel on every registered
-// architecture, the full-lineup pipeline run is byte-identical
-// (every counter and histogram bucket) across the forced-scalar /
-// forced-vector backends and the arena / plain-allocation modes.
-TEST(EngineDifferential, SimdAndArenaVariantsAreByteIdentical)
-{
-    const MachineConfig cfg = MachineConfig::fp64();
-    const auto names = allModelNames();
-    std::vector<StcModelPtr> owned;
-    std::vector<KernelPipeline::ModelSlot> slots;
-    for (const auto &name : names) {
-        owned.push_back(makeStcModel(name, cfg));
-        slots.push_back({owned.back().get(), nullptr});
-    }
-
-    const auto run_lineup = [&](const KernelPlan &plan) {
-        return KernelPipeline::run(plan, slots, EnergyModel(),
-                                   nullptr);
-    };
-
-    for (const NamedInput &in : smokeCorpus()) {
-        for (const Kernel kernel : allKernels()) {
-            SCOPED_TRACE(in.name + " / " + toString(kernel));
-            const KernelPlanPtr plan = planFor(kernel, in);
-
-            // Reference: forced scalar bitops, plain allocation.
-            setSimdBackendForTest(SimdBackend::Scalar);
-            ScratchArena::setEnabledForTest(false);
-            const std::vector<RunResult> ref = run_lineup(*plan);
-            ASSERT_EQ(ref.size(), names.size());
-
-            for (const SimdBackend want :
-                 {SimdBackend::Scalar, SimdBackend::Avx2,
-                  SimdBackend::Neon}) {
-                // Unavailable backends fall back to scalar — the
-                // comparison then just re-checks determinism.
-                const SimdBackend got = setSimdBackendForTest(want);
-                for (const bool arena : {false, true}) {
-                    SCOPED_TRACE(std::string("simd=") + toString(got) +
-                                 (arena ? " arena=on" : " arena=off"));
-                    ScratchArena::setEnabledForTest(arena);
-                    const std::vector<RunResult> got_rs =
-                        run_lineup(*plan);
-                    ASSERT_EQ(got_rs.size(), names.size());
-                    for (std::size_t m = 0; m < names.size(); ++m) {
-                        SCOPED_TRACE("model " + names[m]);
-                        expectSameResult(got_rs[m], ref[m]);
-                    }
-                }
-            }
-        }
-    }
-    resetSimdBackendFromEnv();
-    ScratchArena::resetModeFromEnv();
 }
 
 // The runner entry points are thin planners over the pipeline; their

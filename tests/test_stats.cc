@@ -149,6 +149,49 @@ TEST(Histogram, NanTallyMergesAndScales)
     EXPECT_EQ(a.nanCount(), 6u);
 }
 
+// Histogram::addRatio vs Histogram::add: the memoized form must land
+// every (num, den) pair in exactly the bucket the double-math add()
+// picks, over every shape the simulator uses. Denominators reach 128,
+// the FP32 MAC count every FP32 run passes per cycle.
+TEST(HistogramAddRatio, MatchesAddForAllRatios)
+{
+    // The simulator's utilisation histogram shape plus pathological
+    // shapes (hi exactly 1.0, offset range).
+    struct Shape {
+        int buckets;
+        double lo, hi;
+    };
+    for (const Shape &s :
+         {Shape{4, 0.0, 1.0 + 1e-12}, Shape{4, 0.0, 1.0},
+          Shape{7, 0.0, 1.0 + 1e-12}, Shape{5, 0.25, 0.75}}) {
+        for (int den = 1; den <= 128; ++den) {
+            Histogram via_add(s.buckets, s.lo, s.hi);
+            Histogram via_ratio(s.buckets, s.lo, s.hi);
+            for (int num = 0; num <= den; ++num) {
+                via_add.add(static_cast<double>(num) / den);
+                via_ratio.addRatio(num, den);
+            }
+            for (int b = 0; b < s.buckets; ++b) {
+                ASSERT_EQ(via_ratio.bucketCount(b), via_add.bucketCount(b))
+                    << "buckets=" << s.buckets << " den=" << den
+                    << " bucket=" << b;
+            }
+            ASSERT_EQ(via_ratio.totalCount(), via_add.totalCount());
+        }
+    }
+}
+
+TEST(HistogramAddRatio, WeightedMatchesRepeatedAdd)
+{
+    Histogram a(4, 0.0, 1.0 + 1e-12);
+    Histogram b(4, 0.0, 1.0 + 1e-12);
+    for (int i = 0; i < 5; ++i)
+        a.add(3.0 / 16.0);
+    b.addRatio(3, 16, 5);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(a.bucketCount(i), b.bucketCount(i));
+}
+
 TEST(GeoMean, MatchesClosedForm)
 {
     GeoMean g;
