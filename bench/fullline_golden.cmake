@@ -6,15 +6,18 @@
 # cover SpGEMM at 50% density (dense tasks), SpGEMM at 2% (sparse
 # tasks), SpMV (the N = 1 extent), SpMM (dense B blocks) and SpMSpV
 # (the masked-popcount skip test), so every kernel is pinned on every
-# model.
+# model. One more case runs an --arch lineup at fp32 with 16 DPGs and
+# also pins its --stats-json file: the engine.* counters of the shared
+# task stream and the machine-config stats.
 # Driven by ctest (see CMakeLists.txt):
 #
 #   cmake -DCLI=<simulate_cli> -DGOLDEN_DIR=<bench/golden/fullline_smoke> \
 #         -DWORKDIR=<work dir> -P fullline_golden.cmake
 #
 # To regenerate after an intended model change, run each case below by
-# hand with UNISTC_BENCH_JSON=<GOLDEN_DIR>/<case>.json and redirect
-# stdout to <GOLDEN_DIR>/<case>.txt.
+# hand from the golden directory with
+# UNISTC_BENCH_JSON=<GOLDEN_DIR>/<case>.json and redirect stdout to
+# <GOLDEN_DIR>/<case>.txt.
 
 foreach(var CLI WORKDIR GOLDEN_DIR)
     if(NOT DEFINED ${var})
@@ -25,29 +28,40 @@ endforeach()
 file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
 
-function(run_case name kernel gen)
+# Fail unless WORKDIR/<file> matches GOLDEN_DIR/<file> byte for byte.
+function(expect_golden file)
+    execute_process(
+        COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${WORKDIR}/${file} ${GOLDEN_DIR}/${file}
+        RESULT_VARIABLE differ)
+    if(NOT differ EQUAL 0)
+        message(FATAL_ERROR
+                "${file} differs from the golden in ${GOLDEN_DIR}")
+    endif()
+endfunction()
+
+# run_cli(<case> <simulate_cli args>...): run from WORKDIR, so relative
+# output paths echoed on stdout stay the same on every machine, and
+# pin stdout and the bench JSON dump.
+function(run_cli name)
     set(ENV{UNISTC_BENCH_JSON} ${WORKDIR}/${name}.json)
     execute_process(
-        COMMAND ${CLI} --kernel ${kernel} --gen ${gen} --model all
+        COMMAND ${CLI} ${ARGN}
+        WORKING_DIRECTORY ${WORKDIR}
         OUTPUT_FILE ${WORKDIR}/${name}.txt
         ERROR_FILE ${WORKDIR}/${name}.err
         RESULT_VARIABLE rc)
     if(NOT rc EQUAL 0)
+        string(REPLACE ";" " " args "${ARGN}")
         message(FATAL_ERROR
-                "${CLI} --kernel ${kernel} --gen ${gen} (${name}) "
-                "exited with ${rc}")
+                "${CLI} ${args} (${name}) exited with ${rc}")
     endif()
-    foreach(ext txt json)
-        execute_process(
-            COMMAND ${CMAKE_COMMAND} -E compare_files
-                    ${WORKDIR}/${name}.${ext} ${GOLDEN_DIR}/${name}.${ext}
-            RESULT_VARIABLE differ)
-        if(NOT differ EQUAL 0)
-            message(FATAL_ERROR
-                    "${name}.${ext} differs from the golden in "
-                    "${GOLDEN_DIR}")
-        endif()
-    endforeach()
+    expect_golden(${name}.txt)
+    expect_golden(${name}.json)
+endfunction()
+
+function(run_case name kernel gen)
+    run_cli(${name} --kernel ${kernel} --gen ${gen} --model all)
 endfunction()
 
 run_case(spgemm_random256_d50 spgemm random:256,0.5)
@@ -55,6 +69,11 @@ run_case(spgemm_random256_d2 spgemm random:256,0.02)
 run_case(spmv_random256_d5 spmv random:256,0.05)
 run_case(spmm_random256_d5 spmm random:256,0.05)
 run_case(spmspv_random256_d5 spmspv random:256,0.05)
+run_cli(spgemm_banded512_lineup --kernel spgemm
+        --arch DS-STC,RM-STC,Uni-STC --gen banded:512,8,0.4
+        --precision fp32 --dpgs 16
+        --stats-json spgemm_banded512_lineup.stats.json)
+expect_golden(spgemm_banded512_lineup.stats.json)
 
 message(STATUS "all seven models reproduce the fullline_smoke goldens "
                "byte for byte")

@@ -17,29 +17,450 @@
  * with byte-identical output across worker counts, shard counts and
  * resume state.
  *
- * The experiment parser and body live in src/serve/sim_service.hh,
- * SHARED with the unistc_serve daemon (docs/SERVING.md): a daemon
- * response is byte-identical to a one-shot run of this binary
- * because both execute exactly that code. See sim_service.hh for
- * the front-end flag family (--matrix/--gen/--kernel/--model/--arch/
- * --precision/--dpgs/--bcols/--save-bbc/--trace/--stats-json).
+ * This file holds the experiment parser and body: the front-end flag
+ * family (--matrix/--gen/--kernel/--model/--arch/--precision/--dpgs/
+ * --bcols/--save-bbc/--trace/--trace-events/--stats-json, listed in
+ * simulateCliFlags() and --help) only decides WHAT to simulate.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "bbc/bbc_io.hh"
+#include "cache/matrix_cache.hh"
+#include "common/logging.hh"
+#include "common/rng.hh"
+#include "common/table.hh"
+#include "corpus/generators.hh"
 #include "driver/driver_session.hh"
+#include "driver/execution_context.hh"
+#include "driver/kernel_run.hh"
 #include "driver/sweep_request.hh"
 #include "driver/version.hh"
-#include "serve/sim_service.hh"
+#include "obs/metrics_export.hh"
+#include "obs/stat_registry.hh"
+#include "obs/trace.hh"
+#include "runner/report.hh"
+#include "sim/config.hh"
+#include "sparse/io.hh"
+#include "stc/registry.hh"
 
 using namespace unistc;
+
+namespace
+{
+
+/** Everything the simulation body needs, resolved before the run. */
+struct Experiment
+{
+    std::map<std::string, std::string> opts; ///< Front-end extras.
+    Kernel kernel = Kernel::SpMV;
+    std::string kernelName;
+    std::vector<std::string> names; ///< Models (lineup order).
+    bool multi = false;             ///< --arch: one lineup job.
+    MachineConfig cfg = MachineConfig::fp64();
+    int bCols = 64;
+    bool robustStats = false; ///< --strict / --max-job-seconds set.
+
+    /** Value of front-end flag @p key, "" when it was not given. */
+    std::string
+    opt(const std::string &key) const
+    {
+        const auto it = opts.find(key);
+        return it == opts.end() ? std::string() : it->second;
+    }
+};
+
+/** Strict integer option parsing: the whole value must be a number. */
+int
+parseIntOpt(const std::string &flag, const std::string &text)
+{
+    try {
+        std::size_t used = 0;
+        const int v = std::stoi(text, &used);
+        if (used != text.size())
+            throw std::invalid_argument(text);
+        return v;
+    } catch (const std::exception &) {
+        UNISTC_FATAL("--", flag, " needs an integer, got '", text,
+                     "'");
+    }
+}
+
+/**
+ * parseIntOpt() for a count that must be positive: zero or a negative
+ * value is an input error, not a simulator configuration to assert on.
+ */
+int
+parseCountOpt(const std::string &flag, const std::string &text)
+{
+    const int n = parseIntOpt(flag, text);
+    if (n <= 0)
+        UNISTC_FATAL("--", flag, " needs a positive count, got ", n);
+    return n;
+}
+
+/**
+ * Parse --arch's comma-separated lineup; an unknown name fails with
+ * the full list of available architectures.
+ */
+std::vector<std::string>
+parseArchList(const std::string &list)
+{
+    std::vector<std::string> names;
+    std::size_t begin = 0;
+    for (;;) {
+        const std::size_t comma = list.find(',', begin);
+        const std::string name = comma == std::string::npos
+            ? list.substr(begin)
+            : list.substr(begin, comma - begin);
+        if (name.empty())
+            UNISTC_FATAL("--arch has an empty entry in '", list, "'");
+        names.push_back(name);
+        if (comma == std::string::npos)
+            break;
+        begin = comma + 1;
+    }
+    const std::vector<std::string> all = allModelNames();
+    std::string available;
+    for (const std::string &n : all)
+        available += (available.empty() ? "" : ", ") + n;
+    for (const std::string &name : names) {
+        if (std::find(all.begin(), all.end(), name) == all.end()) {
+            UNISTC_FATAL("unknown architecture '", name,
+                         "' in --arch (available: ", available, ")");
+        }
+    }
+    return names;
+}
+
+/** The front-end's flags, for the driver parser. */
+std::vector<driver::CliFlag>
+simulateCliFlags()
+{
+    return {
+        {"matrix", true, "PATH", "Matrix Market input"},
+        {"gen", true, "SPEC",
+         "synthetic input: banded:n,hb,fill | random:n,density | "
+         "powerlaw:n,deg,alpha | stencil:grid"},
+        {"kernel", true, "NAME",
+         "spmv | spmspv | spmm | spgemm (default spmv)"},
+        {"model", true, "NAME",
+         "an architecture name or 'all' (default all)"},
+        {"arch", true, "A,B,C",
+         "architecture lineup run as ONE multi-model job over a "
+         "shared task stream (docs/ARCHITECTURE.md)"},
+        {"precision", true, "P", "fp64 | fp32 (default fp64)"},
+        {"dpgs", true, "N", "Uni-STC DPG count (default 8)"},
+        {"bcols", true, "N", "SpMM dense-B width (default 64)"},
+        {"save-bbc", true, "PATH", "write the encoded BBC file"},
+        {"trace", true, "PATH",
+         "write a Chrome trace-event JSON (Perfetto)"},
+        {"trace-events", true, "N",
+         "per-model trace ring capacity (default 65536)"},
+        {"stats-json", true, "PATH",
+         "write all run statistics as JSON"},
+    };
+}
+
+/**
+ * Resolve and validate every front-end flag of @p cli into an
+ * Experiment, adjusting cli.request (trace ring capacity, robust
+ * stat policy) on the way. UNISTC_FATALs on invalid input.
+ */
+Experiment
+makeExperiment(driver::ParsedCli &cli)
+{
+    Experiment ex;
+    ex.opts = cli.extra;
+    ex.kernelName =
+        ex.opts.count("kernel") ? ex.opts["kernel"] : "spmv";
+    if (ex.kernelName == "spmv")
+        ex.kernel = Kernel::SpMV;
+    else if (ex.kernelName == "spmspv")
+        ex.kernel = Kernel::SpMSpV;
+    else if (ex.kernelName == "spmm")
+        ex.kernel = Kernel::SpMM;
+    else if (ex.kernelName == "spgemm")
+        ex.kernel = Kernel::SpGEMM;
+    else
+        UNISTC_FATAL("unknown kernel '", ex.kernelName, "'");
+
+    const std::string precision = ex.opts.count("precision")
+        ? ex.opts["precision"] : "fp64";
+    if (precision == "fp32")
+        ex.cfg = MachineConfig::fp32();
+    else if (precision == "fp64")
+        ex.cfg = MachineConfig::fp64();
+    else
+        UNISTC_FATAL("unknown --precision '", precision,
+                     "' (use fp64|fp32)");
+    if (ex.opts.count("dpgs"))
+        ex.cfg.numDpgs = parseCountOpt("dpgs", ex.opts["dpgs"]);
+    if (ex.opts.count("bcols"))
+        ex.bCols = parseCountOpt("bcols", ex.opts["bcols"]);
+
+    ex.multi = ex.opts.count("arch") != 0;
+    if (ex.multi && ex.opts.count("model"))
+        UNISTC_FATAL("--model and --arch are mutually exclusive");
+    const std::string model_name =
+        ex.opts.count("model") ? ex.opts["model"] : "all";
+    if (ex.multi)
+        ex.names = parseArchList(ex.opts["arch"]);
+    else if (model_name == "all")
+        ex.names = allModelNames();
+    else
+        ex.names.push_back(model_name);
+
+    if (ex.opts.count("trace")) {
+        // A --trace run goes through the executor's plan/replay path
+        // even at --jobs 1, so the trace has the same structure for
+        // any worker count.
+        cli.request.traceJobCapacity = TraceSink::kDefaultCapacity;
+        if (ex.opts.count("trace-events")) {
+            cli.request.traceJobCapacity = static_cast<std::size_t>(
+                parseCountOpt("trace-events", ex.opts["trace-events"]));
+        }
+    }
+    // The robust.* stat block appears whenever a robustness knob was
+    // set (legacy behaviour) or a job was actually quarantined.
+    ex.robustStats =
+        cli.request.strict || cli.request.maxJobSeconds > 0;
+    return ex;
+}
+
+/**
+ * The matrix source of @p ex: --matrix path, --gen spec, or the
+ * default generator spec. Stable across processes — it keys
+ * checkpoint and shard manifest entries.
+ */
+std::string
+sourceLabel(const Experiment &ex)
+{
+    const auto it_m = ex.opts.find("matrix");
+    if (it_m != ex.opts.end())
+        return it_m->second;
+    const auto it_g = ex.opts.find("gen");
+    if (it_g != ex.opts.end())
+        return it_g->second;
+    return "banded:1024,16,0.4";
+}
+
+/**
+ * Read or generate the experiment's matrix and build its Prepared
+ * image (BBC + the 50%-sparse SpMSpV operand).
+ */
+driver::Prepared
+buildPrepared(const Experiment &ex)
+{
+    CsrMatrix a;
+    if (ex.opts.count("matrix"))
+        a = readMatrixMarketFile(ex.opt("matrix"));
+    else if (ex.opts.count("gen"))
+        a = generateFromSpec(ex.opt("gen"));
+    else
+        a = genBanded(1024, 16, 0.4, 1);
+    SparseVector x50(a.cols());
+    Rng rng(7);
+    for (int i = 0; i < a.cols(); ++i) {
+        if (rng.nextBool(0.5))
+            x50.push(i, 1.0);
+    }
+    return driver::Prepared(sourceLabel(ex), std::move(a),
+                            std::move(x50));
+}
+
+/**
+ * The simulation body a DriverSession drives: with --jobs it runs
+ * twice (silenced plan pass, then the reporting replay pass), under
+ * --shards once per worker plus the supervisor's serve pass — so any
+ * side effect beyond runKernel() calls and stdout must be guarded on
+ * ExecutionContext::reportingPass().
+ */
+int
+simulateBody(const Experiment &ex)
+{
+    driver::ExecutionContext &ctx =
+        driver::ExecutionContext::active();
+
+    // The Prepared name keys checkpoint and shard manifest entries,
+    // so it is the stable source label, not a per-run string.
+    const driver::Prepared prep = buildPrepared(ex);
+    if (ex.kernel == Kernel::SpGEMM && prep.csr.rows() !=
+        prep.csr.cols())
+        UNISTC_FATAL("spgemm (C = A^2) needs a square matrix");
+
+    std::printf("Matrix: %d x %d, %lld nonzeros\n", prep.csr.rows(),
+                prep.csr.cols(),
+                static_cast<long long>(prep.csr.nnz()));
+    std::printf("BBC: %lld blocks, NnzPB %.2f, %s\n\n",
+                static_cast<long long>(prep.bbc.numBlocks()),
+                prep.bbc.nnzPerBlock(),
+                fmtBytes(prep.bbc.storageBytes(
+                             ex.cfg.bytesPerValue())).c_str());
+    if (ex.opts.count("save-bbc")) {
+        if (ctx.reportingPass())
+            saveBbcFile(ex.opt("save-bbc"), prep.bbc);
+        std::printf("Saved BBC image to %s\n\n",
+                    ex.opt("save-bbc").c_str());
+    }
+
+    StatRegistry stats;
+    stats.setText("kernel", ex.kernelName, "simulated kernel");
+    stats.setText("matrix.source", prep.name,
+                  "matrix input path or generator spec");
+    stats.setCounter("matrix.rows",
+                     static_cast<std::uint64_t>(prep.csr.rows()));
+    stats.setCounter("matrix.cols",
+                     static_cast<std::uint64_t>(prep.csr.cols()));
+    stats.setCounter("matrix.nnz",
+                     static_cast<std::uint64_t>(prep.csr.nnz()));
+    stats.setCounter("matrix.bbcBlocks",
+                     static_cast<std::uint64_t>(prep.bbc.numBlocks()));
+    registerMachineConfig(stats, ex.cfg);
+
+    std::vector<std::unique_ptr<const StcModel>> owned;
+    owned.reserve(ex.names.size());
+    for (const std::string &name : ex.names)
+        owned.emplace_back(makeStcModel(name, ex.cfg));
+
+    // --arch runs its whole lineup as ONE unit: the engine enumerates
+    // the task stream once and fans every task out to all listed
+    // models (docs/ARCHITECTURE.md). --model runs one unit per model.
+    std::vector<RunResult> results(ex.names.size());
+    std::vector<driver::RunInfo> infos(ex.names.size());
+    PipelineCounters engine_counters;
+    bool lineup_ran = false;
+    if (ex.multi) {
+        std::vector<const StcModel *> models;
+        models.reserve(owned.size());
+        for (const auto &m : owned)
+            models.push_back(m.get());
+        results = driver::runKernelLineup(
+            ex.kernel, models, prep, EnergyModel(),
+            /*record_timing=*/false, &engine_counters, ex.bCols,
+            &infos);
+        for (const driver::RunInfo &info : infos)
+            lineup_ran = lineup_ran || !info.resumed;
+    } else {
+        for (std::size_t n = 0; n < ex.names.size(); ++n) {
+            results[n] = driver::runKernel(ex.kernel, *owned[n], prep,
+                                           EnergyModel(), ex.bCols,
+                                           &infos[n]);
+        }
+    }
+
+    TextTable t("Kernel '" + ex.kernelName + "' @ " +
+                toString(ex.cfg.precision) + ", " +
+                std::to_string(ex.cfg.macCount) + " MACs");
+    t.setHeader({"STC", "cycles", "MAC util", "energy", "A reads",
+                 "C writes"});
+    std::uint64_t quarantined = 0;
+    std::uint64_t retried = 0;
+    std::uint64_t faults = 0;
+    for (std::size_t i = 0; i < ex.names.size(); ++i) {
+        const RunResult &r = results[i];
+        const driver::RunInfo &info = infos[i];
+        registerRunResult(stats, r, "models." + ex.names[i] + ".");
+        faults += static_cast<std::uint64_t>(
+            info.quarantined ? info.attempts : info.attempts - 1);
+        retried += static_cast<std::uint64_t>(info.attempts - 1);
+        if (info.quarantined) {
+            ++quarantined;
+            UNISTC_WARN("job for model '", ex.names[i],
+                        "' quarantined",
+                        info.error.empty() ? "" : ": ", info.error);
+            t.addRow({ex.names[i], "QUARANTINED", "-", "-", "-",
+                      "-"});
+            continue;
+        }
+        t.addRow({ex.names[i] + (info.resumed ? " (resumed)" : ""),
+                  fmtCount(r.cycles), fmtPercent(r.utilisation()),
+                  fmtEnergyPj(r.energy.total()),
+                  fmtCount(r.traffic.totalA()),
+                  fmtCount(r.traffic.writesC)});
+    }
+    t.print();
+
+    if (ex.multi && lineup_ran) {
+        // One shared stream fed the whole lineup; tasks_generated is
+        // the single-model enumeration count while models_fanout
+        // models consumed it. Timing fields stay out so the stats
+        // JSON is byte-identical across --jobs counts and reruns.
+        engine_counters.registerStats(stats, "engine.",
+                                      /*includeTiming=*/false);
+    }
+    if (ex.robustStats || quarantined > 0) {
+        stats.setCounter("robust.faults_detected", faults,
+                         "job attempts that threw or timed out");
+        stats.setCounter("robust.jobs_retried", retried,
+                         "extra attempts made after a failure");
+        stats.setCounter("robust.jobs_quarantined", quarantined,
+                         "jobs replaced by a zeroed result");
+    }
+    if (ctx.shardSummaryShards() > 0) {
+        registerShardStats(stats, ctx.shardSummaryShards(),
+                           ctx.shardSummary());
+    }
+    if (MatrixCache::global().enabled())
+        MatrixCache::global().registerStats(stats);
+
+    // Reporting artifacts (trace, stats JSON) are written exactly
+    // once, by the reporting pass — never by the silenced plan pass
+    // or a shard worker.
+    if (ctx.reportingPass()) {
+        // Sharded runs carry the supervisor's lifecycle events
+        // (spawn / kill / retry / quarantine instants) instead of
+        // per-job spans — the jobs ran in other processes.
+        const TraceSink *trace = ctx.runTrace();
+        // Splice the cache's per-key resolution spans (its own trace
+        // process) into the model trace before writing it out.
+        std::unique_ptr<TraceSink> trace_with_cache;
+        if (trace != nullptr && MatrixCache::global().enabled()) {
+            const std::size_t extra =
+                MatrixCache::global().keyTimings().size();
+            if (extra > 0) {
+                trace_with_cache = std::make_unique<TraceSink>(
+                    trace->size() + extra);
+                trace_with_cache->mergeFrom(*trace);
+                MatrixCache::global().appendTraceEvents(
+                    *trace_with_cache,
+                    static_cast<int>(ex.names.size()));
+                trace = trace_with_cache.get();
+            }
+        }
+        const bool wrote_trace =
+            trace != nullptr && ex.opts.count("trace") != 0;
+        if (wrote_trace) {
+            trace->writeChromeTraceFile(ex.opt("trace"));
+            registerTraceSinkStats(stats, *trace);
+            std::printf("\nTrace: %s (%llu events, %llu dropped)\n",
+                        ex.opt("trace").c_str(),
+                        static_cast<unsigned long long>(
+                            trace->size()),
+                        static_cast<unsigned long long>(
+                            trace->dropped()));
+        }
+        if (ex.opts.count("stats-json")) {
+            writeStatsJsonFile(stats, ex.opt("stats-json"));
+            std::printf("%sStats: %s\n", wrote_trace ? "" : "\n",
+                        ex.opt("stats-json").c_str());
+        }
+    }
+    return 0;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
-    const std::vector<driver::CliFlag> extra =
-        serve::simulateCliFlags();
+    const std::vector<driver::CliFlag> extra = simulateCliFlags();
     Result<driver::ParsedCli> parsed =
         driver::parseSweepCli(argc, argv, extra);
     if (!parsed.ok())
@@ -58,10 +479,10 @@ main(int argc, char **argv)
     // Resolve and validate every front-end flag BEFORE the driver
     // runs, so a typo'd experiment fails fast in the parent — not
     // once per forked shard worker.
-    serve::Experiment ex = serve::makeExperiment(cli);
+    const Experiment ex = makeExperiment(cli);
 
     driver::DriverSession session;
     return session.run(cli.request, argc, argv, [&ex](int, char **) {
-        return serve::simulateBody(ex);
+        return simulateBody(ex);
     });
 }

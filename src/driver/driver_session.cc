@@ -125,9 +125,8 @@ DriverSession::run(const SweepRequest &req, int argc, char **argv,
                    const Body &body)
 {
     ScopedCurrentContext scope(ctx_);
-    // A long-lived context (tests, the future serve daemon) may run
-    // several requests back to back; stale per-run session state must
-    // not leak into this one.
+    // A long-lived context (tests) may run several requests back to
+    // back; stale per-run session state must not leak into this one.
     ctx_.beginRun();
     if (req.logLevelSet)
         setLogLevel(req.logLevel);

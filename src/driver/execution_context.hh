@@ -6,9 +6,9 @@
  * bench_common.hh arrangement this library replaced). A process gets
  * a default context (global()) whose ResultLog still arms the
  * UNISTC_BENCH_JSON dump-at-exit, so existing binaries behave
- * identically; embedders (tests, the future unistc_serve daemon)
- * construct their own contexts and run several sweeps back to back
- * in one process without state leaking between them (beginRun()).
+ * identically; embedders (tests) construct their own contexts and
+ * run several sweeps back to back in one process without state
+ * leaking between them (beginRun()).
  *
  * runKernel()/runKernelLineup() route through active(): current()
  * when a DriverSession (or a test) installed one, the process

@@ -1,9 +1,9 @@
 /**
  * @file
  * SweepRequest: the canonical "what to run" description shared by
- * every front-end binary (bench harnesses, simulate_cli, the future
- * unistc_serve daemon). It collapses the flag + environment soup that
- * used to be parsed separately — and slightly differently — by
+ * every front-end binary (bench harnesses, simulate_cli). It
+ * collapses the flag + environment soup that used to be parsed
+ * separately — and slightly differently — by
  * bench/bench_common.hh and examples/simulate_cli.cc into one struct
  * with one parser, so every binary accepts the same execution family
  * with the same validation, the same unknown-flag rejection and the

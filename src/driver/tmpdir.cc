@@ -51,29 +51,5 @@ makeTempDir(const std::string &prefix)
 #endif
 }
 
-Result<std::string>
-makeTempFile(const std::string &prefix, int *fdOut)
-{
-#if UNISTC_TMPDIR_POSIX
-    std::string tmpl = tempDir() + "/" + prefix + "XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    const int fd = ::mkstemp(buf.data());
-    if (fd < 0) {
-        return Result<std::string>(
-            ioError("mkstemp '" + tmpl + "': " +
-                    std::strerror(errno) +
-                    " (is $TMPDIR writable?)"));
-    }
-    *fdOut = fd;
-    return Result<std::string>(std::string(buf.data()));
-#else
-    (void)prefix;
-    (void)fdOut;
-    return Result<std::string>(
-        internalError("makeTempFile needs a POSIX host"));
-#endif
-}
-
 } // namespace driver
 } // namespace unistc

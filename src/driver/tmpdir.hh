@@ -3,8 +3,8 @@
  * Temporary-directory resolution for the execution driver: sandboxed
  * CI runners mount /tmp read-only and point $TMPDIR somewhere
  * writable, so every scratch path the driver creates (shard manifest
- * directories, the serve daemon's stdout capture files) must resolve
- * through the environment instead of hardcoding "/tmp".
+ * directories) must resolve through the environment instead of
+ * hardcoding "/tmp".
  */
 
 #ifndef UNISTC_DRIVER_TMPDIR_HH
@@ -31,14 +31,6 @@ std::string tempDir();
  * the scratch root is not writable.
  */
 Result<std::string> makeTempDir(const std::string &prefix);
-
-/**
- * mkstemp() a fresh private file named @p prefix + "XXXXXX" under
- * tempDir(); on success *fdOut holds the open descriptor (O_RDWR)
- * and the path is returned. Callers own both.
- */
-Result<std::string> makeTempFile(const std::string &prefix,
-                                 int *fdOut);
 
 } // namespace driver
 } // namespace unistc

@@ -68,29 +68,6 @@ capturedEnv()
     return out;
 }
 
-/** Shared open-time options: environment + identity fields. */
-RunWriterOptions
-makeOptions(const std::string &bench, const std::string &label,
-            const std::vector<std::string> &argv)
-{
-    RunWriterOptions opt;
-    opt.dir = std::getenv("UNISTC_WAREHOUSE_DIR");
-    opt.bench = bench;
-    opt.label = label;
-    if (opt.label.empty()) {
-        if (const char *env = std::getenv("UNISTC_WAREHOUSE_LABEL"))
-            opt.label = env;
-    }
-    if (const char *sha = std::getenv("UNISTC_GIT_SHA"))
-        opt.gitSha = sha;
-    opt.timeIso = isoUtcNow();
-    opt.argv = argv;
-    opt.env = capturedEnv();
-    if (const char *fsync = std::getenv("UNISTC_WAREHOUSE_FSYNC"))
-        opt.fsyncEvery = parseFsyncEnv(fsync, opt.fsyncEvery);
-    return opt;
-}
-
 } // namespace
 
 int
@@ -124,21 +101,26 @@ void
 BenchSink::configure(int argc, char **argv)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    // Manual mode: the serve daemon opens one run per request via
-    // beginManualRun(); the per-request DriverSession must not grab
-    // a process-wide run here.
-    if (configured_ || manual_)
+    if (configured_)
         return;
     configured_ = true;
     const char *dir = std::getenv("UNISTC_WAREHOUSE_DIR");
     if (dir == nullptr || *dir == '\0')
         return;
 
-    std::vector<std::string> args;
+    RunWriterOptions opt;
+    opt.dir = dir;
+    opt.bench = baseName(argc > 0 ? argv[0] : nullptr);
+    if (const char *label = std::getenv("UNISTC_WAREHOUSE_LABEL"))
+        opt.label = label;
+    if (const char *sha = std::getenv("UNISTC_GIT_SHA"))
+        opt.gitSha = sha;
+    opt.timeIso = isoUtcNow();
     for (int i = 0; i < argc; ++i)
-        args.emplace_back(argv[i]);
-    const RunWriterOptions opt = makeOptions(
-        baseName(argc > 0 ? argv[0] : nullptr), "", args);
+        opt.argv.emplace_back(argv[i]);
+    opt.env = capturedEnv();
+    if (const char *fsync = std::getenv("UNISTC_WAREHOUSE_FSYNC"))
+        opt.fsyncEvery = parseFsyncEnv(fsync, opt.fsyncEvery);
 
     auto writer = RunWriter::open(opt);
     if (!writer.ok()) {
@@ -224,62 +206,9 @@ BenchSink::noteShards(int shards, const ShardRecoveryCounters &sc)
 }
 
 void
-BenchSink::setManual(bool on)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    manual_ = on;
-}
-
-void
-BenchSink::beginManualRun(const std::string &bench,
-                          const std::string &label,
-                          const std::vector<std::string> &argv)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (writer_ != nullptr)
-        finalizeLocked();
-    const char *dir = std::getenv("UNISTC_WAREHOUSE_DIR");
-    if (dir == nullptr || *dir == '\0')
-        return;
-    auto writer = RunWriter::open(makeOptions(bench, label, argv));
-    if (!writer.ok()) {
-        UNISTC_WARN("warehouse sink disabled: ",
-                    writer.status().message());
-        return;
-    }
-    writer_ = std::move(writer).value();
-    UNISTC_INFORM("warehouse run ", writer_->runId(), " -> ",
-                  writer_->runDir());
-    if (!configured_) {
-        // Crash safety: an unexpected daemon death still seals the
-        // run that was open at the time.
-        configured_ = true;
-        std::atexit([] { BenchSink::instance().finalize(); });
-    }
-}
-
-void
-BenchSink::finishManualRun(
-    const std::map<std::string, std::uint64_t> &counters)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (writer_ == nullptr)
-        return;
-    for (const auto &kv : counters)
-        writer_->noteCounter(kv.first, kv.second);
-    finalizeLocked();
-}
-
-void
 BenchSink::finalize()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    finalizeLocked();
-}
-
-void
-BenchSink::finalizeLocked()
-{
     if (writer_ == nullptr)
         return;
     const MatrixCache &cache = MatrixCache::global();

@@ -22,12 +22,9 @@
 #ifndef UNISTC_WAREHOUSE_SINK_HH
 #define UNISTC_WAREHOUSE_SINK_HH
 
-#include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "engine/kernel_pipeline.hh"
 #include "exec/shard_supervisor.hh"
@@ -99,40 +96,11 @@ class BenchSink
     /** Run id of the open run ("" when disabled). */
     std::string runId() const;
 
-    /**
-     * Serve-daemon ownership (docs/SERVING.md): under manual mode
-     * configure() is a no-op, and the daemon opens one warehouse run
-     * per admitted request — per-request bench/label/argv in the
-     * commit record — instead of one run per process.
-     */
-    void setManual(bool on);
-
-    /**
-     * Open a run for one serve request (no-op when
-     * UNISTC_WAREHOUSE_DIR is unset). An earlier manual run still
-     * open is sealed first. @p label falls back to
-     * UNISTC_WAREHOUSE_LABEL when empty.
-     */
-    void beginManualRun(const std::string &bench,
-                        const std::string &label,
-                        const std::vector<std::string> &argv);
-
-    /**
-     * Seal the current manual run, folding @p counters (the daemon's
-     * robust.serve_* tallies) into META. No-op when no run is open.
-     */
-    void finishManualRun(
-        const std::map<std::string, std::uint64_t> &counters);
-
   private:
     BenchSink() = default;
 
-    /** finalize() body; the caller holds mu_. */
-    void finalizeLocked();
-
     mutable std::mutex mu_;
     bool configured_ = false;
-    bool manual_ = false;
     std::unique_ptr<RunWriter> writer_;
 };
 

@@ -2,14 +2,17 @@
  * @file
  * Execution-driver library tests (src/driver/): the SweepRequest
  * parser shared by every binary, runKernel() routing through an
- * ExecutionContext, DriverSession's plan/replay orchestration, and
+ * ExecutionContext, DriverSession's plan/replay orchestration,
  * context reuse across back-to-back sweeps in one process — the
- * embedding contract the bench singletons could never offer.
+ * embedding contract the bench singletons could never offer — and
+ * $TMPDIR-aware scratch paths (driver/tmpdir.hh).
  * Labeled "driver" so every sanitizer preset runs it (see
  * CMakePresets.json).
  */
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "driver/execution_context.hh"
 #include "driver/kernel_run.hh"
 #include "driver/sweep_request.hh"
+#include "driver/tmpdir.hh"
 #include "driver/version.hh"
 #include "stc/registry.hh"
 
@@ -446,6 +450,68 @@ TEST(DriverSessionTest, ReportingPassFlagGuardsPlanPass)
     // The context is reusable state after the run: no live executor.
     EXPECT_EQ(ctx.sweepExecutor(), nullptr);
     EXPECT_TRUE(ctx.reportingPass());
+}
+
+/** Set/unset an env var for one test, restoring the old value. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        const char *old = std::getenv(name);
+        if (old != nullptr) {
+            had_ = true;
+            old_ = old;
+        }
+        if (value != nullptr)
+            ::setenv(name, value, 1);
+        else
+            ::unsetenv(name);
+    }
+
+    ~ScopedEnv()
+    {
+        if (had_)
+            ::setenv(name_.c_str(), old_.c_str(), 1);
+        else
+            ::unsetenv(name_.c_str());
+    }
+
+  private:
+    std::string name_;
+    bool had_ = false;
+    std::string old_;
+};
+
+TEST(Tmpdir, HonorsTmpdirEnvAndTrimsTrailingSlashes)
+{
+    Result<std::string> scratch =
+        driver::makeTempDir("unistc-test-tmpdir-");
+    ASSERT_TRUE(scratch.ok()) << scratch.status().message();
+    const std::string root = scratch.value();
+
+    {
+        ScopedEnv env("TMPDIR", (root + "///").c_str());
+        EXPECT_EQ(driver::tempDir(), root);
+
+        Result<std::string> inner =
+            driver::makeTempDir("unistc-test-inner-");
+        ASSERT_TRUE(inner.ok()) << inner.status().message();
+        EXPECT_EQ(inner.value().rfind(root + "/unistc-test-inner-",
+                                      0),
+                  0u)
+            << inner.value();
+    }
+    {
+        ScopedEnv unset("TMPDIR", nullptr);
+        EXPECT_EQ(driver::tempDir(), "/tmp");
+    }
+    {
+        // Empty TMPDIR is "not set", not "the current directory".
+        ScopedEnv empty("TMPDIR", "");
+        EXPECT_EQ(driver::tempDir(), "/tmp");
+    }
+    std::filesystem::remove_all(root);
 }
 
 } // namespace

@@ -5,7 +5,8 @@
  * truncated-file recovery, concurrent writers and run allocation,
  * the summary statistics behind --check-regressions (hand-computed
  * geomeans, the 2x-slowdown detection requirement of PR 6) and the
- * bench-JSON baseline round trip.
+ * bench-JSON baseline round trip; UNISTC_WAREHOUSE_FSYNC validation
+ * and the run-id exhaustion error.
  */
 
 #include <gtest/gtest.h>
@@ -22,10 +23,12 @@
 #include <thread>
 #include <vector>
 
+#include "driver/tmpdir.hh"
 #include "obs/json_reader.hh"
 #include "warehouse/query.hh"
 #include "warehouse/reader.hh"
 #include "warehouse/schema.hh"
+#include "warehouse/sink.hh"
 #include "warehouse/stattests.hh"
 #include "warehouse/warehouse.hh"
 
@@ -706,6 +709,49 @@ TEST_F(WarehouseTest, CacheRatesFromMetaCounters)
     EXPECT_EQ(rates[0].hits, 30u);
     EXPECT_EQ(rates[0].misses, 10u);
     EXPECT_NEAR(rates[0].hitRate, 0.75, 1e-12);
+}
+
+TEST(FsyncEnv, AcceptsNonNegativeIntegers)
+{
+    EXPECT_EQ(parseFsyncEnv("0", 16), 0);
+    EXPECT_EQ(parseFsyncEnv("1", 16), 1);
+    EXPECT_EQ(parseFsyncEnv("512", 16), 512);
+}
+
+TEST(FsyncEnv, RejectsGarbageAndKeepsTheFallback)
+{
+    // The old bare std::atoi turned every one of these into 0 —
+    // silently disabling incremental durability.
+    EXPECT_EQ(parseFsyncEnv("banana", 16), 16);
+    EXPECT_EQ(parseFsyncEnv("16x", 16), 16);
+    EXPECT_EQ(parseFsyncEnv("-4", 16), 16);
+    EXPECT_EQ(parseFsyncEnv("999999999999999999999", 16), 16);
+    EXPECT_EQ(parseFsyncEnv("", 16), 16);
+    EXPECT_EQ(parseFsyncEnv(nullptr, 16), 16);
+}
+
+TEST(Warehouse, RunIdExhaustionIsATypedError)
+{
+    Result<std::string> dir =
+        driver::makeTempDir("unistc-test-wh-");
+    ASSERT_TRUE(dir.ok()) << dir.status().message();
+    // Occupy the last slot of the fixed 6-digit id space; the next
+    // allocation must fail loudly instead of minting a 7-digit id
+    // that every future scan would ignore.
+    ASSERT_TRUE(fs::create_directory(dir.value() + "/999999"));
+
+    RunWriterOptions opt;
+    opt.dir = dir.value();
+    opt.bench = "warehouse_tests";
+    auto writer = RunWriter::open(opt);
+    ASSERT_FALSE(writer.ok());
+    EXPECT_NE(writer.status().message().find("exhausted"),
+              std::string::npos)
+        << writer.status().message();
+    EXPECT_NE(writer.status().message().find("999999"),
+              std::string::npos)
+        << writer.status().message();
+    fs::remove_all(dir.value());
 }
 
 } // namespace
