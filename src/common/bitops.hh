@@ -17,11 +17,29 @@
 namespace unistc
 {
 
-/** Number of set bits in a 16-bit bitmap word. */
+/**
+ * Number of set bits in a 16-bit bitmap word: a SWAR sum of bit
+ * pairs, then nibbles, then bytes. The build adds no ISA flags, and
+ * without -mpopcnt an x86-64 std::popcount is a libgcc call.
+ */
 inline int
 popcount16(std::uint16_t v)
 {
-    return std::popcount(v);
+    unsigned x = v;
+    x -= (x >> 1) & 0x5555u;
+    x = (x & 0x3333u) + ((x >> 2) & 0x3333u);
+    x = (x + (x >> 4)) & 0x0F0Fu;
+    return static_cast<int>((x + (x >> 8)) & 0x1Fu);
+}
+
+/** Number of set bits in a 64-bit word (the same SWAR sum). */
+inline int
+popcount64(std::uint64_t v)
+{
+    v -= (v >> 1) & 0x5555555555555555ull;
+    v = (v & 0x3333333333333333ull) + ((v >> 2) & 0x3333333333333333ull);
+    v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+    return static_cast<int>((v * 0x0101010101010101ull) >> 56);
 }
 
 /** Total set bits across the 16 row words of a 16x16 bitmap. */
@@ -136,34 +154,6 @@ transpose16x16(const std::uint16_t in[16], std::uint16_t out[16])
         }
     }
     std::memcpy(out, a, sizeof(a));
-}
-
-/** Broadcast a 4-bit value into all four nibbles of a 16-bit word. */
-inline std::uint16_t
-rep4(std::uint16_t v)
-{
-    return static_cast<std::uint16_t>(v * 0x1111u);
-}
-
-/**
- * Collapse each nibble of a row-major 4x4 bitmap to its low bit:
- * bit 4*i of the result is set iff nibble i of @p v is non-zero.
- */
-inline std::uint16_t
-nonzeroNibbles4(std::uint16_t v)
-{
-    return static_cast<std::uint16_t>(
-        (v | (v >> 1) | (v >> 2) | (v >> 3)) & 0x1111u);
-}
-
-/**
- * Expand the low bit of every nibble to a full nibble mask:
- * nibble i of the result is 0xF iff nibble i of @p v is non-zero.
- */
-inline std::uint16_t
-liveNibbleMask4(std::uint16_t v)
-{
-    return static_cast<std::uint16_t>(nonzeroNibbles4(v) * 0xFu);
 }
 
 /** Ceiling division for non-negative integers. */

@@ -101,7 +101,7 @@ class ColumnSweep
     int
     subSteps(std::uint16_t visited) const
     {
-        return std::max(1, (std::popcount(visited) + t3n_ - 1) / t3n_);
+        return std::max(1, (popcount16(visited) + t3n_ - 1) / t3n_);
     }
 
   private:
@@ -205,7 +205,7 @@ runRowDataflow(const BlockTask &task, const MachineConfig &cfg,
                     hits += spreadNibbles(task.b.rowBits(k));
                 });
                 std::uint16_t visited = sweep.visited(task.b, lanes);
-                const int width = std::popcount(visited);
+                const int width = popcount16(visited);
                 int group_products = 0;
                 for (int s = sweep.subSteps(visited); s > 0; --s) {
                     int products = 0;

@@ -148,28 +148,6 @@ expandTileTask(std::uint16_t a_tile, std::uint16_t b_tile, int n_cols,
     return std::vector<T4Task>(tasks.begin(), tasks.end());
 }
 
-void
-activeOperands(std::uint16_t a_tile, std::uint16_t b_tile, int n_cols,
-               int &a_elems, int &b_elems)
-{
-    // Mask B down to the considered output columns: bit c of every
-    // nibble for c < n_cols.
-    const std::uint16_t col_mask =
-        rep4(static_cast<std::uint16_t>((1u << n_cols) - 1u));
-    const std::uint16_t b_masked =
-        static_cast<std::uint16_t>(b_tile & col_mask);
-
-    // Nibble k of a_t is A column k; nibble k of b_masked is B row k.
-    // An A element in column k is live iff B row k has any survivor
-    // (and vice versa), so each count is one AND against the other
-    // operand's live-nibble expansion plus a popcount.
-    const std::uint16_t a_t = transpose4x4(a_tile);
-    a_elems = popcount16(
-        static_cast<std::uint16_t>(a_t & liveNibbleMask4(b_masked)));
-    b_elems = popcount16(
-        static_cast<std::uint16_t>(b_masked & liveNibbleMask4(a_t)));
-}
-
 BroadcastRange
 broadcastRange(std::span<const T4Task> tasks)
 {

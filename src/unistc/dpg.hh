@@ -70,14 +70,6 @@ T4TaskList expandTileTaskInline(std::uint16_t a_tile,
                                 FillOrder order = FillOrder::ZShaped);
 
 /**
- * Count the distinct A and B tile elements participating in at least
- * one product of a T3 task — the operands actually fetched (bitmap
- * gating never touches dead elements).
- */
-void activeOperands(std::uint16_t a_tile, std::uint16_t b_tile,
-                    int n_cols, int &a_elems, int &b_elems);
-
-/**
  * Maximum multiplier-index distance between consecutive uses of the
  * same operand when the given T4 sequence is concatenated onto the
  * SDPU lanes — the broadcast-range quantity §IV-A-2 bounds at 5 for

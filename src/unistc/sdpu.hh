@@ -96,24 +96,22 @@ forEachSdpuCycle(std::span<const TileTask> tasks, int num_dpgs,
     for (const TileTask &t : tasks)
         pending.push_back(&t);
 
-    SmallVector<const TileTask *, 64> next;
     SmallVector<const TileTask *, 16> executed;
 
     while (!pending.empty()) {
-        next.clear();
         executed.clear();
 
         SdpuCycleView cycle;
         int used_slots = 0;
         int used_dpgs = 0;
         std::uint16_t c_tiles = 0;
-        bool stop_scan = false;
 
-        for (const TileTask *task : pending) {
-            if (stop_scan || used_dpgs == num_dpgs) {
-                next.push_back(task);
-                continue;
-            }
+        // Tasks that stay pending are compacted in place, in order,
+        // to the front of the list.
+        std::size_t kept = 0;
+        std::size_t scan = 0;
+        for (; scan < pending.size() && used_dpgs < num_dpgs; ++scan) {
+            const TileTask *task = pending[scan];
             UNISTC_ASSERT(task->products > 0 &&
                           task->products <= mac_count,
                           "T3 task products out of range");
@@ -122,20 +120,19 @@ forEachSdpuCycle(std::span<const TileTask> tasks, int num_dpgs,
                 ++used_dpgs;
                 ++cycle.waitingDpgs;
                 cycle.hadConflict = true;
-                next.push_back(task);
+                pending[kept++] = task;
                 continue;
             }
-            if (used_slots + task->products > mac_count) {
-                // In-order concatenation: the SDPU fill stops here.
-                next.push_back(task);
-                stop_scan = true;
-                continue;
-            }
+            if (used_slots + task->products > mac_count)
+                break; // In-order concatenation: the SDPU fill stops here.
             used_slots += task->products;
             ++used_dpgs;
             c_tiles = setBit(c_tiles, task->cTileId());
             executed.push_back(task);
         }
+        for (; scan < pending.size(); ++scan)
+            pending[kept++] = pending[scan];
+        pending.resize(kept);
 
         UNISTC_ASSERT(!executed.empty() || cycle.waitingDpgs > 0,
                       "SDPU cycle made no progress");
@@ -148,8 +145,6 @@ forEachSdpuCycle(std::span<const TileTask> tasks, int num_dpgs,
             executed.data(), executed.size());
         cycle.totalProducts = used_slots;
         fn(std::as_const(cycle));
-
-        std::swap(pending, next);
     }
 }
 

@@ -21,16 +21,12 @@ makeTask(const PatternMeta &a, const PatternMeta &b, int i, int j,
     const std::uint16_t b_tile = b.tiles[k * kTilesPerEdge + j];
     if (!a_tile || !b_tile)
         return false;
-    const int products = tileProductCount(a_tile, b_tile, n_cols);
-    if (products == 0)
+    out = countTileTask(a_tile, b_tile, n_cols);
+    if (out.products == 0)
         return false; // bitmap product is empty: DPG emits nothing
     out.i = static_cast<std::int8_t>(i);
     out.j = static_cast<std::int8_t>(j);
     out.k = static_cast<std::int8_t>(k);
-    out.aTile = a_tile;
-    out.bTile = b_tile;
-    out.products = products;
-    out.segments = tileSegmentCount(a_tile, b_tile, n_cols);
     return true;
 }
 
@@ -80,24 +76,32 @@ generateTileTasks(const PatternMeta &a_meta, const PatternMeta &b_meta,
     TileTaskList tasks;
 
     switch (ordering) {
-      case TaskOrdering::OuterProduct:
+      case TaskOrdering::OuterProduct: {
         // Four-layer intermediate-product bitmap: one layer per K.
+        // Layer k pairs the live Lv1 tiles of A's tile column k with
+        // those of B's tile row k, in row-major (i, j) order.
+        const std::uint16_t a_tile_cols = transpose4x4(a_meta.tileBits);
+        const std::uint16_t j_mask =
+            static_cast<std::uint16_t>((1u << n_tile_cols) - 1u);
         for (int k = 0; k < kTilesPerEdge; ++k) {
+            const std::uint16_t b_live =
+                static_cast<std::uint16_t>(row4(b_meta.tileBits, k) &
+                                           j_mask);
             // Collect the layer first so the adaptive intra-layer
             // order can inspect its shape.
             const std::size_t layer_begin = tasks.size();
             std::uint16_t live_rows = 0;
             std::uint16_t live_cols = 0;
-            for (int i = 0; i < kTilesPerEdge; ++i) {
-                for (int j = 0; j < n_tile_cols; ++j) {
+            forEachSetBit(row4(a_tile_cols, k), [&](int i) {
+                forEachSetBit(b_live, [&](int j) {
                     TileTask t;
                     if (makeTask(a_meta, b_meta, i, j, k, n_cols, t)) {
                         tasks.push_back(t);
                         live_rows = setBit(live_rows, i);
                         live_cols = setBit(live_cols, j);
                     }
-                }
-            }
+                });
+            });
             // Adaptive rule (§IV-A-1 ②): column-major when nonzero
             // rows outnumber nonzero columns, row-major otherwise.
             const bool col_major = adaptive &&
@@ -108,6 +112,7 @@ generateTileTasks(const PatternMeta &a_meta, const PatternMeta &b_meta,
             }
         }
         break;
+      }
 
       case TaskOrdering::DotProduct:
         for (int i = 0; i < kTilesPerEdge; ++i) {

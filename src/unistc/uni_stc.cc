@@ -6,7 +6,6 @@
 #include "common/bitops.hh"
 #include "common/logging.hh"
 #include "obs/trace.hh"
-#include "unistc/dpg.hh"
 #include "unistc/sdpu.hh"
 #include "unistc/tms.hh"
 
@@ -37,7 +36,6 @@ UniStc::runBlock(const BlockTask &task, RunResult &res,
     ++res.tasksT1;
     const int mac = cfg_.macCount;
     const int n_tile_cols = task.isMv ? 1 : kTilesPerEdge;
-    const int n_cols = task.isMv ? 1 : 4;
     const std::uint64_t t0 = res.cycles;
 
     // Stage 1: TMS generates the ordered T3 task stream (from the
@@ -79,19 +77,15 @@ UniStc::runBlock(const BlockTask &task, RunResult &res,
         std::uint16_t a_tiles_seen = 0;
         std::uint16_t b_tiles_seen = 0;
         for (const TileTask *t : cycle.executed) {
-            int a_elems = 0;
-            int b_elems = 0;
-            activeOperands(t->aTile, t->bTile, n_cols, a_elems,
-                           b_elems);
             const int a_id = t->i * kTilesPerEdge + t->k;
             if (!testBit(a_tiles_seen, a_id)) {
                 a_tiles_seen = setBit(a_tiles_seen, a_id);
-                res.traffic.readsA += a_elems;
+                res.traffic.readsA += t->aElems;
             }
             const int b_id = t->k * kTilesPerEdge + t->j;
             if (!testBit(b_tiles_seen, b_id)) {
                 b_tiles_seen = setBit(b_tiles_seen, b_id);
-                res.traffic.readsB += b_elems;
+                res.traffic.readsB += t->bElems;
             }
             // The SDPU pre-merges each T4 segment's products into a
             // single partial sum before write-back (§IV-B).

@@ -58,6 +58,41 @@ TEST(Bitops, Popcount16)
     EXPECT_EQ(popcount16(0x5555), 8);
 }
 
+/** Bit-by-bit reference popcount. */
+int
+popcountByLoop(std::uint64_t v)
+{
+    int n = 0;
+    for (int b = 0; b < 64; ++b)
+        n += static_cast<int>((v >> b) & 1u);
+    return n;
+}
+
+TEST(Bitops, Popcount16Exhaustive)
+{
+    for (unsigned v = 0; v <= 0xFFFF; ++v)
+        ASSERT_EQ(popcount16(static_cast<std::uint16_t>(v)),
+                  popcountByLoop(v))
+            << "v=" << v;
+}
+
+TEST(Bitops, Popcount64)
+{
+    EXPECT_EQ(popcount64(0), 0);
+    EXPECT_EQ(popcount64(~0ull), 64);
+    for (int b = 0; b < 64; ++b)
+        ASSERT_EQ(popcount64(1ull << b), 1) << "bit " << b;
+    Rng rng(25);
+    for (int trial = 0; trial < 10000; ++trial) {
+        // AND or OR in up to three more words, so sparse and dense
+        // words are drawn as well as half-full ones.
+        std::uint64_t v = rng.next();
+        for (int m = trial % 4; m > 0; --m)
+            v = trial % 8 < 4 ? (v & rng.next()) : (v | rng.next());
+        ASSERT_EQ(popcount64(v), popcountByLoop(v)) << "v=" << v;
+    }
+}
+
 TEST(Bitops, TestAndSetBit)
 {
     std::uint16_t v = 0;
@@ -246,27 +281,6 @@ TEST(BitopsSwar, Col4Exhaustive)
             }
             ASSERT_EQ(col4(w, c), naive) << "v=" << v << " c=" << c;
         }
-    }
-}
-
-TEST(BitopsSwar, NibbleHelpersExhaustive)
-{
-    for (unsigned v = 0; v <= 0xFFFF; ++v) {
-        const std::uint16_t w = static_cast<std::uint16_t>(v);
-        std::uint16_t nz = 0, live = 0;
-        for (int i = 0; i < 4; ++i) {
-            if (((w >> (4 * i)) & 0xFu) != 0) {
-                nz = static_cast<std::uint16_t>(nz | (1u << (4 * i)));
-                live = static_cast<std::uint16_t>(live
-                                                  | (0xFu << (4 * i)));
-            }
-        }
-        ASSERT_EQ(nonzeroNibbles4(w), nz) << "v=" << v;
-        ASSERT_EQ(liveNibbleMask4(w), live) << "v=" << v;
-    }
-    for (unsigned v = 0; v <= 0xF; ++v) {
-        ASSERT_EQ(rep4(static_cast<std::uint16_t>(v)),
-                  static_cast<std::uint16_t>(v * 0x1111u));
     }
 }
 

@@ -1,12 +1,20 @@
 /**
  * @file
  * Unit tests for Uni-STC's functional units: TMS task generation and
- * ordering, DPG T4 expansion (including the paper's worked '49'
- * example), broadcast-range bounds of the Z-shaped fill, and SDPU
- * packing with write-conflict arbitration.
+ * ordering, T3 task counts, DPG T4 expansion (including the paper's
+ * worked '49' example), broadcast-range bounds of the Z-shaped fill,
+ * and SDPU packing with write-conflict arbitration. The TMS and the
+ * SDPU packer are also checked against test-local copies of their
+ * earlier slot-scan and copy-and-swap implementations.
  */
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <span>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/bitops.hh"
 #include "common/rng.hh"
@@ -18,6 +26,267 @@ namespace unistc
 {
 namespace
 {
+
+// ---- Reference implementations -------------------------------------
+// A TMS that probes all 64 (i, j, k) slots and counts each tile pair
+// row by row, and an SDPU packer that rebuilds its pending list every
+// cycle. The live-tile walk, the single-word counts and the in-place
+// packer must reproduce them exactly.
+
+std::uint16_t
+refRep4(std::uint16_t v)
+{
+    return static_cast<std::uint16_t>(v * 0x1111u);
+}
+
+std::uint16_t
+refNonzeroNibbles4(std::uint16_t v)
+{
+    return static_cast<std::uint16_t>(
+        (v | (v >> 1) | (v >> 2) | (v >> 3)) & 0x1111u);
+}
+
+std::uint16_t
+refLiveNibbleMask4(std::uint16_t v)
+{
+    return static_cast<std::uint16_t>(refNonzeroNibbles4(v) * 0xFu);
+}
+
+std::uint16_t
+refBColumns(std::uint16_t b_tile, int n_cols)
+{
+    const std::uint32_t keep = (1u << (4 * n_cols)) - 1u;
+    return static_cast<std::uint16_t>(transpose4x4(b_tile) & keep);
+}
+
+int
+refTileProductCount(std::uint16_t a_tile, std::uint16_t b_tile,
+                    int n_cols)
+{
+    const std::uint16_t b_cols = refBColumns(b_tile, n_cols);
+    int total = 0;
+    for (int r = 0; r < 4; ++r)
+        total += popcount16(
+            static_cast<std::uint16_t>(refRep4(row4(a_tile, r)) & b_cols));
+    return total;
+}
+
+int
+refTileSegmentCount(std::uint16_t a_tile, std::uint16_t b_tile,
+                    int n_cols)
+{
+    const std::uint16_t b_cols = refBColumns(b_tile, n_cols);
+    int segs = 0;
+    for (int r = 0; r < 4; ++r)
+        segs += popcount16(refNonzeroNibbles4(
+            static_cast<std::uint16_t>(refRep4(row4(a_tile, r)) & b_cols)));
+    return segs;
+}
+
+void
+refActiveOperands(std::uint16_t a_tile, std::uint16_t b_tile,
+                  int n_cols, int &a_elems, int &b_elems)
+{
+    const std::uint16_t col_mask =
+        refRep4(static_cast<std::uint16_t>((1u << n_cols) - 1u));
+    const std::uint16_t b_masked =
+        static_cast<std::uint16_t>(b_tile & col_mask);
+    const std::uint16_t a_t = transpose4x4(a_tile);
+    a_elems = popcount16(
+        static_cast<std::uint16_t>(a_t & refLiveNibbleMask4(b_masked)));
+    b_elems = popcount16(
+        static_cast<std::uint16_t>(b_masked & refLiveNibbleMask4(a_t)));
+}
+
+bool
+refMakeTask(const PatternMeta &a, const PatternMeta &b, int i, int j,
+            int k, int n_cols, TileTask &out)
+{
+    const std::uint16_t a_tile = a.tiles[i * kTilesPerEdge + k];
+    const std::uint16_t b_tile = b.tiles[k * kTilesPerEdge + j];
+    if (!a_tile || !b_tile)
+        return false;
+    const int products = refTileProductCount(a_tile, b_tile, n_cols);
+    if (products == 0)
+        return false;
+    out.i = static_cast<std::int8_t>(i);
+    out.j = static_cast<std::int8_t>(j);
+    out.k = static_cast<std::int8_t>(k);
+    out.aTile = a_tile;
+    out.bTile = b_tile;
+    out.products = products;
+    out.segments = refTileSegmentCount(a_tile, b_tile, n_cols);
+    refActiveOperands(a_tile, b_tile, n_cols, out.aElems, out.bElems);
+    return true;
+}
+
+void
+refSortLayerColMajor(TileTask *first, TileTask *last)
+{
+    for (TileTask *it = first + 1; it < last; ++it) {
+        TileTask v = *it;
+        TileTask *hole = it;
+        while (hole > first &&
+               (v.j < hole[-1].j ||
+                (v.j == hole[-1].j && v.i < hole[-1].i))) {
+            *hole = hole[-1];
+            --hole;
+        }
+        *hole = v;
+    }
+}
+
+/** The 64-slot TMS scan: every (i, j, k) slot is probed. */
+std::vector<TileTask>
+refGenerateTileTasks(const PatternMeta &a_meta, const PatternMeta &b_meta,
+                     int n_tile_cols, TaskOrdering ordering,
+                     bool adaptive)
+{
+    const int n_cols = n_tile_cols == 1 ? 1 : 4;
+    std::vector<TileTask> tasks;
+    switch (ordering) {
+      case TaskOrdering::OuterProduct:
+        for (int k = 0; k < kTilesPerEdge; ++k) {
+            const std::size_t layer_begin = tasks.size();
+            std::uint16_t live_rows = 0;
+            std::uint16_t live_cols = 0;
+            for (int i = 0; i < kTilesPerEdge; ++i) {
+                for (int j = 0; j < n_tile_cols; ++j) {
+                    TileTask t;
+                    if (refMakeTask(a_meta, b_meta, i, j, k, n_cols,
+                                    t)) {
+                        tasks.push_back(t);
+                        live_rows = setBit(live_rows, i);
+                        live_cols = setBit(live_cols, j);
+                    }
+                }
+            }
+            if (adaptive &&
+                popcount16(live_rows) > popcount16(live_cols)) {
+                refSortLayerColMajor(tasks.data() + layer_begin,
+                                     tasks.data() + tasks.size());
+            }
+        }
+        break;
+      case TaskOrdering::DotProduct:
+        for (int i = 0; i < kTilesPerEdge; ++i) {
+            for (int j = 0; j < n_tile_cols; ++j) {
+                for (int k = 0; k < kTilesPerEdge; ++k) {
+                    TileTask t;
+                    if (refMakeTask(a_meta, b_meta, i, j, k, n_cols, t))
+                        tasks.push_back(t);
+                }
+            }
+        }
+        break;
+      case TaskOrdering::RowRow:
+        for (int i = 0; i < kTilesPerEdge; ++i) {
+            for (int k = 0; k < kTilesPerEdge; ++k) {
+                for (int j = 0; j < n_tile_cols; ++j) {
+                    TileTask t;
+                    if (refMakeTask(a_meta, b_meta, i, j, k, n_cols, t))
+                        tasks.push_back(t);
+                }
+            }
+        }
+        break;
+    }
+    return tasks;
+}
+
+/** The copy-and-swap SDPU packer: pending is rebuilt every cycle. */
+template <typename Fn>
+void
+refForEachSdpuCycle(std::span<const TileTask> tasks, int num_dpgs,
+                    int mac_count, bool check_conflicts, Fn &&fn)
+{
+    std::vector<const TileTask *> pending;
+    for (const TileTask &t : tasks)
+        pending.push_back(&t);
+    std::vector<const TileTask *> next;
+    std::vector<const TileTask *> executed;
+    while (!pending.empty()) {
+        next.clear();
+        executed.clear();
+        SdpuCycleView cycle;
+        int used_slots = 0;
+        int used_dpgs = 0;
+        std::uint16_t c_tiles = 0;
+        bool stop_scan = false;
+        for (const TileTask *task : pending) {
+            if (stop_scan || used_dpgs == num_dpgs) {
+                next.push_back(task);
+                continue;
+            }
+            if (check_conflicts && testBit(c_tiles, task->cTileId())) {
+                ++used_dpgs;
+                ++cycle.waitingDpgs;
+                cycle.hadConflict = true;
+                next.push_back(task);
+                continue;
+            }
+            if (used_slots + task->products > mac_count) {
+                next.push_back(task);
+                stop_scan = true;
+                continue;
+            }
+            used_slots += task->products;
+            ++used_dpgs;
+            c_tiles = setBit(c_tiles, task->cTileId());
+            executed.push_back(task);
+        }
+        cycle.executed = std::span<const TileTask *const>(
+            executed.data(), executed.size());
+        cycle.totalProducts = used_slots;
+        fn(std::as_const(cycle));
+        std::swap(pending, next);
+    }
+}
+
+/** One packed SDPU cycle, recorded for comparison. */
+struct PackedCycle
+{
+    std::vector<const TileTask *> executed;
+    int waitingDpgs = 0;
+    bool hadConflict = false;
+    int totalProducts = 0;
+
+    bool operator==(const PackedCycle &) const = default;
+};
+
+PackedCycle
+packedCycle(const SdpuCycleView &view)
+{
+    return {std::vector<const TileTask *>(view.executed.begin(),
+                                          view.executed.end()),
+            view.waitingDpgs, view.hadConflict, view.totalProducts};
+}
+
+/**
+ * Block patterns for the TMS oracle checks: empty, dense, every
+ * single-bit block and random blocks at densities 0.02-0.9.
+ */
+std::vector<BlockPattern>
+tmsCorpus(Rng &rng)
+{
+    std::vector<BlockPattern> out;
+    out.push_back(BlockPattern());
+    out.push_back(BlockPattern::dense());
+    for (int r = 0; r < kBlockSize; ++r) {
+        for (int c = 0; c < kBlockSize; ++c) {
+            BlockPattern p;
+            p.set(r, c);
+            out.push_back(p);
+        }
+    }
+    for (const double d : {0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9}) {
+        for (int n = 0; n < 12; ++n)
+            out.push_back(BlockPattern::random(rng, d));
+    }
+    return out;
+}
+
+// ---- Tests -----------------------------------------------------------
 
 TEST(Tms, DenseBlockGeneratesAll64Tasks)
 {
@@ -109,6 +378,79 @@ TEST(Tms, AdaptiveOrderSelectsColumnMajorForTallLayers)
         EXPECT_EQ(tasks[i].i, i);
 }
 
+/** Every TileTask field, with the coordinates widened for printing. */
+auto
+taskFields(const TileTask &t)
+{
+    return std::tuple(int{t.i}, int{t.j}, int{t.k}, t.aTile, t.bTile,
+                      t.products, t.segments, t.aElems, t.bElems);
+}
+
+TEST(Tms, LiveTileWalkMatchesSlotScan)
+{
+    // The TMS must emit exactly the tasks of the 64-slot scan, field
+    // for field and in the same order: every ordering, adaptive on
+    // and off, MM and MV. Each task's counts must also match its DPG
+    // expansion.
+    Rng rng(93);
+    std::vector<PatternMeta> metas;
+    for (const BlockPattern &p : tmsCorpus(rng))
+        metas.push_back(computePatternMeta(p));
+    for (const std::uint16_t x : {0x0001, 0x8421, 0xFFFF})
+        metas.push_back(computePatternMeta(vectorAsBlock(x)));
+    const PatternMeta dense = computePatternMeta(BlockPattern::dense());
+
+    struct Config
+    {
+        TaskOrdering ordering;
+        bool adaptive;
+    };
+    const Config configs[] = {{TaskOrdering::OuterProduct, true},
+                              {TaskOrdering::OuterProduct, false},
+                              {TaskOrdering::DotProduct, true},
+                              {TaskOrdering::RowRow, true}};
+    std::size_t checked = 0;
+    auto check = [&](const PatternMeta &a, const PatternMeta &b) {
+        for (const Config &cfg : configs) {
+            for (const int n_tile_cols : {1, kTilesPerEdge}) {
+                const TileTaskList got = generateTileTasks(
+                    a, b, n_tile_cols, cfg.ordering, cfg.adaptive);
+                const std::vector<TileTask> want = refGenerateTileTasks(
+                    a, b, n_tile_cols, cfg.ordering, cfg.adaptive);
+                ASSERT_EQ(got.size(), want.size())
+                    << toString(cfg.ordering) << " " << n_tile_cols;
+                for (std::size_t n = 0; n < got.size(); ++n) {
+                    ASSERT_EQ(taskFields(got[n]), taskFields(want[n]))
+                        << toString(cfg.ordering) << " adaptive "
+                        << cfg.adaptive << " cols " << n_tile_cols
+                        << " task " << n;
+                    const int n_cols = n_tile_cols == 1 ? 1 : 4;
+                    const auto t4 = expandTileTask(got[n].aTile,
+                                                   got[n].bTile, n_cols);
+                    int products = 0;
+                    for (const auto &x : t4)
+                        products += x.len();
+                    ASSERT_EQ(got[n].products, products);
+                    ASSERT_EQ(got[n].segments,
+                              static_cast<int>(t4.size()));
+                }
+                checked += got.size();
+            }
+        }
+    };
+    for (std::size_t n = 0; n < metas.size(); ++n) {
+        const PatternMeta &other = metas[rng.nextBelow(metas.size())];
+        check(metas[n], dense);
+        check(dense, metas[n]);
+        check(metas[n], metas[n]);
+        check(metas[n], other);
+        check(other, metas[n]);
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(checked, 0u);
+}
+
 TEST(Dpg, PaperFig9TaskCodeExample)
 {
     // Reconstruct the paper's example: T4 task code 0x49 means
@@ -149,19 +491,42 @@ TEST(Dpg, PaperFig9TaskCodeExample)
 
 TEST(Dpg, SegmentsAndProductsConsistent)
 {
+    // countTileTask's products and segments are the DPG's expansion:
+    // the summed T4 lengths and the T4 count. Its operand counts match
+    // the earlier per-tile derivation. MM and MV extents, over tile
+    // pairs at densities from sparse to dense.
     Rng rng(91);
-    for (int trial = 0; trial < 20; ++trial) {
-        const BlockPattern a = BlockPattern::random(rng, 0.3);
-        const BlockPattern b = BlockPattern::random(rng, 0.3);
-        const std::uint16_t at = a.tilePattern(1, 2);
-        const std::uint16_t bt = b.tilePattern(2, 0);
-        const auto tasks = expandTileTask(at, bt, 4);
-        int products = 0;
-        for (const auto &t : tasks)
-            products += t.len();
-        EXPECT_EQ(products, tileProductCount(at, bt, 4));
-        EXPECT_EQ(static_cast<int>(tasks.size()),
-                  tileSegmentCount(at, bt, 4));
+    for (const double d : {0.1, 0.3, 0.5, 0.7, 0.9}) {
+        for (int trial = 0; trial < 400; ++trial) {
+            std::uint16_t at = 0;
+            std::uint16_t bt = 0;
+            for (int bit = 0; bit < 16; ++bit) {
+                if (rng.nextBool(d))
+                    at = setBit(at, bit);
+                if (rng.nextBool(d))
+                    bt = setBit(bt, bit);
+            }
+            for (const int n_cols : {1, 4}) {
+                const TileTask t = countTileTask(at, bt, n_cols);
+                const auto t4 = expandTileTask(at, bt, n_cols);
+                int products = 0;
+                for (const auto &x : t4)
+                    products += x.len();
+                ASSERT_EQ(t.products, products)
+                    << at << " " << bt << " " << n_cols;
+                ASSERT_EQ(t.segments, static_cast<int>(t4.size()))
+                    << at << " " << bt << " " << n_cols;
+                int a_elems = 0;
+                int b_elems = 0;
+                refActiveOperands(at, bt, n_cols, a_elems, b_elems);
+                ASSERT_EQ(t.aElems, a_elems)
+                    << at << " " << bt << " " << n_cols;
+                ASSERT_EQ(t.bElems, b_elems)
+                    << at << " " << bt << " " << n_cols;
+                ASSERT_EQ(t.aTile, at);
+                ASSERT_EQ(t.bTile, bt);
+            }
+        }
     }
 }
 
@@ -193,10 +558,14 @@ TEST(Dpg, ActiveOperandsSkipDeadElements)
     a_tile = setBit(a_tile, bit4x4(0, 2)); // dead: B row 2 empty
     b_tile = setBit(b_tile, bit4x4(0, 1)); // used: A col 0 live
     b_tile = setBit(b_tile, bit4x4(3, 1)); // dead: A col 3 empty
-    int a_elems = 0, b_elems = 0;
-    activeOperands(a_tile, b_tile, 4, a_elems, b_elems);
-    EXPECT_EQ(a_elems, 1);
-    EXPECT_EQ(b_elems, 1);
+    const TileTask t = countTileTask(a_tile, b_tile, 4);
+    EXPECT_EQ(t.aElems, 1);
+    EXPECT_EQ(t.bElems, 1);
+    // MV keeps only output column 0, where B has no element: nothing
+    // is fetched.
+    const TileTask mv = countTileTask(a_tile, b_tile, 1);
+    EXPECT_EQ(mv.aElems, 0);
+    EXPECT_EQ(mv.bElems, 0);
 }
 
 TEST(Sdpu, PacksUpToMacBudget)
@@ -289,6 +658,59 @@ TEST(Sdpu, FullTaskOccupiesWholeCycle)
     ASSERT_EQ(cycles.size(), 2u);
     EXPECT_EQ(cycles[0].products(), 64);
     EXPECT_EQ(cycles[1].products(), 64);
+}
+
+TEST(Sdpu, InPlacePackingMatchesCopyAndSwap)
+{
+    // The in-place packer must visit the same cycles as the
+    // copy-and-swap one: the same executed tasks in the same order,
+    // waiting DPGs, conflict flag and products, on TMS task lists of
+    // every ordering (dot-product order stresses write conflicts).
+    Rng rng(94);
+    std::vector<TileTaskList> lists;
+    for (const double d : {0.05, 0.2, 0.5, 0.9}) {
+        for (int n = 0; n < 6; ++n) {
+            const PatternMeta a =
+                computePatternMeta(BlockPattern::random(rng, d));
+            const PatternMeta b =
+                computePatternMeta(BlockPattern::random(rng, d));
+            for (const TaskOrdering ordering :
+                 {TaskOrdering::OuterProduct, TaskOrdering::DotProduct,
+                  TaskOrdering::RowRow}) {
+                for (const int n_tile_cols : {1, kTilesPerEdge})
+                    lists.push_back(generateTileTasks(a, b, n_tile_cols,
+                                                      ordering));
+            }
+        }
+    }
+    const PatternMeta dense = computePatternMeta(BlockPattern::dense());
+    for (const TaskOrdering ordering :
+         {TaskOrdering::OuterProduct, TaskOrdering::DotProduct})
+        lists.push_back(generateTileTasks(dense, dense, 4, ordering));
+    for (const TileTaskList &list : lists) {
+        const std::span<const TileTask> tasks(list.data(), list.size());
+        for (const int dpgs : {1, 2, 4, 8, 16}) {
+            for (const int macs : {64, 128}) {
+                for (const bool conflicts : {false, true}) {
+                    std::vector<PackedCycle> got;
+                    std::vector<PackedCycle> want;
+                    forEachSdpuCycle(tasks, dpgs, macs, conflicts,
+                                     [&](const SdpuCycleView &v) {
+                                         got.push_back(packedCycle(v));
+                                     });
+                    refForEachSdpuCycle(tasks, dpgs, macs, conflicts,
+                                        [&](const SdpuCycleView &v) {
+                                            want.push_back(packedCycle(v));
+                                        });
+                    ASSERT_TRUE(got == want)
+                        << list.size() << " tasks, " << dpgs
+                        << " DPGs, " << macs << " MACs, conflicts "
+                        << conflicts << ": " << got.size() << " vs "
+                        << want.size() << " cycles";
+                }
+            }
+        }
+    }
 }
 
 TEST(OrderingStudy, OuterProductBeatsAlternativesOnReuse)
