@@ -2,7 +2,7 @@
  * @file
  * Thin adapter between the benchmark harnesses and the execution
  * driver library (src/driver/). The sweep engine that used to live
- * here — result log, checkpoint/sweep/shard sessions, the kernel-run
+ * here — result log, checkpoint/sweep sessions, the kernel-run
  * mode dispatch and the orchestrating main() — is now the compiled
  * driver library; this header only re-exports the handful of names
  * bench bodies use (Prepared, runKernel, runKernelLineup, quickMode)
@@ -20,11 +20,6 @@
  *              already recorded there, so an interrupted bench picks
  *              up where it stopped (also UNISTC_BENCH_RESUME; see
  *              docs/ROBUSTNESS.md)
- *   --shards K fan the sweep across K crash-isolated child
- *              processes under a ShardSupervisor (hard SIGKILL
- *              timeouts, retry with backoff, quarantine), then merge
- *              to byte-identical output; --shard i runs one worker
- *              by hand (docs/SHARDING.md)
  *
  * How --jobs works (docs/PARALLELISM.md): the bench body runs twice.
  * The *plan* pass runs with stdout silenced and the log level raised;
@@ -41,23 +36,6 @@
  * runKernel() calls must not depend on simulation results (values
  * may — comparisons and roll-ups only affect printing). A diverging
  * bench fails fast with a clear fatal() in the replay pass.
- *
- * How --shards works (docs/SHARDING.md): the same two-pass idea
- * lifted across process boundaries. Each runKernel()/
- * runKernelLineup() call is a *unit*, numbered identically in every
- * process because the bench body is deterministic. A *worker*
- * (--shard i) runs the body silenced, executes only units it owns
- * (unit % K == i), and appends each finished unit to a durable
- * per-shard manifest; non-owned units return the plan-pass sentinel.
- * The supervisor (--shards K with no --shard) fork/execs the K
- * workers under hard kill budgets, then runs the body once more as a
- * *serve* pass that splices every unit's results back in from the
- * merged manifests — so stdout, JSON and warehouse rows are
- * byte-identical to the single-process run. Units a quarantined
- * shard never finished serve zeroed results (and are NOT added to
- * the --resume checkpoint, so a rerun heals them). The one knowing
- * divergence: engine wall-time splits (tab07's record_timing) are
- * not reproducible across processes and are recorded untimed.
  */
 
 #ifndef UNISTC_BENCH_BENCH_COMMON_HH

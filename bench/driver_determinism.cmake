@@ -1,11 +1,12 @@
 # End-to-end gate for the execution driver (src/driver/): the shared
 # SweepRequest parser must resolve environment wiring (UNISTC_JOBS,
-# UNISTC_BENCH_RESUME) exactly like the explicit flags, and the full
-# acceptance combo — warm artifact cache, --jobs 2, --shards 3,
-# warehouse mirroring — must reproduce the committed pre-refactor
-# goldens (bench/golden/tab08_smoke) byte for byte: stdout, the
-# UNISTC_BENCH_JSON dump, every shard manifest, and every warehouse
-# row file. Driven by ctest (see CMakeLists.txt):
+# UNISTC_BENCH_RESUME) exactly like the explicit flags, a checkpoint
+# torn halfway through must resume to the serial output and heal into
+# the full checkpoint, and the acceptance combo — warm artifact
+# cache, --jobs 2, warehouse mirroring — must reproduce the committed
+# pre-refactor goldens (bench/golden/tab08_smoke) byte for byte:
+# stdout, the UNISTC_BENCH_JSON dump and every warehouse row file.
+# Driven by ctest (see CMakeLists.txt):
 #
 #   cmake -DBENCH=<binary> -DGOLDEN_DIR=<bench/golden/tab08_smoke> \
 #         -DWORKDIR=<scratch dir> -P driver_determinism.cmake
@@ -57,8 +58,10 @@ endforeach()
 # stderr INFORM proves the environment wiring actually engaged the
 # checkpoint rather than passing vacuously.
 run_bench(seed --resume ${WORKDIR}/flag.ck)
-execute_process(COMMAND ${CMAKE_COMMAND} -E copy
-                        ${WORKDIR}/flag.ck ${WORKDIR}/env.ck)
+foreach(copy env.ck seed.ck)
+    execute_process(COMMAND ${CMAKE_COMMAND} -E copy
+                            ${WORKDIR}/flag.ck ${WORKDIR}/${copy})
+endforeach()
 run_bench(resume_flag --resume ${WORKDIR}/flag.ck)
 set(ENV{UNISTC_BENCH_RESUME} ${WORKDIR}/env.ck)
 run_bench(resume_env)
@@ -76,14 +79,43 @@ foreach(a txt json)
                 "--resume vs UNISTC_BENCH_RESUME (${a})")
 endforeach()
 
+# A run killed mid-sweep: keep the first half of the seed checkpoint's
+# lines plus the first 40 bytes of the next one. --resume must repair
+# the torn tail, print the serial stdout, and append the missing jobs
+# so the healed file equals the full checkpoint. The bench JSON is not
+# compared: a lineup served wholly from the checkpoint records no
+# engine entry.
+file(READ ${WORKDIR}/seed.ck seed_ck)
+string(REGEX MATCHALL "\n" newlines "${seed_ck}")
+list(LENGTH newlines n_lines)
+math(EXPR keep "${n_lines} / 2")
+set(cut 0)
+foreach(i RANGE 1 ${keep})
+    string(SUBSTRING "${seed_ck}" ${cut} -1 rest)
+    string(FIND "${rest}" "\n" nl)
+    math(EXPR cut "${cut} + ${nl} + 1")
+endforeach()
+math(EXPR cut "${cut} + 40")
+string(SUBSTRING "${seed_ck}" 0 ${cut} torn_ck)
+file(WRITE ${WORKDIR}/torn.ck "${torn_ck}")
+run_bench(torn --resume ${WORKDIR}/torn.ck)
+file(READ ${WORKDIR}/torn.err err)
+if(NOT err MATCHES "repaired torn checkpoint")
+    message(FATAL_ERROR
+            "torn checkpoint was not repaired (stderr: ${err})")
+endif()
+expect_same(${WORKDIR}/torn.txt ${GOLDEN_DIR}/stdout_serial.txt
+            "resume from a torn checkpoint vs serial golden")
+expect_same(${WORKDIR}/torn.ck ${WORKDIR}/seed.ck
+            "healed checkpoint vs the seed run's checkpoint")
+
 # The acceptance combo against the committed pre-refactor goldens: a
 # cold pass warms the artifact cache, then the real run fans out over
-# two worker threads and three crash-isolated shards with the
-# warehouse mirroring on.
+# two worker threads with the warehouse mirroring on.
 set(ENV{UNISTC_CACHE_DIR} ${WORKDIR}/cache)
 run_bench(cold)
 set(ENV{UNISTC_WAREHOUSE_DIR} ${WORKDIR}/wh)
-run_bench(combo --jobs 2 --shards 3 --shard-dir ${WORKDIR}/shards)
+run_bench(combo --jobs 2)
 unset(ENV{UNISTC_CACHE_DIR})
 unset(ENV{UNISTC_WAREHOUSE_DIR})
 
@@ -91,12 +123,6 @@ expect_same(${WORKDIR}/combo.txt ${GOLDEN_DIR}/stdout.txt
             "combo stdout vs pre-refactor golden")
 expect_same(${WORKDIR}/combo.json ${GOLDEN_DIR}/bench.json
             "combo bench JSON vs pre-refactor golden")
-file(GLOB manifests RELATIVE ${GOLDEN_DIR}/manifests
-     ${GOLDEN_DIR}/manifests/*.manifest)
-foreach(m ${manifests})
-    expect_same(${WORKDIR}/shards/${m} ${GOLDEN_DIR}/manifests/${m}
-                "shard manifest ${m} vs pre-refactor golden")
-endforeach()
 file(GLOB rows RELATIVE ${GOLDEN_DIR}/warehouse
      ${GOLDEN_DIR}/warehouse/*)
 foreach(f ${rows})
@@ -104,6 +130,6 @@ foreach(f ${rows})
                 "warehouse row file ${f} vs pre-refactor golden")
 endforeach()
 
-message(STATUS "environment wiring matches explicit flags; the "
-               "jobs+shards+cache+warehouse combo reproduces the "
-               "pre-refactor goldens byte for byte")
+message(STATUS "environment wiring matches explicit flags; a torn "
+               "checkpoint resumes and heals; the jobs+cache+warehouse "
+               "combo reproduces the pre-refactor goldens byte for byte")

@@ -37,6 +37,9 @@ endfunction()
 set(small --gen banded:64,4,0.5)
 
 expect_fatal("unknown option '--bogus-flag'" --bogus-flag)
+expect_fatal("unknown option '--shards'" --shards 2 ${small})
+expect_fatal("--jobs is capped at 1024 workers, got '3000000000'"
+             --jobs 3000000000 ${small})
 expect_fatal("unknown kernel 'nope'" --kernel nope ${small})
 expect_fatal("--model and --arch are mutually exclusive"
              --model Uni-STC --arch Uni-STC ${small})

@@ -12,10 +12,9 @@
  * plain serial body handed to a DriverSession, which supplies the
  * whole standard execution family — --jobs plan/replay sweeps
  * (docs/PARALLELISM.md), --resume checkpointing (docs/ROBUSTNESS.md),
- * crash-isolated --shards (docs/SHARDING.md), the matrix artifact
- * cache flags (docs/CACHING.md), --log-level, --help and --version —
- * with byte-identical output across worker counts, shard counts and
- * resume state.
+ * the matrix artifact cache flags (docs/CACHING.md), --log-level,
+ * --help and --version — with byte-identical output across worker
+ * counts and resume state.
  *
  * This file holds the experiment parser and body: the front-end flag
  * family (--matrix/--gen/--kernel/--model/--arch/--precision/--dpgs/
@@ -237,7 +236,7 @@ makeExperiment(driver::ParsedCli &cli)
 /**
  * The matrix source of @p ex: --matrix path, --gen spec, or the
  * default generator spec. Stable across processes — it keys
- * checkpoint and shard manifest entries.
+ * checkpoint entries.
  */
 std::string
 sourceLabel(const Experiment &ex)
@@ -277,8 +276,7 @@ buildPrepared(const Experiment &ex)
 
 /**
  * The simulation body a DriverSession drives: with --jobs it runs
- * twice (silenced plan pass, then the reporting replay pass), under
- * --shards once per worker plus the supervisor's serve pass — so any
+ * twice (silenced plan pass, then the reporting replay pass), so any
  * side effect beyond runKernel() calls and stdout must be guarded on
  * ExecutionContext::reportingPass().
  */
@@ -288,8 +286,8 @@ simulateBody(const Experiment &ex)
     driver::ExecutionContext &ctx =
         driver::ExecutionContext::active();
 
-    // The Prepared name keys checkpoint and shard manifest entries,
-    // so it is the stable source label, not a per-run string.
+    // The Prepared name keys checkpoint entries, so it is the stable
+    // source label, not a per-run string.
     const driver::Prepared prep = buildPrepared(ex);
     if (ex.kernel == Kernel::SpGEMM && prep.csr.rows() !=
         prep.csr.cols())
@@ -403,20 +401,12 @@ simulateBody(const Experiment &ex)
         stats.setCounter("robust.jobs_quarantined", quarantined,
                          "jobs replaced by a zeroed result");
     }
-    if (ctx.shardSummaryShards() > 0) {
-        registerShardStats(stats, ctx.shardSummaryShards(),
-                           ctx.shardSummary());
-    }
     if (MatrixCache::global().enabled())
         MatrixCache::global().registerStats(stats);
 
     // Reporting artifacts (trace, stats JSON) are written exactly
-    // once, by the reporting pass — never by the silenced plan pass
-    // or a shard worker.
+    // once, by the reporting pass — never by the silenced plan pass.
     if (ctx.reportingPass()) {
-        // Sharded runs carry the supervisor's lifecycle events
-        // (spawn / kill / retry / quarantine instants) instead of
-        // per-job spans — the jobs ran in other processes.
         const TraceSink *trace = ctx.runTrace();
         // Splice the cache's per-key resolution spans (its own trace
         // process) into the model trace before writing it out.
@@ -477,8 +467,8 @@ main(int argc, char **argv)
     }
 
     // Resolve and validate every front-end flag BEFORE the driver
-    // runs, so a typo'd experiment fails fast in the parent — not
-    // once per forked shard worker.
+    // runs, so a typo'd experiment fails fast instead of after a
+    // silenced plan pass.
     const Experiment ex = makeExperiment(cli);
 
     driver::DriverSession session;

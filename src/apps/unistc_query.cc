@@ -51,8 +51,7 @@ usage(const char *self)
         "  drift                     per-family utilisation drift\n"
         "  cache-rate                cache hit-rate per run\n"
         "  slowest                   slowest rows of one run\n"
-        "  recovery                  robust.*/shard recovery counters"
-        " per run\n"
+        "  recovery                  robust.* recovery counters per run\n"
         "  export-bench              run -> UNISTC_BENCH_JSON format\n"
         "  check-regressions         latest run vs a baseline\n"
         "\n"
@@ -252,33 +251,15 @@ cmdShow(const WarehouseReader &reader, const Args &args)
         std::printf("counter:   %s = %llu\n", name.c_str(),
                     static_cast<unsigned long long>(v));
     if (hasRecoveryCounters(m)) {
-        const std::uint64_t shards =
-            counterOr0(m, "robust.shard_count");
-        if (shards > 0) {
-            std::printf(
-                "recovery:  %llu shard(s): %llu spawned, %llu "
-                "killed, %llu retried, %llu quarantined\n",
-                static_cast<unsigned long long>(shards),
-                static_cast<unsigned long long>(
-                    counterOr0(m, "robust.shard_spawned")),
-                static_cast<unsigned long long>(
-                    counterOr0(m, "robust.shard_killed_wall_clock") +
-                    counterOr0(m, "robust.shard_killed_heartbeat")),
-                static_cast<unsigned long long>(
-                    counterOr0(m, "robust.shard_retried")),
-                static_cast<unsigned long long>(
-                    counterOr0(m, "robust.shard_quarantined")));
-        } else {
-            std::printf(
-                "recovery:  %llu fault(s) detected, %llu job(s) "
-                "retried, %llu quarantined\n",
-                static_cast<unsigned long long>(
-                    counterOr0(m, "robust.faults_detected")),
-                static_cast<unsigned long long>(
-                    counterOr0(m, "robust.jobs_retried")),
-                static_cast<unsigned long long>(
-                    counterOr0(m, "robust.jobs_quarantined")));
-        }
+        std::printf(
+            "recovery:  %llu fault(s) detected, %llu job(s) "
+            "retried, %llu quarantined\n",
+            static_cast<unsigned long long>(
+                counterOr0(m, "robust.faults_detected")),
+            static_cast<unsigned long long>(
+                counterOr0(m, "robust.jobs_retried")),
+            static_cast<unsigned long long>(
+                counterOr0(m, "robust.jobs_quarantined")));
     }
     return 0;
 }
@@ -287,10 +268,8 @@ int
 cmdRecovery(const WarehouseReader &reader, const Args &args)
 {
     TextTable t("fault recovery by run (robust.* counters; "
-                "docs/ROBUSTNESS.md, docs/SHARDING.md)");
-    t.setHeader({"run", "bench", "faults", "job retry", "job quar",
-                 "shards", "spawned", "killed", "shard retry",
-                 "shard quar"});
+                "docs/ROBUSTNESS.md)");
+    t.setHeader({"run", "bench", "faults", "job retry", "job quar"});
     std::size_t shown = 0;
     for (const RunMeta &m : reader.runs()) {
         if (!args.bench.empty() && m.bench != args.bench)
@@ -298,29 +277,11 @@ cmdRecovery(const WarehouseReader &reader, const Args &args)
         if (!hasRecoveryCounters(m))
             continue;
         ++shown;
-        const std::uint64_t shards =
-            counterOr0(m, "robust.shard_count");
         t.addRow(
             {m.id, m.bench,
              std::to_string(counterOr0(m, "robust.faults_detected")),
              std::to_string(counterOr0(m, "robust.jobs_retried")),
-             std::to_string(counterOr0(m, "robust.jobs_quarantined")),
-             shards == 0 ? "-" : std::to_string(shards),
-             shards == 0
-                 ? "-"
-                 : std::to_string(counterOr0(m, "robust.shard_spawned")),
-             shards == 0
-                 ? "-"
-                 : std::to_string(
-                       counterOr0(m, "robust.shard_killed_wall_clock") +
-                       counterOr0(m, "robust.shard_killed_heartbeat")),
-             shards == 0
-                 ? "-"
-                 : std::to_string(counterOr0(m, "robust.shard_retried")),
-             shards == 0
-                 ? "-"
-                 : std::to_string(
-                       counterOr0(m, "robust.shard_quarantined"))});
+             std::to_string(counterOr0(m, "robust.jobs_quarantined"))});
     }
     if (shown == 0) {
         std::printf("no runs with recovery counters in '%s'\n",

@@ -31,16 +31,6 @@ CheckpointSession::configure(const std::string &path)
                       log_->size(), " completed job(s) on file");
     }
     enabled_ = true;
-    readOnly_ = false;
-}
-
-void
-CheckpointSession::configureReadOnly(const std::string &path)
-{
-    log_ = std::make_unique<CheckpointLog>(
-        CheckpointLog::load(path).value());
-    enabled_ = true;
-    readOnly_ = true;
 }
 
 const CheckpointEntry *
@@ -60,7 +50,7 @@ CheckpointSession::append(Kernel kernel, const std::string &model,
                           const std::string &matrix,
                           const RunResult &result)
 {
-    if (!enabled_ || readOnly_)
+    if (!enabled_)
         return;
     std::lock_guard<std::mutex> lock(mu_);
     CheckpointEntry e;
@@ -87,7 +77,6 @@ CheckpointSession::reset()
 {
     std::lock_guard<std::mutex> lock(mu_);
     enabled_ = false;
-    readOnly_ = false;
     log_.reset();
     writer_.close();
     seen_.clear();

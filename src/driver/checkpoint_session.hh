@@ -40,15 +40,6 @@ class CheckpointSession
     /** Enable resume against @p path: load it, then append to it. */
     void configure(const std::string &path);
 
-    /**
-     * Shard-worker variant: serve lookups from @p path but never
-     * append — only the supervisor's serve pass extends the user's
-     * checkpoint, so K workers cannot interleave writes into it. No
-     * repair either (the supervisor already did it before any worker
-     * was spawned).
-     */
-    void configureReadOnly(const std::string &path);
-
     bool enabled() const { return enabled_; }
 
     /**
@@ -79,7 +70,6 @@ class CheckpointSession
 
   private:
     bool enabled_ = false;
-    bool readOnly_ = false;
     std::mutex mu_;
     std::unique_ptr<CheckpointLog> log_;
     CheckpointWriter writer_;

@@ -3,22 +3,18 @@
  * DriverSession: runs a front-end body under a SweepRequest —
  * the orchestration that used to live in bench_common.hh's generated
  * main() and (duplicated) in examples/simulate_cli.cc. One call,
- * three possible shapes:
+ * two possible shapes, both in one process:
  *
  *   serial      body runs once, results simulate inline.
  *   --jobs      plan pass (stdout silenced, jobs fan out over a
  *               thread pool) → barrier → serial replay pass that
  *               splices the precomputed results in
  *               (docs/PARALLELISM.md).
- *   --shards    worker children execute owned units into durable
- *               manifests under a crash supervisor; the final serve
- *               pass splices the merged manifests in
- *               (docs/SHARDING.md).
  *
- * In every shape the reporting output — stdout, UNISTC_BENCH_JSON,
+ * In both shapes the reporting output — stdout, UNISTC_BENCH_JSON,
  * warehouse rows — is produced by exactly one serial traversal of
- * the body, so it is byte-identical across worker counts, shard
- * counts and resume state.
+ * the body, so it is byte-identical across worker counts and resume
+ * state.
  */
 
 #ifndef UNISTC_DRIVER_DRIVER_SESSION_HH
@@ -39,7 +35,7 @@ namespace driver
  * log level raised, so a recording traversal of the body prints
  * nothing; fatal()/panic() still reach stderr. Restores both on
  * destruction. Exposed for tests; DriverSession applies it around
- * the plan pass and shard workers.
+ * the plan pass.
  */
 class ScopedPlanQuiet
 {
@@ -80,19 +76,13 @@ class DriverSession
 
     /**
      * Run @p body under @p req. @p argv is the body's command line,
-     * forwarded verbatim (shard workers are re-exec'd with it plus
-     * --shard/--shard-out). Installs ctx as current() for the
+     * forwarded verbatim. Installs ctx as current() for the
      * duration. Returns the body's exit code.
      */
     int run(const SweepRequest &req, int argc, char **argv,
             const Body &body);
 
   private:
-    int runShardWorker(const SweepRequest &req, int argc, char **argv,
-                       const Body &body);
-    int runShardSupervisor(const SweepRequest &req, int argc,
-                           char **argv, const Body &body);
-
     ExecutionContext &ctx_;
 };
 

@@ -49,18 +49,8 @@ ExecutionContext::active()
 const TraceSink *
 ExecutionContext::runTrace() const
 {
-    if (supervisorTrace_ != nullptr)
-        return supervisorTrace_;
     const SweepExecutor *exec = sweep_.executor();
     return exec != nullptr ? exec->trace() : nullptr;
-}
-
-void
-ExecutionContext::setShardSummary(int shards,
-                                  const ShardRecoveryCounters &counters)
-{
-    shardSummaryShards_ = shards;
-    shardSummary_ = counters;
 }
 
 void
@@ -68,11 +58,7 @@ ExecutionContext::beginRun()
 {
     checkpoints_.reset();
     sweep_.reset();
-    shard_.reset();
     reportingPass_ = true;
-    supervisorTrace_ = nullptr;
-    shardSummaryShards_ = 0;
-    shardSummary_ = ShardRecoveryCounters();
 }
 
 } // namespace driver

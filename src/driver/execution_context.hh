@@ -1,9 +1,9 @@
 /**
  * @file
  * ExecutionContext: everything one sweep run needs to execute —
- * checkpoint, sweep and shard sessions plus the result log — owned
- * by one object instead of four per-process singletons (the
- * bench_common.hh arrangement this library replaced). A process gets
+ * checkpoint and sweep sessions plus the result log — owned by one
+ * object instead of per-process singletons (the bench_common.hh
+ * arrangement this library replaced). A process gets
  * a default context (global()) whose ResultLog still arms the
  * UNISTC_BENCH_JSON dump-at-exit, so existing binaries behave
  * identically; embedders (tests) construct their own contexts and
@@ -20,9 +20,7 @@
 
 #include "driver/checkpoint_session.hh"
 #include "driver/result_log.hh"
-#include "driver/shard_session.hh"
 #include "driver/sweep_session.hh"
-#include "exec/shard_supervisor.hh"
 #include "obs/trace.hh"
 
 namespace unistc
@@ -62,15 +60,14 @@ class ExecutionContext
 
     CheckpointSession &checkpoints() { return checkpoints_; }
     SweepSession &sweep() { return sweep_; }
-    ShardSession &shard() { return shard_; }
     ResultLog &results() { return results_; }
 
     /**
      * False while the body's output is being discarded — the --jobs
-     * plan pass and shard worker mode, where stdout goes to
-     * /dev/null and results are sentinels. Front-ends guard artifact
-     * writes (traces, stats JSON, saved BBC containers) on it so
-     * files are written exactly once, by the reporting run.
+     * plan pass, where stdout goes to /dev/null and results are
+     * sentinels. Front-ends guard artifact writes (traces, stats
+     * JSON, saved BBC containers) on it so files are written exactly
+     * once, by the reporting run.
      */
     bool reportingPass() const { return reportingPass_; }
     void setReportingPass(bool on) { reportingPass_ = on; }
@@ -87,39 +84,16 @@ class ExecutionContext
     }
 
     /**
-     * The run's trace: the shard supervisor's lifecycle trace when
-     * this is a serve pass that recorded one, the sweep executor's
-     * merged per-job trace during replay, null otherwise.
+     * The run's trace: the sweep executor's merged per-job trace
+     * during replay, null otherwise.
      */
     const TraceSink *runTrace() const;
 
-    /** Serve pass only: the supervisor's lifecycle trace sink. */
-    void
-    setSupervisorTrace(const TraceSink *trace)
-    {
-        supervisorTrace_ = trace;
-    }
-
     /**
-     * Serve pass only: shard count + supervision tallies, for
-     * front-ends that export them (simulate_cli's stats JSON).
-     * shardSummaryShards() is 0 outside a supervised run.
-     */
-    void setShardSummary(int shards,
-                         const ShardRecoveryCounters &counters);
-    int shardSummaryShards() const { return shardSummaryShards_; }
-    const ShardRecoveryCounters &
-    shardSummary() const
-    {
-        return shardSummary_;
-    }
-
-    /**
-     * Reset per-run session state (sweep/shard/checkpoint modes,
-     * cursors, supervisor hooks) so a long-lived context can serve
-     * another request. Recorded results are kept — the log spans the
-     * process — and the matrix cache, a process-wide resource, is
-     * untouched.
+     * Reset per-run session state (sweep/checkpoint modes, cursors)
+     * so a long-lived context can serve another request. Recorded
+     * results are kept — the log spans the process — and the matrix
+     * cache, a process-wide resource, is untouched.
      */
     void beginRun();
 
@@ -131,12 +105,8 @@ class ExecutionContext
 
     CheckpointSession checkpoints_;
     SweepSession sweep_;
-    ShardSession shard_;
     ResultLog results_;
     bool reportingPass_ = true;
-    const TraceSink *supervisorTrace_ = nullptr;
-    int shardSummaryShards_ = 0;
-    ShardRecoveryCounters shardSummary_;
 };
 
 } // namespace driver

@@ -3,10 +3,10 @@
  * The kernel-run surface of the execution driver: a matrix prepared
  * once (Prepared), and runKernel() / runKernelLineup() — the two
  * calls every front-end body makes per simulation. Behind them sits
- * the ExecutionContext's mode machinery (sweep plan/replay, shard
- * worker/serve, checkpoint resume; driver/execution_context.hh), so
- * a body written against these two functions transparently gains
- * --jobs, --shards and --resume with byte-identical output.
+ * the ExecutionContext's mode machinery (sweep plan/replay and
+ * checkpoint resume; driver/execution_context.hh), so a body written
+ * against these two functions transparently gains --jobs and
+ * --resume with byte-identical output.
  *
  * Moved out of bench/bench_common.hh; bench harnesses still reach
  * them through the unistc::bench aliases in that header.
@@ -105,7 +105,7 @@ RunResult executeKernel(Kernel kernel, const StcModel &model,
 
 /**
  * Run one of the four kernels on a prepared matrix through the
- * current ExecutionContext (sweep/shard/checkpoint aware).
+ * current ExecutionContext (sweep and checkpoint aware).
  * @p bCols is the dense-B width for SpMM (the paper fixes 64).
  */
 RunResult runKernel(Kernel kernel, const StcModel &model,

@@ -79,23 +79,6 @@ const StdFlag kStdFlags[] = {
     {"cache", true, "MODE",
      "off | ro | rw (default rw when a cache dir is set; also "
      "UNISTC_CACHE)"},
-    {"shards", true, "K",
-     "fan the sweep across K crash-isolated worker processes "
-     "(docs/SHARDING.md)"},
-    {"shard", true, "I",
-     "run as shard worker I (spawned by the supervisor)"},
-    {"shard-out", true, "PATH", "worker manifest path"},
-    {"shard-dir", true, "DIR", "supervisor manifest directory"},
-    {"shard-max-seconds", true, "S",
-     "SIGKILL budget per shard attempt (0 = off)"},
-    {"shard-heartbeat-seconds", true, "S",
-     "SIGKILL after S silent seconds (0 = off)"},
-    {"shard-retries", true, "N",
-     "retries per shard after the first attempt"},
-    {"shard-backoff-seconds", true, "S",
-     "first retry delay (doubles per retry)"},
-    {"shard-strict", false, "",
-     "fail the run instead of quarantining a dead shard"},
 };
 
 const StdFlag *
@@ -135,6 +118,11 @@ applyStdFlag(SweepRequest &req, const std::string &name,
         if (value == "auto") {
             requestedJobs = ThreadPool::hardwareThreads();
         } else if (parseNonNegInt(value, n)) {
+            if (n > SweepExecutor::kMaxJobs) {
+                return optError("--jobs is capped at " +
+                                std::to_string(SweepExecutor::kMaxJobs) +
+                                " workers, got '" + value + "'");
+            }
             requestedJobs =
                 n == 0 ? ThreadPool::hardwareThreads()
                        : static_cast<int>(n);
@@ -171,50 +159,6 @@ applyStdFlag(SweepRequest &req, const std::string &name,
         }
         req.cacheFlagged = true;
         req.cacheMode = mode;
-    } else if (name == "shards") {
-        if (!parseNonNegInt(value, n)) {
-            return optError("--shards needs a non-negative integer, "
-                            "got '" + value + "'");
-        }
-        req.shards = static_cast<int>(n);
-    } else if (name == "shard") {
-        if (!parseNonNegInt(value, n)) {
-            return optError("--shard needs a non-negative integer, "
-                            "got '" + value + "'");
-        }
-        req.shard = static_cast<int>(n);
-    } else if (name == "shard-out") {
-        req.shardOut = value;
-    } else if (name == "shard-dir") {
-        req.shardDir = value;
-    } else if (name == "shard-max-seconds") {
-        if (!parseNonNegSeconds(value, sec)) {
-            return optError("--shard-max-seconds needs a non-negative "
-                            "number of seconds, got '" + value + "'");
-        }
-        req.shardMaxSeconds = sec;
-    } else if (name == "shard-heartbeat-seconds") {
-        if (!parseNonNegSeconds(value, sec)) {
-            return optError(
-                "--shard-heartbeat-seconds needs a non-negative "
-                "number of seconds, got '" + value + "'");
-        }
-        req.shardHeartbeatSeconds = sec;
-    } else if (name == "shard-retries") {
-        if (!parseNonNegInt(value, n)) {
-            return optError("--shard-retries needs a non-negative "
-                            "integer, got '" + value + "'");
-        }
-        req.shardRetries = static_cast<int>(n);
-    } else if (name == "shard-backoff-seconds") {
-        if (!parseNonNegSeconds(value, sec)) {
-            return optError(
-                "--shard-backoff-seconds needs a non-negative "
-                "number of seconds, got '" + value + "'");
-        }
-        req.shardBackoffSeconds = sec;
-    } else if (name == "shard-strict") {
-        req.shardStrict = true;
     }
     return Status();
 }
@@ -299,9 +243,6 @@ parseSweepCli(int argc, char **argv,
             out.request.resumePath = env;
     }
     out.request.jobs = SweepExecutor::resolveJobs(requestedJobs, 1);
-
-    if (out.request.shards < 1)
-        return optError("--shards needs at least 1 shard");
     return out;
 }
 

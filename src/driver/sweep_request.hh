@@ -13,17 +13,12 @@
  *
  *   --quick / --smoke            workload shrinking (UNISTC_BENCH_QUICK)
  *   --jobs N                     worker threads (UNISTC_JOBS; 0/auto =
- *                                all cores)
+ *                                all cores; at most 1024)
  *   --resume P                   checkpoint/resume (UNISTC_BENCH_RESUME)
  *   --strict                     fail fast instead of quarantining
  *   --max-job-seconds S          cooperative per-job watchdog
  *   --log-level LEVEL            debug|info|warn|error|silent (or 0-4)
  *   --cache-dir P / --cache M    matrix artifact cache (docs/CACHING.md)
- *   --shards K / --shard i / --shard-out P / --shard-dir D /
- *   --shard-max-seconds S / --shard-heartbeat-seconds S /
- *   --shard-retries N / --shard-backoff-seconds S / --shard-strict
- *                                crash-isolated sharding
- *                                (docs/SHARDING.md)
  *   --help, -h                   the generated usage text
  *   --version                    git sha + on-disk schema versions
  *
@@ -84,28 +79,17 @@ struct SweepRequest
     int maxRetries = 1;         ///< Extra attempts per failing job.
 
     /**
-     * Per-job trace ring capacity for the sweep executor (and the
-     * shard supervisor's lifecycle trace). Not a standard flag:
-     * front-ends with a --trace option set it programmatically.
-     * Non-zero forces the plan/replay path even at --jobs 1 so the
-     * trace is byte-equal in structure for any worker count.
+     * Per-job trace ring capacity for the sweep executor. Not a
+     * standard flag: front-ends with a --trace option set it
+     * programmatically. Non-zero forces the plan/replay path even at
+     * --jobs 1 so the trace is byte-equal in structure for any worker
+     * count.
      */
     std::size_t traceJobCapacity = 0;
 
     // Log level (--log-level), applied before the driver runs.
     bool logLevelSet = false;
     LogLevel logLevel = LogLevel::Info;
-
-    // Crash-isolated sharding (docs/SHARDING.md).
-    int shards = 1;
-    int shard = -1;           ///< >= 0: run as worker child i.
-    std::string shardOut;     ///< Worker manifest path.
-    std::string shardDir;     ///< Supervisor manifest directory.
-    double shardMaxSeconds = 0.0;
-    double shardHeartbeatSeconds = 0.0;
-    int shardRetries = 1;
-    double shardBackoffSeconds = 0.25;
-    bool shardStrict = false;
 
     // Matrix artifact cache (docs/CACHING.md). cacheFlagged is true
     // only when a cache flag appeared: without it the MatrixCache
@@ -147,8 +131,7 @@ std::string sweepCliHelp(const std::string &binaryName,
  * True when the run should shrink workloads: --quick / --smoke on
  * the command line or UNISTC_BENCH_QUICK in the environment. Kept as
  * an argv scan (not a SweepRequest field) because bench bodies call
- * it after the driver exported --smoke into the environment for
- * child phases.
+ * it after the driver exported --smoke into the environment.
  */
 bool quickRequested(int argc, char **argv);
 

@@ -104,8 +104,7 @@ class SweepSession
      * into rollups, and an all-skipped rollup panics (max() on empty
      * stat). Nonzero counters keep the plan pass on the same control
      * path; every derived ratio is a neutral 1.0 and the output goes
-     * to /dev/null anyway. Shard workers reuse it for non-owned
-     * units, for the same reason.
+     * to /dev/null anyway.
      */
     static RunResult sentinel();
 

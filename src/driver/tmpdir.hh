@@ -2,8 +2,8 @@
  * @file
  * Temporary-directory resolution for the execution driver: sandboxed
  * CI runners mount /tmp read-only and point $TMPDIR somewhere
- * writable, so every scratch path the driver creates (shard manifest
- * directories) must resolve through the environment instead of
+ * writable, so every scratch directory a driver-built binary or test
+ * creates must resolve through the environment instead of
  * hardcoding "/tmp".
  */
 

@@ -4,7 +4,6 @@
 
 #include "bbc/bbc_io.hh"
 #include "driver/build_info.hh"
-#include "exec/shard_plan.hh"
 #include "obs/bench_json.hh"
 #include "robust/checkpoint.hh"
 #include "warehouse/schema.hh"
@@ -30,8 +29,7 @@ versionString(const std::string &binaryName)
        << kBenchSchemaVersion << ", warehouse v"
        << warehouse::kSchemaVersion << ", bbc-container v"
        << kBbcContainerVersion << ", checkpoint v"
-       << kCheckpointFormatVersion << ", shard-manifest v"
-       << kShardManifestVersion << "\n";
+       << kCheckpointFormatVersion << "\n";
     return os.str();
 }
 

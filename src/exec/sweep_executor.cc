@@ -462,7 +462,7 @@ SweepExecutor::resolveJobs(int requested, int fallback)
         char *end = nullptr;
         const long v = std::strtol(env, &end, 10);
         if (end != nullptr && *end == '\0' && v > 0)
-            return static_cast<int>(std::min<long>(v, 1024));
+            return static_cast<int>(std::min<long>(v, kMaxJobs));
         UNISTC_WARN("ignoring bad UNISTC_JOBS '", text,
                     "' (want a positive integer or 'auto')");
     }

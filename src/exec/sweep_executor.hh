@@ -212,10 +212,13 @@ class SweepExecutor
      */
     const TraceSink *trace() const;
 
+    /** Largest worker count --jobs accepts and UNISTC_JOBS clamps to. */
+    static constexpr int kMaxJobs = 1024;
+
     /**
      * Resolve a worker count: @p requested > 0 wins; otherwise
-     * UNISTC_JOBS (positive integer, or 0/"auto" for all hardware
-     * threads); otherwise @p fallback.
+     * UNISTC_JOBS (positive integer, clamped to kMaxJobs, or
+     * 0/"auto" for all hardware threads); otherwise @p fallback.
      */
     static int resolveJobs(int requested, int fallback = 1);
 

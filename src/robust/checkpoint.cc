@@ -25,11 +25,13 @@ namespace
 /** Line magic: bump when the field list changes. */
 constexpr const char *kLineTag = "unistc-ckpt-v1";
 
-} // namespace
+/** Tokens per line: tag + 3 names + 13 counters + 5 energies +
+ *  1 histogram. Kept in sync with the codec below. */
+constexpr std::size_t kEntryTokens = 1 + 3 + 13 + 5 + 1;
 
 /** %-escape spaces, percent signs and control characters. */
 std::string
-escapeCheckpointToken(const std::string &s)
+escapeToken(const std::string &s)
 {
     static const char *hex = "0123456789ABCDEF";
     std::string out;
@@ -46,9 +48,6 @@ escapeCheckpointToken(const std::string &s)
     return out;
 }
 
-namespace
-{
-
 int
 hexDigit(char c)
 {
@@ -61,10 +60,9 @@ hexDigit(char c)
     return -1;
 }
 
-} // namespace
-
+/** Undo escapeToken; false on a malformed escape. */
 bool
-unescapeCheckpointToken(const std::string &s, std::string &out)
+unescapeToken(const std::string &s, std::string &out)
 {
     out.clear();
     out.reserve(s.size());
@@ -85,22 +83,25 @@ unescapeCheckpointToken(const std::string &s, std::string &out)
     return true;
 }
 
+/** Lower-case hex of @p v, no leading zeros ("0" for zero). */
 std::string
-checkpointHex(std::uint64_t v)
+u64Hex(std::uint64_t v)
 {
     std::ostringstream os;
     os << std::hex << v;
     return os.str();
 }
 
+/** Bit-exact double encoding: the hex of the IEEE-754 pattern. */
 std::string
-checkpointDoubleHex(double d)
+doubleHex(double d)
 {
-    return checkpointHex(std::bit_cast<std::uint64_t>(d));
+    return u64Hex(std::bit_cast<std::uint64_t>(d));
 }
 
+/** Parse u64Hex output; false on empty/overlong/non-hex. */
 bool
-parseCheckpointHex(const std::string &tok, std::uint64_t &out)
+parseU64Hex(const std::string &tok, std::uint64_t &out)
 {
     if (tok.empty() || tok.size() > 16)
         return false;
@@ -115,29 +116,15 @@ parseCheckpointHex(const std::string &tok, std::uint64_t &out)
     return true;
 }
 
+/** Parse doubleHex output (bit-exact round trip). */
 bool
-parseCheckpointDoubleHex(const std::string &tok, double &out)
+parseDoubleHex(const std::string &tok, double &out)
 {
     std::uint64_t bits = 0;
-    if (!parseCheckpointHex(tok, bits))
+    if (!parseU64Hex(tok, bits))
         return false;
     out = std::bit_cast<double>(bits);
     return true;
-}
-
-namespace
-{
-
-// Short local aliases keep the codec below readable.
-inline std::string u64Hex(std::uint64_t v) { return checkpointHex(v); }
-inline std::string doubleHex(double d) { return checkpointDoubleHex(d); }
-inline bool parseU64Hex(const std::string &t, std::uint64_t &o)
-{
-    return parseCheckpointHex(t, o);
-}
-inline bool parseDoubleHex(const std::string &t, double &o)
-{
-    return parseCheckpointDoubleHex(t, o);
 }
 
 /** Histogram as n:lo-bits:hi-bits:c0,c1,... ("0" when default). */
@@ -210,9 +197,8 @@ std::string
 checkpointKey(const std::string &kernel, const std::string &model,
               const std::string &matrix)
 {
-    return escapeCheckpointToken(kernel) + " " +
-           escapeCheckpointToken(model) + " " +
-           escapeCheckpointToken(matrix);
+    return escapeToken(kernel) + " " + escapeToken(model) + " " +
+           escapeToken(matrix);
 }
 
 std::string
@@ -249,14 +235,14 @@ decodeCheckpointEntry(const std::string &line)
     std::string tok;
     while (is >> tok)
         toks.push_back(tok);
-    if (toks.size() != kCheckpointEntryTokens || toks[0] != kLineTag) {
+    if (toks.size() != kEntryTokens || toks[0] != kLineTag) {
         return corruptData("checkpoint line is not a " +
                            std::string(kLineTag) + " record");
     }
     CheckpointEntry e;
-    if (!unescapeCheckpointToken(toks[1], e.kernel) ||
-        !unescapeCheckpointToken(toks[2], e.model) ||
-        !unescapeCheckpointToken(toks[3], e.matrix))
+    if (!unescapeToken(toks[1], e.kernel) ||
+        !unescapeToken(toks[2], e.model) ||
+        !unescapeToken(toks[3], e.matrix))
         return corruptData("checkpoint line has a bad name escape");
     RunResult &r = e.result;
     std::uint64_t *counters[] = {
@@ -303,7 +289,7 @@ DurableAppendFile::open(const std::string &path)
 #ifdef UNISTC_CHECKPOINT_POSIX
     close();
     // O_APPEND makes each write(2) an atomic seek-to-end + write, so
-    // two shard processes appending to one log never interleave.
+    // two processes appending to one log never interleave.
     const int fd =
         ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
                0644);

@@ -11,22 +11,20 @@
  * corrupt line (interrupted write, disk damage) ends the valid
  * prefix: everything before it is used, everything after discarded.
  *
- * Durability (the sharded-sweep hardening): every record is appended
- * with ONE unbuffered write(2) on an O_APPEND descriptor followed by
- * fdatasync, so a SIGKILL mid-append can only tear the in-flight
- * line, never an earlier one, and two processes appending to the
- * same log never interleave partial lines. A log whose tail did get
- * torn is repaired on load via rewriteCheckpointAtomic() — the
- * tmp-file + fsync + atomic-rename discipline of MatrixCache — so
- * records appended after a torn line can never become unreachable
- * (the "poisoned --resume" failure mode).
+ * Durability: every record is appended with ONE unbuffered
+ * write(2) on an O_APPEND descriptor followed by fdatasync, so a
+ * SIGKILL mid-append can only tear the in-flight line, never an
+ * earlier one. A log whose tail did get torn is repaired on load
+ * via rewriteCheckpointAtomic() — the tmp-file + fsync +
+ * atomic-rename discipline of MatrixCache — so records appended
+ * after a torn line can never become unreachable (the "poisoned
+ * --resume" failure mode).
  */
 
 #ifndef UNISTC_ROBUST_CHECKPOINT_HH
 #define UNISTC_ROBUST_CHECKPOINT_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -37,11 +35,6 @@
 namespace unistc
 {
 
-/** Tokens per checkpoint line: tag + 3 names + 13 counters +
- *  5 energies + 1 histogram. Kept in sync with the codec below;
- *  the shard manifest embeds entries and needs the width too. */
-constexpr std::size_t kCheckpointEntryTokens = 1 + 3 + 13 + 5 + 1;
-
 /**
  * On-disk checkpoint line-format version. The format has no header
  * line carrying it (every line is self-describing via its "ckpt"
@@ -49,31 +42,6 @@ constexpr std::size_t kCheckpointEntryTokens = 1 + 3 + 13 + 5 + 1;
  * binary writes. Bump alongside any codec change below.
  */
 constexpr int kCheckpointFormatVersion = 1;
-
-/** @name Checkpoint token helpers
- *  The escaping/number codec the checkpoint line format is built
- *  from, exported so the shard manifest speaks the same dialect.
- *  @{ */
-
-/** %-escape spaces, percent signs and control characters. */
-std::string escapeCheckpointToken(const std::string &s);
-
-/** Undo escapeCheckpointToken; false on a malformed escape. */
-bool unescapeCheckpointToken(const std::string &s, std::string &out);
-
-/** Lower-case hex of @p v, no leading zeros ("0" for zero). */
-std::string checkpointHex(std::uint64_t v);
-
-/** Parse checkpointHex output; false on empty/overlong/non-hex. */
-bool parseCheckpointHex(const std::string &tok, std::uint64_t &out);
-
-/** Bit-exact double encoding: the hex of the IEEE-754 pattern. */
-std::string checkpointDoubleHex(double d);
-
-/** Parse checkpointDoubleHex output (bit-exact round trip). */
-bool parseCheckpointDoubleHex(const std::string &tok, double &out);
-
-/** @} */
 
 /** One checkpointed job result. */
 struct CheckpointEntry
@@ -103,8 +71,7 @@ Result<CheckpointEntry> decodeCheckpointEntry(const std::string &line);
  * out as ONE write(2) on an O_APPEND descriptor and is fdatasync'd,
  * so a SIGKILL can only tear the in-flight line (the loader's
  * prefix-recovery then drops it) and concurrent appenders from
- * different processes never interleave partial lines. Checkpoint
- * logs and shard manifests both ride on this.
+ * different processes never interleave partial lines.
  */
 class DurableAppendFile
 {
@@ -170,7 +137,7 @@ Status atomicWriteFile(const std::string &path,
 
 /**
  * Replace @p path with exactly @p entries via atomicWriteFile().
- * Used to repair a checkpoint whose tail a SIGKILLed shard tore, so
+ * Used to repair a checkpoint whose tail a killed run tore, so
  * records appended afterwards are never stranded behind a corrupt
  * line.
  */

@@ -13,12 +13,6 @@
  *  - *Job faults* (FaultSpec): make a sweep job artificially slow or
  *    make its first N attempts throw, to exercise the executor's
  *    watchdog / retry / quarantine machinery.
- *
- *  - *Process faults* (ProcFaultSpec): make a whole shard worker
- *    abort, exit(N), hang forever, or crash mid-write, to exercise
- *    the ShardSupervisor's kill / retry / quarantine paths
- *    end-to-end (docs/SHARDING.md). Driven by the UNISTC_SHARD_FAULT
- *    environment variable so e2e tests stay deterministic.
  */
 
 #ifndef UNISTC_ROBUST_FAULT_INJECT_HH
@@ -27,7 +21,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/rng.hh"
 #include "robust/status.hh"
@@ -48,12 +41,6 @@ enum class FaultKind
     GarbleStream,   ///< XOR-garble one byte of a serialized image.
     SlowJob,        ///< Delay a sweep job past its watchdog budget.
     ThrowJob,       ///< Make a sweep job's first attempts throw.
-    ProcAbort,      ///< Shard worker calls abort() (SIGABRT).
-    ProcExit,       ///< Shard worker _exit()s with a nonzero code.
-    ProcHang,       ///< Shard worker hangs forever (heartbeat goes
-                    ///< silent; only SIGKILL can end it).
-    ProcPartialCrash, ///< Shard worker tears its in-flight manifest
-                      ///< line, then dies (torn-tail recovery test).
 };
 
 /** Printable kind name ("BitmapLv1Flip", ...). */
@@ -81,60 +68,6 @@ struct FaultSpec
      */
     void apply(const std::string &jobLabel) const;
 };
-
-/**
- * One process-level fault a shard worker inflicts on itself, parsed
- * from the UNISTC_SHARD_FAULT environment variable. Spec syntax
- * (';'-separated list):
- *
- *     kind[:code]@shard[xN|x*][+U]
- *
- *   kind   abort | exit | hang | partial
- *   :code  exit status for `exit` (default 1)
- *   @shard target shard index, or @* for every shard
- *   xN     fault the first N attempts (default 1 — the retry heals);
- *          x* faults every attempt (forces quarantine)
- *   +U     complete U owned units before faulting (partial progress)
- *
- * e.g. "abort@1;hang@2x*;exit:3@0;partial@1+2".
- */
-struct ProcFaultSpec
-{
-    FaultKind kind = FaultKind::ProcAbort;
-
-    /** Target shard index; -1 means any shard. */
-    int shard = -1;
-
-    /** Exit status used by ProcExit. */
-    int exitCode = 1;
-
-    /** Attempts 0..N-1 fault; 0 means every attempt faults. */
-    int attempts = 1;
-
-    /** Owned units to complete before the fault fires. */
-    std::uint64_t afterUnits = 0;
-};
-
-/** Parse a ';'-separated spec list; typed error on bad syntax. */
-Result<std::vector<ProcFaultSpec>>
-parseProcFaultSpecs(const std::string &text);
-
-/**
- * The first spec that applies to @p shard on its @p attempt (0-based),
- * or null when this attempt runs clean.
- */
-const ProcFaultSpec *matchProcFault(
-    const std::vector<ProcFaultSpec> &specs, int shard, int attempt);
-
-/**
- * Inflict @p spec on the calling process — never returns. For
- * ProcPartialCrash, appends the first half of @p partialLine (no
- * newline) to @p partialPath before dying, leaving exactly the torn
- * tail the durability machinery must survive.
- */
-[[noreturn]] void executeProcFault(const ProcFaultSpec &spec,
-                                   const std::string &partialPath = "",
-                                   const std::string &partialLine = "");
 
 /**
  * Seed-driven corruption engine. Every corrupt*() call draws from

@@ -186,26 +186,6 @@ BenchSink::noteRecovery(const SweepExecutor::RecoveryCounters &rc)
 }
 
 void
-BenchSink::noteShards(int shards, const ShardRecoveryCounters &sc)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (writer_ == nullptr)
-        return;
-    writer_->noteCounter("robust.shard_count",
-                         static_cast<std::uint64_t>(shards));
-    writer_->noteCounter("robust.shard_spawned", sc.spawned);
-    writer_->noteCounter("robust.shard_completed", sc.completed);
-    writer_->noteCounter("robust.shard_killed_wall_clock",
-                         sc.killedWallClock);
-    writer_->noteCounter("robust.shard_killed_heartbeat",
-                         sc.killedHeartbeat);
-    writer_->noteCounter("robust.shard_crashed", sc.crashed);
-    writer_->noteCounter("robust.shard_retried", sc.retried);
-    writer_->noteCounter("robust.shard_quarantined", sc.quarantined);
-    writer_->noteCounter("robust.shard_heartbeats", sc.heartbeats);
-}
-
-void
 BenchSink::finalize()
 {
     std::lock_guard<std::mutex> lock(mu_);

@@ -27,7 +27,6 @@
 #include <string>
 
 #include "engine/kernel_pipeline.hh"
-#include "exec/shard_supervisor.hh"
 #include "exec/sweep_executor.hh"
 #include "sim/result.hh"
 #include "warehouse/warehouse.hh"
@@ -77,14 +76,6 @@ class BenchSink
 
     /** Fold a sweep's recovery tallies into the commit counters. */
     void noteRecovery(const SweepExecutor::RecoveryCounters &rc);
-
-    /**
-     * Fold a shard supervisor's recovery tallies into the commit
-     * counters (robust.shard_* keys, read back by `unistc_query
-     * recovery`). Lands in META only, so sharded and single-process
-     * runs keep byte-identical row files.
-     */
-    void noteShards(int shards, const ShardRecoveryCounters &sc);
 
     /**
      * Seal the run: snapshot the matrix-cache counters, commit.

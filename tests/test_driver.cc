@@ -109,8 +109,6 @@ TEST(SweepRequestParse, DefaultsAreSerialAndUnsharded)
     EXPECT_TRUE(cli.request.resumePath.empty());
     EXPECT_FALSE(cli.request.strict);
     EXPECT_EQ(cli.request.maxJobSeconds, 0.0);
-    EXPECT_EQ(cli.request.shards, 1);
-    EXPECT_EQ(cli.request.shard, -1);
     EXPECT_FALSE(cli.request.cacheFlagged);
     EXPECT_TRUE(cli.extra.empty());
 }
@@ -120,10 +118,7 @@ TEST(SweepRequestParse, StandardFamilyRoundTrips)
     const driver::ParsedCli cli = parseOk(
         {"--quick", "--jobs", "3", "--resume", "/tmp/ck",
          "--strict", "--max-job-seconds", "2.5", "--log-level",
-         "warn", "--shards", "4", "--shard-max-seconds", "9",
-         "--shard-heartbeat-seconds", "1.5", "--shard-retries", "2",
-         "--shard-backoff-seconds", "0.5", "--shard-strict",
-         "--cache-dir", "/tmp/cache", "--cache", "ro"});
+         "warn", "--cache-dir", "/tmp/cache", "--cache", "ro"});
     const driver::SweepRequest &req = cli.request;
     EXPECT_TRUE(req.quick);
     EXPECT_EQ(req.jobs, 3);
@@ -132,12 +127,6 @@ TEST(SweepRequestParse, StandardFamilyRoundTrips)
     EXPECT_DOUBLE_EQ(req.maxJobSeconds, 2.5);
     EXPECT_TRUE(req.logLevelSet);
     EXPECT_EQ(req.logLevel, LogLevel::Warn);
-    EXPECT_EQ(req.shards, 4);
-    EXPECT_DOUBLE_EQ(req.shardMaxSeconds, 9.0);
-    EXPECT_DOUBLE_EQ(req.shardHeartbeatSeconds, 1.5);
-    EXPECT_EQ(req.shardRetries, 2);
-    EXPECT_DOUBLE_EQ(req.shardBackoffSeconds, 0.5);
-    EXPECT_TRUE(req.shardStrict);
     EXPECT_TRUE(req.cacheFlagged);
     EXPECT_EQ(req.cacheDir, "/tmp/cache");
     EXPECT_EQ(req.cacheMode, CacheMode::ReadOnly);
@@ -146,11 +135,11 @@ TEST(SweepRequestParse, StandardFamilyRoundTrips)
 TEST(SweepRequestParse, EqualsFormAndSmokeImpliesQuick)
 {
     const driver::ParsedCli cli =
-        parseOk({"--jobs=2", "--smoke", "--shard-out=/tmp/m"});
+        parseOk({"--jobs=2", "--smoke", "--resume=/tmp/ck"});
     EXPECT_EQ(cli.request.jobs, 2);
     EXPECT_TRUE(cli.request.smoke);
     EXPECT_TRUE(cli.request.quick);
-    EXPECT_EQ(cli.request.shardOut, "/tmp/m");
+    EXPECT_EQ(cli.request.resumePath, "/tmp/ck");
 }
 
 TEST(SweepRequestParse, RejectsUnknownOption)
@@ -167,7 +156,14 @@ TEST(SweepRequestParse, RejectsMissingValueAndBadNumbers)
     parseError({"--jobs", "three"});
     parseError({"--jobs", "-2"});
     parseError({"--max-job-seconds", "-1"});
-    parseError({"--shards", "0"});
+    // Counts above the 1024-worker cap fail instead of wrapping
+    // through the cast to int.
+    EXPECT_NE(parseError({"--jobs", "3000000000"})
+                  .message()
+                  .find("capped at 1024"),
+              std::string::npos);
+    parseError({"--jobs", "1025"});
+    EXPECT_EQ(parseOk({"--jobs", "1024"}).request.jobs, 1024);
 }
 
 TEST(SweepRequestParse, ExtraFlagsLandInExtraMap)
@@ -223,7 +219,6 @@ TEST(Version, ReportsRevisionAndSchemaVersions)
     EXPECT_NE(v.find("bench-json"), std::string::npos);
     EXPECT_NE(v.find("warehouse v"), std::string::npos);
     EXPECT_NE(v.find("checkpoint v"), std::string::npos);
-    EXPECT_NE(v.find("shard-manifest v"), std::string::npos);
 }
 
 // ---------------------------------------------------------------

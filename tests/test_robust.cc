@@ -5,7 +5,9 @@
  * corruption class, a corrupted-file corpus over the BBC binary
  * format, Matrix Market parser hardening, the executor's watchdog /
  * retry / quarantine machinery (including the jobs-determinism
- * guarantee with recovery enabled), and checkpoint/resume.
+ * guarantee with recovery enabled), and checkpoint/resume with its
+ * durability layer (atomic replace, whole-line appends, torn-log
+ * repair).
  */
 
 #include <gtest/gtest.h>
@@ -811,4 +813,107 @@ TEST(Checkpoint, DuplicateKeysResolveByOccurrence)
     EXPECT_EQ(log.value().find("SpMV", "m", "same", 2), nullptr);
     EXPECT_EQ(log.value().find("SpMV", "m", "other"), nullptr);
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Checkpoint durability: atomic replace, whole-line appends, torn-log
+// repair.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Scratch path under the test's temp directory. */
+std::string
+tempPath(const std::string &name)
+{
+    return ::testing::TempDir() + "/" + name;
+}
+
+/** Whole file as bytes. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/** Append raw bytes, e.g. a torn half line. */
+void
+appendRaw(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << bytes;
+}
+
+/** A checkpoint entry with a few distinct counters set. */
+CheckpointEntry
+makeEntry(const std::string &kernel, const std::string &model,
+          const std::string &matrix, std::uint64_t cycles)
+{
+    CheckpointEntry e;
+    e.kernel = kernel;
+    e.model = model;
+    e.matrix = matrix;
+    e.result.cycles = cycles;
+    e.result.products = cycles * 2;
+    e.result.macSlots = cycles * 256;
+    e.result.tasksT1 = 7;
+    e.result.tasksT3 = 3;
+    e.result.energy.compute = 1.25;
+    e.result.energy.fetchA = 0.5;
+    return e;
+}
+
+} // namespace
+
+TEST(CheckpointDurability, AtomicWriteFileReplacesWholeFile)
+{
+    const std::string path = tempPath("atomic_write");
+    ASSERT_TRUE(atomicWriteFile(path, "first\n").ok());
+    EXPECT_EQ(slurp(path), "first\n");
+    ASSERT_TRUE(atomicWriteFile(path, "second\n").ok());
+    EXPECT_EQ(slurp(path), "second\n");
+}
+
+TEST(CheckpointDurability, DurableAppendFileWritesWholeLines)
+{
+    const std::string path = tempPath("durable_append");
+    std::remove(path.c_str());
+    DurableAppendFile file;
+    ASSERT_TRUE(file.open(path).ok());
+    ASSERT_TRUE(file.appendLine("alpha").ok());
+    ASSERT_TRUE(file.appendLine("beta").ok());
+    file.close();
+    EXPECT_FALSE(file.isOpen());
+    EXPECT_EQ(slurp(path), "alpha\nbeta\n");
+}
+
+TEST(CheckpointDurability, RewriteCheckpointAtomicRepairsTornLog)
+{
+    const std::string path = tempPath("ckpt_torn");
+    std::remove(path.c_str());
+    CheckpointEntry a = makeEntry("Spmm", "uni", "m0", 10);
+    CheckpointEntry b = makeEntry("Spmm", "uni", "m1", 20);
+    appendRaw(path, encodeCheckpointEntry(a) + "\n");
+    appendRaw(path, encodeCheckpointEntry(b) + "\n");
+    std::string torn =
+        encodeCheckpointEntry(makeEntry("Spmm", "uni", "m2", 30));
+    appendRaw(path, torn.substr(0, torn.size() / 2));
+
+    auto log = CheckpointLog::load(path);
+    ASSERT_TRUE(log.ok());
+    EXPECT_EQ(log.value().size(), 2u);
+    EXPECT_TRUE(log.value().truncated());
+
+    ASSERT_TRUE(rewriteCheckpointAtomic(path, log.value().entries()).ok());
+    auto repaired = CheckpointLog::load(path);
+    ASSERT_TRUE(repaired.ok());
+    EXPECT_EQ(repaired.value().size(), 2u);
+    EXPECT_FALSE(repaired.value().truncated());
+    ASSERT_NE(repaired.value().find("Spmm", "uni", "m1"), nullptr);
+    EXPECT_EQ(repaired.value().find("Spmm", "uni", "m1")->result.cycles,
+              20u);
 }
