@@ -7,8 +7,8 @@
 # and gating ablations, the Fig. 14 case study, the Fig. 22 DPG sweep
 # and the DNN end-to-end study (UWMMA bundles). Every other
 # deterministic bench follows; bench_tab08_suitesparse has its own
-# goldens (golden/tab08_smoke/), bench_tab07_matrices prints
-# wall-clock timings and bench_ext_conversion measures wall time.
+# goldens (golden/tab08_smoke/) and bench_ext_conversion measures
+# wall time.
 # Driven by ctest (see CMakeLists.txt):
 #
 #   cmake -DBENCH_DIR=<build>/bench -DGOLDEN_DIR=<bench/golden/smoke> \
@@ -78,6 +78,7 @@ run_bench(bench_ext_structured)
 run_bench(bench_ext_macscale)
 run_bench(bench_tab04_tilesize)
 run_bench(bench_tab06_geometry)
+run_bench(bench_tab07_matrices)
 run_bench(bench_tab09_area)
 run_bench(bench_fig05_util_breakdown JSON)
 run_bench(bench_fig15_format)

@@ -388,10 +388,8 @@ simulateBody(const Experiment &ex)
     if (ex.multi && lineup_ran) {
         // One shared stream fed the whole lineup; tasks_generated is
         // the single-model enumeration count while models_fanout
-        // models consumed it. Timing fields stay out so the stats
-        // JSON is byte-identical across --jobs counts and reruns.
-        engine_counters.registerStats(stats, "engine.",
-                                      /*includeTiming=*/false);
+        // models consumed it.
+        engine_counters.registerStats(stats);
     }
     if (ex.robustStats || quarantined > 0) {
         stats.setCounter("robust.faults_detected", faults,

@@ -1,17 +1,21 @@
 #include "bbc/block_pattern.hh"
 
 #include "common/bitops.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 
 namespace unistc
 {
 
 BlockPattern
-BlockPattern::dense()
+BlockPattern::dense(int width)
 {
+    UNISTC_ASSERT(width >= 1 && width <= kBlockSize,
+                  "dense block width ", width, " out of [1, 16]");
+    const auto row = static_cast<std::uint16_t>((1u << width) - 1u);
     BlockPattern p;
     for (int r = 0; r < kBlockSize; ++r)
-        p.rows_[r] = 0xFFFFu;
+        p.rows_[r] = row;
     return p;
 }
 

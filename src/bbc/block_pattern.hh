@@ -31,8 +31,12 @@ class BlockPattern
   public:
     BlockPattern() = default;
 
-    /** All-ones pattern (a dense block). */
-    static BlockPattern dense();
+    /**
+     * All-ones pattern in the first @p width columns (1..16): a dense
+     * block, or the partial last block column of a dense operand
+     * whose width is not a multiple of 16.
+     */
+    static BlockPattern dense(int width = kBlockSize);
 
     /** i.i.d. Bernoulli(density) pattern drawn from @p rng. */
     static BlockPattern random(Rng &rng, double density);

@@ -76,34 +76,42 @@ Histogram::Histogram(int buckets, double lo, double hi)
                   "bad histogram shape");
 }
 
+namespace
+{
+
+/** Bucket of finite @p x: the arithmetic add() and addRatio() share. */
+int
+bucketOf(double x, double lo, double hi, std::size_t buckets)
+{
+    const int last = static_cast<int>(buckets) - 1;
+    if (x <= lo)
+        return 0;
+    if (x >= hi)
+        return last;
+    const double width = (hi - lo) / buckets;
+    return std::clamp(static_cast<int>(std::floor((x - lo) / width)), 0,
+                      last);
+}
+
+} // namespace
+
 void
 Histogram::add(double x, std::uint64_t weight)
 {
     UNISTC_ASSERT(!counts_.empty(), "add() on default histogram");
-    // NaN must never reach the float->int cast below (UB); it gets
-    // its own tally. Infinities clamp like any out-of-range sample.
+    // NaN must never reach the float->int cast in bucketOf (UB); it
+    // gets its own tally. Infinities clamp like any out-of-range
+    // sample.
     if (std::isnan(x)) {
         nan_ += weight;
         return;
     }
-    const int last = static_cast<int>(counts_.size()) - 1;
-    int b;
-    if (x <= lo_) {
-        b = 0;
-    } else if (x >= hi_) {
-        b = last;
-    } else {
-        const double width = (hi_ - lo_) / counts_.size();
-        b = std::clamp(static_cast<int>(std::floor((x - lo_) /
-                                                   width)),
-                       0, last);
-    }
-    counts_[b] += weight;
+    counts_[bucketOf(x, lo_, hi_, counts_.size())] += weight;
     total_ += weight;
 }
 
 void
-Histogram::addRatio(int num, int den, std::uint64_t weight)
+Histogram::addRatioSlow(int num, int den, std::uint64_t weight)
 {
     UNISTC_ASSERT(!counts_.empty(), "addRatio() on default histogram");
     UNISTC_ASSERT(den > 0 && num >= 0 && num <= den,
@@ -112,43 +120,17 @@ Histogram::addRatio(int num, int den, std::uint64_t weight)
         add(static_cast<double>(num) / den, weight);
         return;
     }
-    // Memoized bucket map for the last (shape, den) seen. The bucket
-    // of num/den is computed with exactly the arithmetic add() uses,
-    // so the two entry points are bit-identical by construction; the
-    // simulator calls this once per cycle with a fixed den (the MAC
-    // count), so the cache almost always hits.
-    struct RatioMemo {
-        double lo, hi;
-        std::size_t buckets;
-        int den;
-        std::vector<std::int8_t> map; // map[num] = bucket index
-    };
-    thread_local RatioMemo memo{0.0, 0.0, 0, 0, {}};
-    if (memo.den != den || memo.buckets != counts_.size() ||
-        memo.lo != lo_ || memo.hi != hi_) {
-        memo.lo = lo_;
-        memo.hi = hi_;
-        memo.buckets = counts_.size();
-        memo.den = den;
-        memo.map.resize(den + 1);
-        const int last = static_cast<int>(counts_.size()) - 1;
-        const double width = (hi_ - lo_) / counts_.size();
-        for (int n = 0; n <= den; ++n) {
-            const double x = static_cast<double>(n) / den;
-            int b;
-            if (x <= lo_) {
-                b = 0;
-            } else if (x >= hi_) {
-                b = last;
-            } else {
-                b = std::clamp(
-                    static_cast<int>(std::floor((x - lo_) / width)), 0,
-                    last);
-            }
-            memo.map[n] = static_cast<std::int8_t>(b);
-        }
+    // A new denominator: map every num in [0, den] to the bucket
+    // add() picks for num / den. The shape never changes after
+    // construction, so the map stays valid until den changes.
+    ratioDen_ = den;
+    ratioBucket_.resize(static_cast<std::size_t>(den) + 1);
+    for (int n = 0; n <= den; ++n) {
+        ratioBucket_[n] = static_cast<std::int8_t>(
+            bucketOf(static_cast<double>(n) / den, lo_, hi_,
+                     counts_.size()));
     }
-    counts_[memo.map[num]] += weight;
+    counts_[ratioBucket_[num]] += weight;
     total_ += weight;
 }
 

@@ -9,6 +9,7 @@
 #ifndef UNISTC_COMMON_STATS_HH
 #define UNISTC_COMMON_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -66,12 +67,25 @@ class Histogram
     /**
      * Add @p weight samples of the ratio @p num / @p den
      * (0 <= num <= den). Exactly equivalent to
-     * add(double(num) / den, weight) — the bucket for every (num, den)
-     * pair is computed once with the same double arithmetic and
-     * memoized, which turns the hot per-cycle utilisation update into
-     * a table lookup.
+     * add(double(num) / den, weight). The histogram keeps a
+     * num -> bucket map for the last den it saw, built with add()'s
+     * double arithmetic, so the per-cycle utilisation update (den is
+     * the MAC count) is one table lookup.
      */
-    void addRatio(int num, int den, std::uint64_t weight = 1);
+    void
+    addRatio(int num, int den, std::uint64_t weight = 1)
+    {
+        // The map has ratioDen_ + 1 entries, so the unsigned compare
+        // accepts exactly 0 <= num <= den; anything else, and every
+        // call before the map exists, takes the checked slow path.
+        if (den == ratioDen_ &&
+            static_cast<std::size_t>(num) < ratioBucket_.size()) {
+            counts_[ratioBucket_[num]] += weight;
+            total_ += weight;
+            return;
+        }
+        addRatioSlow(num, den, weight);
+    }
 
     /** Merge a same-shaped histogram. */
     void merge(const Histogram &other);
@@ -96,11 +110,18 @@ class Histogram
     double bucketHi(int b) const;
 
   private:
+    /** Checks the ratio, rebuilds the map for @p den, then adds. */
+    void addRatioSlow(int num, int den, std::uint64_t weight);
+
     double lo_ = 0.0;
     double hi_ = 1.0;
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
     std::uint64_t nan_ = 0;
+
+    /** addRatio()'s map: ratioBucket_[num] = bucket of num / ratioDen_. */
+    int ratioDen_ = 0;
+    std::vector<std::int8_t> ratioBucket_;
 };
 
 /** Geometric-mean accumulator (log-domain; ignores non-positive input). */

@@ -73,7 +73,7 @@ std::vector<RunResult>
 runKernelLineup(Kernel kernel,
                 const std::vector<const StcModel *> &models,
                 const Prepared &p, const EnergyModel &energy,
-                bool record_timing, PipelineCounters *counters_out,
+                bool /*record_timing*/, PipelineCounters *counters_out,
                 int bCols, std::vector<RunInfo> *infos)
 {
     ExecutionContext &ctx = ExecutionContext::active();
@@ -145,8 +145,7 @@ runKernelLineup(Kernel kernel,
             for (std::size_t k = 0; k < missing_idx.size(); ++k)
                 results[missing_idx[k]] = ran[k];
         }
-        ctx.results().recordEngine(kernel, p.name, counters,
-                                   record_timing);
+        ctx.results().recordEngine(kernel, p.name, counters);
     }
     if (counters_out != nullptr)
         *counters_out = counters;

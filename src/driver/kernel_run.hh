@@ -123,9 +123,9 @@ RunResult runKernel(Kernel kernel, const StcModel &model,
  * checkpoint entries, compatible with files written by runKernel() —
  * and --jobs, where the whole lineup rides as one multi-model job.
  * Records per-model ResultLog entries plus one "engine" entry with
- * the pass's counters; @p record_timing additionally publishes the
- * enumerate-vs-model wall-time split (non-deterministic across runs,
- * so only tab07's evidence path opts in). @p counters_out, when
+ * the pass's counters. @p record_timing is ignored: the pipeline
+ * reads no clock, and the parameter stays only so existing
+ * positional callers compile. @p counters_out, when
  * non-null, receives the pass's counters (all zero in a --jobs plan
  * pass or when every model was served from the checkpoint).
  * @p infos, when non-null, is resized to the lineup and receives

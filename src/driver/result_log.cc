@@ -50,15 +50,14 @@ ResultLog::record(Kernel kernel, const std::string &model,
 
 void
 ResultLog::recordEngine(Kernel kernel, const std::string &matrix,
-                        const PipelineCounters &counters, bool timed)
+                        const PipelineCounters &counters)
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
-        engineEntries_.push_back(
-            {toString(kernel), matrix, counters, timed});
+        engineEntries_.push_back({toString(kernel), matrix, counters});
     }
-    warehouse::BenchSink::instance().recordEngine(
-        toString(kernel), matrix, counters, timed);
+    warehouse::BenchSink::instance().recordEngine(toString(kernel),
+                                                  matrix, counters);
 }
 
 void

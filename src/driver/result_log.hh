@@ -38,9 +38,9 @@ class ResultLog
     /**
      * One engine pass recorded by runKernelLineup(): the per-layer
      * counters of a single-pass multi-architecture run. The JSON
-     * dump gains an "engine" array when any were recorded.
-     * Wall-clock seconds appear only when timed is set — they would
-     * otherwise break the --jobs byte-identical-output guarantee.
+     * dump gains an "engine" array when any were recorded. The
+     * counters are deterministic, so the dump stays byte-identical
+     * across --jobs worker counts.
      */
     using EngineEntry = BenchJsonEngineEntry;
 
@@ -58,8 +58,7 @@ class ResultLog
                 const std::string &matrix, const RunResult &result);
 
     void recordEngine(Kernel kernel, const std::string &matrix,
-                      const PipelineCounters &counters,
-                      bool timed = false);
+                      const PipelineCounters &counters);
 
     const std::vector<Entry> &entries() const { return entries_; }
 

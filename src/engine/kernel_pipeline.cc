@@ -1,7 +1,6 @@
 #include "engine/kernel_pipeline.hh"
 
 #include <algorithm>
-#include <chrono>
 
 #include "obs/stat_registry.hh"
 #include "obs/trace.hh"
@@ -12,8 +11,7 @@ namespace unistc
 
 void
 PipelineCounters::registerStats(StatRegistry &reg,
-                                const std::string &prefix,
-                                bool includeTiming) const
+                                const std::string &prefix) const
 {
     reg.setCounter(prefix + "tasks_generated", tasksGenerated,
                    "T1 tasks pulled from the stream (once per "
@@ -23,12 +21,6 @@ PipelineCounters::registerStats(StatRegistry &reg,
     reg.setCounter(prefix + "stream_peak_live_tasks", peakLiveTasks,
                    "peak tasks alive between generation and "
                    "consumption (1 = fully lazy)");
-    if (!includeTiming)
-        return;
-    reg.setScalar(prefix + "enumerate_seconds", enumerateSeconds,
-                  "wall time spent generating tasks");
-    reg.setScalar(prefix + "model_seconds", modelSeconds,
-                  "wall time spent simulating models");
 }
 
 namespace
@@ -40,14 +32,6 @@ struct SlotState
     RunResult res;
     std::uint64_t groupStart = 0; ///< res.cycles when the group began.
 };
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
 
 } // namespace
 
@@ -65,27 +49,12 @@ KernelPipeline::run(const KernelPlan &plan,
                            kernel_name, 0);
     }
 
-    // Timing is only sampled when the caller asked for counters, so
-    // the plain single-model path pays no clock overhead.
-    const bool timed = counters != nullptr;
     std::uint64_t tasks = 0;
     bool group_open = false;
     std::int64_t group = 0;
 
     StreamedTask item;
-    for (;;) {
-        const auto t_enum = timed
-            ? std::chrono::steady_clock::now()
-            : std::chrono::steady_clock::time_point();
-        const bool more = stream->next(item);
-        if (timed)
-            counters->enumerateSeconds += secondsSince(t_enum);
-        if (!more)
-            break;
-
-        const auto t_model = timed
-            ? std::chrono::steady_clock::now()
-            : std::chrono::steady_clock::time_point();
+    while (stream->next(item)) {
         if (!group_open || item.group != group) {
             // Close the previous runner-track span and open the next
             // one at each model's current virtual clock — exactly the
@@ -110,8 +79,6 @@ KernelPipeline::run(const KernelPlan &plan,
                                      slots[i].trace);
         }
         ++tasks;
-        if (timed)
-            counters->modelSeconds += secondsSince(t_model);
     }
 
     std::vector<RunResult> results;

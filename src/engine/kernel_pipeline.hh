@@ -26,8 +26,9 @@
  *   engine.stream_peak_live_tasks  peak tasks alive between pull and
  *                                consumption (1 for a lazy stream —
  *                                the proof no eager vector exists)
- *   engine.enumerate_seconds     wall time spent generating tasks
- *   engine.model_seconds         wall time spent inside the models
+ *
+ * The pass reads no clock: every counter is deterministic. Wall-time
+ * splits per layer come from perfbench's spans (perfbench/README.md).
  */
 
 #ifndef UNISTC_ENGINE_KERNEL_PIPELINE_HH
@@ -53,18 +54,17 @@ struct PipelineCounters
     std::uint64_t tasksGenerated = 0;   ///< Stream pulls (once, total).
     std::uint64_t modelsFanout = 0;     ///< Models driven per task.
     std::uint64_t peakLiveTasks = 0;    ///< Max tasks buffered (lazy: 1).
-    double enumerateSeconds = 0.0;      ///< Wall time in the stream.
-    double modelSeconds = 0.0;          ///< Wall time in the models.
 
     /**
-     * Export under "<prefix>tasks_generated" etc. (default
-     * "engine."). @p includeTiming false skips the wall-clock
-     * scalars — callers that guarantee byte-identical stats across
-     * worker counts (the sweep executor) must leave them out.
+     * Always 0: nothing in src/ times a pass. Kept only because the
+     * warehouse's EngineRow encoding and perfbench still name them.
      */
+    double enumerateSeconds = 0.0;
+    double modelSeconds = 0.0;
+
+    /** Export under "<prefix>tasks_generated" etc. (default "engine."). */
     void registerStats(StatRegistry &reg,
-                       const std::string &prefix = "engine.",
-                       bool includeTiming = true) const;
+                       const std::string &prefix = "engine.") const;
 };
 
 /** Single-pass plan-through-N-models driver. */

@@ -299,10 +299,8 @@ SweepExecutor::wait()
             MatrixCache::global().registerStats(stats_);
     }
 
-    // Aggregate engine counters over multi-model jobs: tasks and
-    // wall times sum; fan-out and peak-live are maxima. Only the
-    // deterministic counter fields enter stats() — wall times would
-    // break the 1-vs-N-worker byte-identical stats guarantee.
+    // Aggregate engine counters over multi-model jobs: tasks sum;
+    // fan-out and peak-live are maxima.
     bool any_multi = false;
     for (const Slot &s : slots_) {
         if (s.spec.fanout() <= 1)
@@ -315,14 +313,9 @@ SweepExecutor::wait()
         engineCounters_.peakLiveTasks =
             std::max(engineCounters_.peakLiveTasks,
                      s.counters.peakLiveTasks);
-        engineCounters_.enumerateSeconds +=
-            s.counters.enumerateSeconds;
-        engineCounters_.modelSeconds += s.counters.modelSeconds;
     }
-    if (any_multi && opt_.collectStats) {
-        engineCounters_.registerStats(stats_, "engine.",
-                                      /*includeTiming=*/false);
-    }
+    if (any_multi && opt_.collectStats)
+        engineCounters_.registerStats(stats_);
 
     if (opt_.tracePerJob > 0) {
         std::size_t total = 0;

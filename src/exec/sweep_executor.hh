@@ -172,10 +172,10 @@ class SweepExecutor
 
     /**
      * Engine counters aggregated over every multi-model job of the
-     * sweep (tasks summed; fan-out and peak-live maxima; wall times
-     * summed); requires wait(). All zero when no job carried a
-     * lineup. The counter (not timing) fields are also registered in
-     * stats() under "engine." whenever a multi-model job ran.
+     * sweep (tasks summed; fan-out and peak-live maxima); requires
+     * wait(). All zero when no job carried a lineup. They are also
+     * registered in stats() under "engine." whenever a multi-model
+     * job ran.
      */
     const PipelineCounters &pipelineCounters() const;
 

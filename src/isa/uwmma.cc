@@ -180,19 +180,31 @@ std::vector<TaskBundle>
 traceSpmm(const BbcMatrix &a, int b_cols, const MachineConfig &cfg)
 {
     UNISTC_ASSERT(b_cols > 0, "SpMM needs a B width");
-    const int b_block_cols =
-        static_cast<int>(ceilDiv(b_cols, kBlockSize));
+    // The B block columns SpmmPlan's stream visits per A block:
+    // full_cols dense ones, then a partial-width last one when
+    // b_cols % 16 != 0. Their summaries are the same for every block.
+    const int full_cols = b_cols / kBlockSize;
+    const int tail_width = b_cols % kBlockSize;
+    const PatternMeta full_b = computePatternMeta(BlockPattern::dense());
+    const PatternMeta tail_b = tail_width > 0
+        ? computePatternMeta(BlockPattern::dense(tail_width))
+        : PatternMeta();
     std::vector<TaskBundle> out;
-    out.reserve(a.numBlocks() * b_block_cols);
-    const BlockPattern dense_b = BlockPattern::dense();
+    out.reserve(a.numBlocks() * ceilDiv(b_cols, kBlockSize));
     for (std::int64_t blk = 0; blk < a.numBlocks(); ++blk) {
-        const BlockPattern pattern = a.blockPattern(blk);
-        // Every dense-B block column induces the identical bundle.
-        const TaskBundle bundle = buildTaskBundle(pattern, dense_b,
-                                                  /*is_mv=*/false,
-                                                  cfg);
-        for (int bj = 0; bj < b_block_cols; ++bj)
-            out.push_back(bundle);
+        const PatternMeta a_meta =
+            computePatternMeta(a.blockPattern(blk));
+        // Every full-width column induces the identical bundle.
+        if (full_cols > 0) {
+            const TaskBundle bundle = buildTaskBundleFromMeta(
+                a_meta, full_b, /*is_mv=*/false, cfg);
+            for (int bj = 0; bj < full_cols; ++bj)
+                out.push_back(bundle);
+        }
+        if (tail_width > 0) {
+            out.push_back(buildTaskBundleFromMeta(
+                a_meta, tail_b, /*is_mv=*/false, cfg));
+        }
     }
     return out;
 }

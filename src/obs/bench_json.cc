@@ -40,8 +40,7 @@ writeBenchJson(std::ostream &os,
         bool efirst = true;
         for (const auto &e : engine) {
             StatRegistry reg;
-            e.counters.registerStats(reg, "engine.",
-                                     /*includeTiming=*/e.timed);
+            e.counters.registerStats(reg);
             os << (efirst ? "\n" : ",\n")
                << "    {\n      \"kernel\": \""
                << JsonWriter::escape(e.kernel)

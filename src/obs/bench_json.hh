@@ -39,16 +39,15 @@ struct BenchJsonEntry
 };
 
 /**
- * One engine pass record of the optional "engine" array. Wall-clock
- * seconds are serialised only when @ref timed is set — untimed
- * passes must stay byte-identical across --jobs worker counts.
+ * One engine pass record of the optional "engine" array: the pass's
+ * deterministic counters only, so the document stays byte-identical
+ * across runs and --jobs worker counts.
  */
 struct BenchJsonEngineEntry
 {
     std::string kernel;
     std::string matrix;
     PipelineCounters counters;
-    bool timed = false;
 };
 
 /**

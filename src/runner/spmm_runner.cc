@@ -29,8 +29,10 @@ class SpmmStream final : public TaskStream
         // blocks: build them once for the whole stream.
         bBlocks_.reserve(static_cast<std::size_t>(bBlockCols_));
         bMetas_.reserve(static_cast<std::size_t>(bBlockCols_));
+        // The last one is partial-width when bCols % 16 != 0.
         for (int bj = 0; bj < bBlockCols_; ++bj) {
-            bBlocks_.push_back(denseBBlock(bj));
+            bBlocks_.push_back(BlockPattern::dense(
+                std::min(kBlockSize, bCols_ - bj * kBlockSize)));
             bMetas_.push_back(computePatternMeta(bBlocks_.back()));
         }
     }
@@ -60,25 +62,6 @@ class SpmmStream final : public TaskStream
     }
 
   private:
-    /**
-     * Dense B block: a full pattern, or a partial-width one for the
-     * last block column when bCols is not a multiple of 16.
-     */
-    BlockPattern
-    denseBBlock(int bj) const
-    {
-        const int width = std::min(kBlockSize,
-                                   bCols_ - bj * kBlockSize);
-        if (width == kBlockSize)
-            return BlockPattern::dense();
-        BlockPattern p;
-        for (int r = 0; r < kBlockSize; ++r) {
-            for (int c = 0; c < width; ++c)
-                p.set(r, c);
-        }
-        return p;
-    }
-
     const BbcMatrix *a_;
     int bCols_;
     int bBlockCols_;

@@ -1,7 +1,5 @@
 #include "sim/result.hh"
 
-#include "common/logging.hh"
-
 namespace unistc
 {
 
@@ -27,21 +25,6 @@ EnergyBreakdown::merge(const EnergyBreakdown &o)
 
 RunResult::RunResult() : utilHist(4, 0.0, 1.0 + 1e-12)
 {
-}
-
-void
-RunResult::recordCycle(int mac_count, int eff, int active_dpgs,
-                       int c_net_units)
-{
-    UNISTC_ASSERT(eff >= 0 && eff <= mac_count,
-                  "cycle products ", eff, " out of [0, ", mac_count,
-                  "]");
-    ++cycles;
-    products += eff;
-    macSlots += mac_count;
-    dpgActiveAccum += active_dpgs;
-    cNetScaleAccum += c_net_units;
-    utilHist.addRatio(eff, mac_count);
 }
 
 double

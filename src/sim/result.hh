@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 
 namespace unistc
@@ -73,9 +74,24 @@ struct RunResult
     TrafficCounters traffic;
     EnergyBreakdown energy; ///< Filled in by EnergyModel::finalize().
 
-    /** Record one execution cycle with @p eff effective products. */
-    void recordCycle(int mac_count, int eff, int active_dpgs = 0,
-                     int c_net_units = 0);
+    /**
+     * Record one execution cycle with @p eff effective products.
+     * Every model calls this once per simulated cycle, so it is
+     * inline; the per-cycle MAC bound stays checked in every build.
+     */
+    void
+    recordCycle(int mac_count, int eff, int active_dpgs = 0,
+                int c_net_units = 0)
+    {
+        UNISTC_ASSERT(eff >= 0 && eff <= mac_count, "cycle products ",
+                      eff, " out of [0, ", mac_count, "]");
+        ++cycles;
+        products += eff;
+        macSlots += mac_count;
+        dpgActiveAccum += active_dpgs;
+        cNetScaleAccum += c_net_units;
+        utilHist.addRatio(eff, mac_count);
+    }
 
     /** Overall MAC utilisation in [0, 1]. */
     double utilisation() const;

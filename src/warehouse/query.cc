@@ -561,8 +561,7 @@ exportBenchJson(const RunData &run, std::ostream &os)
     std::vector<BenchJsonEngineEntry> engine;
     engine.reserve(run.engine.size());
     for (const EngineRow &row : run.engine)
-        engine.push_back(
-            {row.kernel, row.matrix, row.counters, row.timed});
+        engine.push_back({row.kernel, row.matrix, row.counters});
     writeBenchJson(os, entries, engine);
 }
 

@@ -152,7 +152,7 @@ BenchSink::record(const std::string &kernel, const std::string &model,
 void
 BenchSink::recordEngine(const std::string &kernel,
                         const std::string &matrix,
-                        const PipelineCounters &counters, bool timed)
+                        const PipelineCounters &counters)
 {
     std::lock_guard<std::mutex> lock(mu_);
     if (writer_ == nullptr)
@@ -161,14 +161,6 @@ BenchSink::recordEngine(const std::string &kernel,
     row.kernel = kernel;
     row.matrix = matrix;
     row.counters = counters;
-    row.timed = timed;
-    if (!timed) {
-        // Untimed passes carry wall-clock noise in these fields;
-        // zeroing them keeps row content identical across --jobs
-        // worker counts and repeat runs.
-        row.counters.enumerateSeconds = 0.0;
-        row.counters.modelSeconds = 0.0;
-    }
     writer_->appendEngine(row);
 }
 

@@ -66,13 +66,13 @@ class BenchSink
                 const std::string &matrix, const RunResult &result);
 
     /**
-     * Mirror one engine pass. Wall-clock seconds are zeroed unless
-     * @p timed — they differ between --jobs 1 and --jobs N, and the
-     * warehouse row content must not (docs/WAREHOUSE.md).
+     * Mirror one engine pass as an untimed row: its counters are
+     * deterministic, so row content is identical across --jobs
+     * worker counts and repeat runs (docs/WAREHOUSE.md).
      */
     void recordEngine(const std::string &kernel,
                       const std::string &matrix,
-                      const PipelineCounters &counters, bool timed);
+                      const PipelineCounters &counters);
 
     /** Fold a sweep's recovery tallies into the commit counters. */
     void noteRecovery(const SweepExecutor::RecoveryCounters &rc);

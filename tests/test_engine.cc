@@ -394,6 +394,7 @@ TEST(PipelineCounters, StreamStaysLazy)
     EXPECT_EQ(counters.peakLiveTasks, 1u);
     EXPECT_EQ(counters.modelsFanout, 2u);
     EXPECT_GT(counters.tasksGenerated, 0u);
-    EXPECT_GE(counters.enumerateSeconds, 0.0);
-    EXPECT_GE(counters.modelSeconds, 0.0);
+    // The pipeline reads no clock: the seconds fields stay 0.
+    EXPECT_EQ(counters.enumerateSeconds, 0.0);
+    EXPECT_EQ(counters.modelSeconds, 0.0);
 }

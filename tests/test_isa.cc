@@ -7,7 +7,9 @@
 
 #include "common/rng.hh"
 #include "corpus/generators.hh"
+#include "engine/task_stream.hh"
 #include "isa/uwmma.hh"
+#include "runner/spmm_runner.hh"
 #include "sparse/convert.hh"
 
 namespace unistc
@@ -104,6 +106,55 @@ TEST(Trace, SpgemmSkipsNonMatchingPairs)
         BbcMatrix::fromCsr(cooToCsr(std::move(coo)));
     const auto trace = traceSpgemm(bbc, bbc, kFp64);
     EXPECT_EQ(trace.size(), 4u);
+}
+
+// traceSpmm builds its bundles per A block without the stream; it
+// must still produce exactly the bundles of SpmmPlan's stream, including
+// the partial-width last B block column when b_cols % 16 != 0.
+TEST(Trace, SpmmMatchesPlanStream)
+{
+    CooMatrix dense(48, 48);
+    for (int r = 0; r < 48; ++r) {
+        for (int c = 0; c < 48; ++c)
+            dense.add(r, c, 1.0);
+    }
+    const std::vector<std::pair<const char *, CsrMatrix>> inputs = {
+        {"empty", cooToCsr(CooMatrix(64, 64))},
+        {"random", genRandomUniform(128, 128, 0.3, 7)},
+        {"dense", cooToCsr(std::move(dense))},
+    };
+    for (const MachineConfig &cfg :
+         {MachineConfig::fp32(), MachineConfig::fp64()}) {
+        for (const auto &[name, csr] : inputs) {
+            const BbcMatrix a = BbcMatrix::fromCsr(csr);
+            for (const int b_cols : {1, 16, 20, 64, 70}) {
+                SCOPED_TRACE(std::string(name) + " " +
+                             toString(cfg.precision) +
+                             " b_cols=" + std::to_string(b_cols));
+                const auto want =
+                    bundleStream(*SpmmPlan(a, b_cols).stream(), cfg);
+                const auto got = traceSpmm(a, b_cols, cfg);
+                ASSERT_EQ(got.size(), want.size());
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    SCOPED_TRACE("bundle " + std::to_string(i));
+                    EXPECT_EQ(got[i].loadCycles, want[i].loadCycles);
+                    EXPECT_EQ(got[i].taskGenCycles,
+                              want[i].taskGenCycles);
+                    EXPECT_EQ(got[i].numericCycles,
+                              want[i].numericCycles);
+                    ASSERT_EQ(got[i].instrs.size(),
+                              want[i].instrs.size());
+                    for (std::size_t k = 0; k < got[i].instrs.size();
+                         ++k) {
+                        EXPECT_EQ(got[i].instrs[k].op,
+                                  want[i].instrs[k].op);
+                        EXPECT_EQ(got[i].instrs[k].cycles,
+                                  want[i].instrs[k].cycles);
+                    }
+                }
+            }
+        }
+    }
 }
 
 } // namespace

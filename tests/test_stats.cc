@@ -9,6 +9,8 @@
 #include <limits>
 
 #include "common/stats.hh"
+#include "robust/checkpoint.hh"
+#include "sim/result.hh"
 
 namespace unistc
 {
@@ -190,6 +192,119 @@ TEST(HistogramAddRatio, WeightedMatchesRepeatedAdd)
     b.addRatio(3, 16, 5);
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(a.bucketCount(i), b.bucketCount(i));
+}
+
+// Feed every num in [0, den] to @p via_ratio through addRatio() and
+// to @p via_add through add().
+void
+feedBoth(Histogram &via_ratio, Histogram &via_add, int den)
+{
+    for (int num = 0; num <= den; ++num) {
+        via_ratio.addRatio(num, den);
+        via_add.add(static_cast<double>(num) / den);
+    }
+}
+
+void
+expectSameBuckets(const Histogram &got, const Histogram &want)
+{
+    ASSERT_EQ(got.numBuckets(), want.numBuckets());
+    for (int b = 0; b < got.numBuckets(); ++b)
+        EXPECT_EQ(got.bucketCount(b), want.bucketCount(b)) << "bucket " << b;
+    EXPECT_EQ(got.totalCount(), want.totalCount());
+}
+
+Histogram
+utilShape()
+{
+    return Histogram(4, 0.0, 1.0 + 1e-12);
+}
+
+// The histogram keeps one num -> bucket map, for the last den; a new
+// den rebuilds it, and returning to an earlier den rebuilds it again.
+TEST(HistogramAddRatio, ChangingDenominatorRebuildsTheMap)
+{
+    Histogram via_ratio = utilShape();
+    Histogram via_add = utilShape();
+    for (const int den : {64, 128, 96, 64}) {
+        SCOPED_TRACE("den " + std::to_string(den));
+        feedBoth(via_ratio, via_add, den);
+        expectSameBuckets(via_ratio, via_add);
+    }
+}
+
+// The map travels with copies, assignment and merge-into-empty; a
+// histogram decoded from a checkpoint line starts without one. Each
+// must keep matching add() on further addRatio() calls.
+TEST(HistogramAddRatio, CopiedAndDecodedHistogramsMatchAdd)
+{
+    Histogram src = utilShape();
+    Histogram src_ref = utilShape();
+    feedBoth(src, src_ref, 64);
+
+    Histogram copied(src);
+    Histogram copied_ref(src_ref);
+    Histogram assigned = utilShape();
+    Histogram assigned_ref = utilShape();
+    feedBoth(assigned, assigned_ref, 96);
+    assigned = src;
+    assigned_ref = src_ref;
+    Histogram merged;
+    Histogram merged_ref;
+    merged.merge(src);
+    merged_ref.merge(src_ref);
+
+    CheckpointEntry entry{"SpMV", "Uni-STC", "m", RunResult()};
+    entry.result.utilHist = src;
+    Result<CheckpointEntry> decoded_entry =
+        decodeCheckpointEntry(encodeCheckpointEntry(entry));
+    ASSERT_TRUE(decoded_entry.ok());
+    Histogram decoded = decoded_entry.value().result.utilHist;
+    Histogram decoded_ref(src_ref);
+
+    struct Case {
+        const char *name;
+        Histogram *got, *want;
+    };
+    for (const Case &c : {Case{"copy", &copied, &copied_ref},
+                          Case{"assignment", &assigned, &assigned_ref},
+                          Case{"merge", &merged, &merged_ref},
+                          Case{"checkpoint", &decoded, &decoded_ref},
+                          Case{"source", &src, &src_ref}}) {
+        SCOPED_TRACE(c.name);
+        for (const int den : {64, 128, 64})
+            feedBoth(*c.got, *c.want, den);
+        expectSameBuckets(*c.got, *c.want);
+    }
+}
+
+// Above 127 buckets the int8 map cannot hold a bucket index, so
+// addRatio() falls back to add() itself.
+TEST(HistogramAddRatio, WideHistogramFallsBackToAdd)
+{
+    Histogram via_ratio(200, 0.0, 1.0);
+    Histogram via_add(200, 0.0, 1.0);
+    for (const int den : {64, 128, 199, 64})
+        feedBoth(via_ratio, via_add, den);
+    expectSameBuckets(via_ratio, via_add);
+}
+
+// The per-cycle invariant: a cycle never retires more products than
+// the MAC array has multipliers, or fewer than zero. The check is
+// inline and stays on in every build type.
+TEST(RecordCycleDeath, ProductsOutsideMacCountAbort)
+{
+    RunResult res;
+    res.recordCycle(64, 64);
+    EXPECT_DEATH(res.recordCycle(64, 65), "cycle products");
+    EXPECT_DEATH(res.recordCycle(64, -1), "cycle products");
+}
+
+TEST(HistogramAddRatioDeath, RatioAboveOneAborts)
+{
+    Histogram h = utilShape();
+    h.addRatio(3, 4); // the den-4 map exists: the hit path must refuse
+    EXPECT_DEATH(h.addRatio(5, 4), "addRatio ratio out of range");
 }
 
 TEST(GeoMean, MatchesClosedForm)
