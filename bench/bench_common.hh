@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "bbc/bbc_matrix.hh"
-#include "cache/matrix_cache.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
@@ -76,7 +75,6 @@ namespace bench
 {
 
 // The bench-facing surface, re-exported from the driver library.
-using driver::bbcFor;
 using driver::executeKernel;
 using driver::Prepared;
 using driver::RunInfo;

@@ -11,12 +11,14 @@
  */
 
 #include <chrono>
+#include <filesystem>
 #include <functional>
 #include <cstdio>
 
 #include "bbc/bbc_io.hh"
 #include "bench_common.hh"
 #include "corpus/representative.hh"
+#include "driver/tmpdir.hh"
 #include "runner/spmv_runner.hh"
 
 using namespace unistc;
@@ -46,13 +48,19 @@ main(int, char **)
     t.setHeader({"Matrix", "encode (ms)", "reload (ms)",
                  "SpMV time @1.5GHz", "break-even SpMVs"});
 
+    // A private directory for the BBC images, so concurrent runs never
+    // overwrite or delete each other's file.
+    const Result<std::string> dir = driver::makeTempDir("unistc-conv-");
+    if (!dir.ok())
+        UNISTC_FATAL("scratch directory: ", dir.status().message());
+    const std::string path = dir.value() + "/reload.bbc";
+
     for (const auto &nm : representativeMatrices()) {
         BbcMatrix bbc;
         const double encode_ms =
             wallMs([&] { bbc = BbcMatrix::fromCsr(nm.matrix); });
 
         // Save + reload via the binary format (§IV-D's file I/O).
-        const std::string path = "/tmp/unistc_conv_bench.bbc";
         saveBbcFile(path, bbc);
         BbcMatrix reloaded;
         const double reload_ms =
@@ -70,6 +78,7 @@ main(int, char **)
                   fmtDouble(spmv_ms * 1000.0, 1) + " us",
                   fmtDouble(breakeven, 0)});
     }
+    std::filesystem::remove_all(dir.value());
     t.print();
     std::printf("\nPaper reference: conversion comparable to a few "
                 "hundred SpMV executions; eliminated entirely for "

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "bench_common.hh"
 #include "common/table.hh"
 #include "sim/area.hh"
 

@@ -4,7 +4,7 @@
 # from outside src/ (perfbench's spans), so a clock read here is
 # either dead weight in a hot loop or a source of run-to-run drift.
 # The infrastructure layers are exempt: exec/ (the sweep watchdog),
-# cache/, driver/, robust/, obs/ and warehouse/.
+# driver/, robust/, obs/ and warehouse/.
 # Driven by ctest (see the top-level CMakeLists.txt):
 #
 #   cmake -DREPO=<source dir> -P cmake/no_clock_in_core.cmake

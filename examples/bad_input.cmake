@@ -38,8 +38,12 @@ set(small --gen banded:64,4,0.5)
 
 expect_fatal("unknown option '--bogus-flag'" --bogus-flag)
 expect_fatal("unknown option '--shards'" --shards 2 ${small})
+expect_fatal("unknown option '--cache-dir'" --cache-dir /tmp/x ${small})
+expect_fatal("unknown option '--cache'" --cache rw ${small})
 expect_fatal("--jobs is capped at 1024 workers, got '3000000000'"
              --jobs 3000000000 ${small})
+expect_fatal("non-negative number of seconds, got 'nan'"
+             --max-job-seconds nan ${small})
 expect_fatal("unknown kernel 'nope'" --kernel nope ${small})
 expect_fatal("--model and --arch are mutually exclusive"
              --model Uni-STC --arch Uni-STC ${small})

@@ -12,9 +12,8 @@
  * plain serial body handed to a DriverSession, which supplies the
  * whole standard execution family — --jobs plan/replay sweeps
  * (docs/PARALLELISM.md), --resume checkpointing (docs/ROBUSTNESS.md),
- * the matrix artifact cache flags (docs/CACHING.md), --log-level,
- * --help and --version — with byte-identical output across worker
- * counts and resume state.
+ * --log-level, --help and --version — with byte-identical output
+ * across worker counts and resume state.
  *
  * This file holds the experiment parser and body: the front-end flag
  * family (--matrix/--gen/--kernel/--model/--arch/--precision/--dpgs/
@@ -31,7 +30,6 @@
 #include <vector>
 
 #include "bbc/bbc_io.hh"
-#include "cache/matrix_cache.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
@@ -399,29 +397,11 @@ simulateBody(const Experiment &ex)
         stats.setCounter("robust.jobs_quarantined", quarantined,
                          "jobs replaced by a zeroed result");
     }
-    if (MatrixCache::global().enabled())
-        MatrixCache::global().registerStats(stats);
 
     // Reporting artifacts (trace, stats JSON) are written exactly
     // once, by the reporting pass — never by the silenced plan pass.
     if (ctx.reportingPass()) {
         const TraceSink *trace = ctx.runTrace();
-        // Splice the cache's per-key resolution spans (its own trace
-        // process) into the model trace before writing it out.
-        std::unique_ptr<TraceSink> trace_with_cache;
-        if (trace != nullptr && MatrixCache::global().enabled()) {
-            const std::size_t extra =
-                MatrixCache::global().keyTimings().size();
-            if (extra > 0) {
-                trace_with_cache = std::make_unique<TraceSink>(
-                    trace->size() + extra);
-                trace_with_cache->mergeFrom(*trace);
-                MatrixCache::global().appendTraceEvents(
-                    *trace_with_cache,
-                    static_cast<int>(ex.names.size()));
-                trace = trace_with_cache.get();
-            }
-        }
         const bool wrote_trace =
             trace != nullptr && ex.opts.count("trace") != 0;
         if (wrote_trace) {

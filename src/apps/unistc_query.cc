@@ -6,7 +6,6 @@
  *   unistc_query --warehouse DIR show latest
  *   unistc_query --warehouse DIR trend --metric cycles
  *   unistc_query --warehouse DIR drift
- *   unistc_query --warehouse DIR cache-rate
  *   unistc_query --warehouse DIR slowest --top 10
  *   unistc_query --warehouse DIR recovery
  *   unistc_query --warehouse DIR export-bench --run latest --out F
@@ -49,7 +48,6 @@ usage(const char *self)
         "  show <run>                one run's commit record\n"
         "  trend                     geomean speedup vs earliest run\n"
         "  drift                     per-family utilisation drift\n"
-        "  cache-rate                cache hit-rate per run\n"
         "  slowest                   slowest rows of one run\n"
         "  recovery                  robust.* recovery counters per run\n"
         "  export-bench              run -> UNISTC_BENCH_JSON format\n"
@@ -330,19 +328,6 @@ cmdDrift(const WarehouseReader &reader, const Args &args)
 }
 
 int
-cmdCacheRate(const WarehouseReader &reader, const Args &args)
-{
-    TextTable t("matrix-cache effectiveness by run");
-    t.setHeader({"run", "bench", "hits", "misses", "hit rate"});
-    for (const CacheRatePoint &p : cacheRates(reader, args.bench)) {
-        t.addRow({p.runId, p.bench, fmtCount(p.hits),
-                  fmtCount(p.misses), fmtPercent(p.hitRate)});
-    }
-    t.print();
-    return 0;
-}
-
-int
 cmdSlowest(const WarehouseReader &reader, const Args &args)
 {
     auto id = reader.resolve(args.run, args.bench);
@@ -469,8 +454,6 @@ main(int argc, char **argv)
         return cmdTrend(reader, args);
     if (args.command == "drift")
         return cmdDrift(reader, args);
-    if (args.command == "cache-rate")
-        return cmdCacheRate(reader, args);
     if (args.command == "slowest")
         return cmdSlowest(reader, args);
     if (args.command == "recovery")

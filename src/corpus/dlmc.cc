@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
-#include "cache/matrix_cache.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "sparse/convert.hh"
@@ -11,13 +11,12 @@
 namespace unistc
 {
 
-namespace
-{
-
 CsrMatrix
-genPrunedWeightsImpl(int rows, int cols, double sparsity,
-                     std::uint64_t seed)
+genPrunedWeights(int rows, int cols, double sparsity,
+                 std::uint64_t seed)
 {
+    UNISTC_ASSERT(sparsity >= 0.0 && sparsity < 1.0,
+                  "sparsity out of range");
     Rng rng(seed);
     const double keep = 1.0 - sparsity;
     const double expect = keep * cols;
@@ -51,8 +50,10 @@ genPrunedWeightsImpl(int rows, int cols, double sparsity,
 }
 
 CsrMatrix
-genStructured24Impl(int rows, int cols, std::uint64_t seed)
+genStructured24(int rows, int cols, std::uint64_t seed)
 {
+    UNISTC_ASSERT(cols % 4 == 0,
+                  "2:4 structure needs cols divisible by 4");
     Rng rng(seed);
     CooMatrix coo(rows, cols);
     for (int r = 0; r < rows; ++r) {
@@ -66,40 +67,6 @@ genStructured24Impl(int rows, int cols, std::uint64_t seed)
         }
     }
     return cooToCsr(std::move(coo));
-}
-
-} // namespace
-
-CsrMatrix
-genPrunedWeights(int rows, int cols, double sparsity,
-                 std::uint64_t seed)
-{
-    UNISTC_ASSERT(sparsity >= 0.0 && sparsity < 1.0,
-                  "sparsity out of range");
-    return cachedCsr(MatrixSpec("dlmc_pruned")
-                         .arg("rows", rows)
-                         .arg("cols", cols)
-                         .arg("sparsity", sparsity)
-                         .seed(seed),
-                     [&] {
-                         return genPrunedWeightsImpl(rows, cols,
-                                                     sparsity, seed);
-                     });
-}
-
-CsrMatrix
-genStructured24(int rows, int cols, std::uint64_t seed)
-{
-    UNISTC_ASSERT(cols % 4 == 0,
-                  "2:4 structure needs cols divisible by 4");
-    return cachedCsr(MatrixSpec("dlmc_24")
-                         .arg("rows", rows)
-                         .arg("cols", cols)
-                         .seed(seed),
-                     [&] {
-                         return genStructured24Impl(rows, cols,
-                                                    seed);
-                     });
 }
 
 } // namespace unistc

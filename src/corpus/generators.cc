@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "cache/matrix_cache.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "sparse/convert.hh"
@@ -23,8 +22,11 @@ val(Rng &rng)
     return rng.nextDouble(0.1, 1.0);
 }
 
+} // namespace
+
 CsrMatrix
-genRandomUniformImpl(int rows, int cols, double density, std::uint64_t seed)
+genRandomUniform(int rows, int cols, double density,
+                 std::uint64_t seed)
 {
     UNISTC_ASSERT(density >= 0.0 && density <= 1.0,
                   "density out of range");
@@ -54,7 +56,7 @@ genRandomUniformImpl(int rows, int cols, double density, std::uint64_t seed)
 }
 
 CsrMatrix
-genBandedImpl(int n, int half_bandwidth, double fill, std::uint64_t seed)
+genBanded(int n, int half_bandwidth, double fill, std::uint64_t seed)
 {
     Rng rng(seed);
     CooMatrix coo(n, n);
@@ -72,7 +74,7 @@ genBandedImpl(int n, int half_bandwidth, double fill, std::uint64_t seed)
 }
 
 CsrMatrix
-genStencil2dImpl(int grid, bool nine_point)
+genStencil2d(int grid, bool nine_point)
 {
     const int n = grid * grid;
     CooMatrix coo(n, n);
@@ -96,7 +98,8 @@ genStencil2dImpl(int grid, bool nine_point)
 }
 
 CsrMatrix
-genPowerLawImpl(int n, double avg_degree, double alpha, std::uint64_t seed)
+genPowerLaw(int n, double avg_degree, double alpha,
+            std::uint64_t seed)
 {
     UNISTC_ASSERT(alpha > 1.0, "power-law exponent must exceed 1");
     Rng rng(seed);
@@ -128,7 +131,7 @@ genPowerLawImpl(int n, double avg_degree, double alpha, std::uint64_t seed)
 }
 
 CsrMatrix
-genBlockDenseImpl(int n, int block, double block_density, double fill,
+genBlockDense(int n, int block, double block_density, double fill,
               std::uint64_t seed)
 {
     Rng rng(seed);
@@ -154,7 +157,7 @@ genBlockDenseImpl(int n, int block, double block_density, double fill,
 }
 
 CsrMatrix
-genDiagonalHeavyImpl(int n, int num_diags, std::uint64_t seed)
+genDiagonalHeavy(int n, int num_diags, std::uint64_t seed)
 {
     Rng rng(seed);
     CooMatrix coo(n, n);
@@ -175,7 +178,7 @@ genDiagonalHeavyImpl(int n, int num_diags, std::uint64_t seed)
 }
 
 CsrMatrix
-genLongRowsImpl(int n, int num_long_rows, double long_density,
+genLongRows(int n, int num_long_rows, double long_density,
             double bg_density, std::uint64_t seed)
 {
     Rng rng(seed);
@@ -199,7 +202,7 @@ genLongRowsImpl(int n, int num_long_rows, double long_density,
 }
 
 CsrMatrix
-genGraphLaplacianImpl(int n, double avg_degree, double alpha,
+genGraphLaplacian(int n, double avg_degree, double alpha,
                   std::uint64_t seed)
 {
     const CsrMatrix adj = genPowerLaw(n, avg_degree, alpha, seed);
@@ -226,7 +229,7 @@ genGraphLaplacianImpl(int n, double avg_degree, double alpha,
 }
 
 CsrMatrix
-genFemLongRowsImpl(int n, int half_bandwidth, double fill,
+genFemLongRows(int n, int half_bandwidth, double fill,
                int num_long_rows, double long_span,
                double long_density, std::uint64_t seed)
 {
@@ -261,7 +264,7 @@ genFemLongRowsImpl(int n, int half_bandwidth, double fill,
 }
 
 CsrMatrix
-genArrowImpl(int n, int head, double head_fill, int half_bandwidth,
+genArrow(int n, int head, double head_fill, int half_bandwidth,
          double band_fill, std::uint64_t seed)
 {
     UNISTC_ASSERT(head >= 0 && head <= n, "arrow head out of range");
@@ -287,7 +290,7 @@ genArrowImpl(int n, int head, double head_fill, int half_bandwidth,
 }
 
 CsrMatrix
-genRmatImpl(int scale, int edges_per_vertex, double a, double b, double c,
+genRmat(int scale, int edges_per_vertex, double a, double b, double c,
         std::uint64_t seed)
 {
     UNISTC_ASSERT(scale >= 1 && scale <= 24, "R-MAT scale 1..24");
@@ -319,189 +322,6 @@ genRmatImpl(int scale, int edges_per_vertex, double a, double b, double c,
     }
     // Duplicate edges merge (values sum) in normalize().
     return cooToCsr(std::move(coo));
-}
-
-} // namespace
-
-// Public generators: each routes through the global matrix artifact
-// cache (cache/matrix_cache.hh), keyed by the full generator spec;
-// with the cache disabled cachedCsr() runs the builder directly.
-
-CsrMatrix
-genRandomUniform(int rows, int cols, double density,
-                 std::uint64_t seed)
-{
-    UNISTC_ASSERT(density >= 0.0 && density <= 1.0,
-                  "density out of range");
-    return cachedCsr(MatrixSpec("random_uniform")
-                         .arg("rows", rows)
-                         .arg("cols", cols)
-                         .arg("density", density)
-                         .seed(seed),
-                     [&] {
-                         return genRandomUniformImpl(rows, cols,
-                                                     density, seed);
-                     });
-}
-
-CsrMatrix
-genBanded(int n, int half_bandwidth, double fill, std::uint64_t seed)
-{
-    return cachedCsr(MatrixSpec("banded")
-                         .arg("n", n)
-                         .arg("hb", half_bandwidth)
-                         .arg("fill", fill)
-                         .seed(seed),
-                     [&] {
-                         return genBandedImpl(n, half_bandwidth,
-                                              fill, seed);
-                     });
-}
-
-CsrMatrix
-genStencil2d(int grid, bool nine_point)
-{
-    return cachedCsr(MatrixSpec("stencil2d")
-                         .arg("grid", grid)
-                         .arg("nine", nine_point ? 1 : 0),
-                     [&] {
-                         return genStencil2dImpl(grid, nine_point);
-                     });
-}
-
-CsrMatrix
-genPowerLaw(int n, double avg_degree, double alpha,
-            std::uint64_t seed)
-{
-    UNISTC_ASSERT(alpha > 1.0, "power-law exponent must exceed 1");
-    return cachedCsr(MatrixSpec("powerlaw")
-                         .arg("n", n)
-                         .arg("deg", avg_degree)
-                         .arg("alpha", alpha)
-                         .seed(seed),
-                     [&] {
-                         return genPowerLawImpl(n, avg_degree,
-                                                alpha, seed);
-                     });
-}
-
-CsrMatrix
-genBlockDense(int n, int block, double block_density, double fill,
-              std::uint64_t seed)
-{
-    return cachedCsr(MatrixSpec("blockdense")
-                         .arg("n", n)
-                         .arg("block", block)
-                         .arg("bdens", block_density)
-                         .arg("fill", fill)
-                         .seed(seed),
-                     [&] {
-                         return genBlockDenseImpl(n, block,
-                                                  block_density,
-                                                  fill, seed);
-                     });
-}
-
-CsrMatrix
-genDiagonalHeavy(int n, int num_diags, std::uint64_t seed)
-{
-    return cachedCsr(MatrixSpec("diagheavy")
-                         .arg("n", n)
-                         .arg("diags", num_diags)
-                         .seed(seed),
-                     [&] {
-                         return genDiagonalHeavyImpl(n, num_diags,
-                                                     seed);
-                     });
-}
-
-CsrMatrix
-genLongRows(int n, int num_long_rows, double long_density,
-            double bg_density, std::uint64_t seed)
-{
-    return cachedCsr(MatrixSpec("longrows")
-                         .arg("n", n)
-                         .arg("long", num_long_rows)
-                         .arg("ldens", long_density)
-                         .arg("bgdens", bg_density)
-                         .seed(seed),
-                     [&] {
-                         return genLongRowsImpl(n, num_long_rows,
-                                                long_density,
-                                                bg_density, seed);
-                     });
-}
-
-CsrMatrix
-genGraphLaplacian(int n, double avg_degree, double alpha,
-                  std::uint64_t seed)
-{
-    return cachedCsr(MatrixSpec("laplacian")
-                         .arg("n", n)
-                         .arg("deg", avg_degree)
-                         .arg("alpha", alpha)
-                         .seed(seed),
-                     [&] {
-                         return genGraphLaplacianImpl(n, avg_degree,
-                                                      alpha, seed);
-                     });
-}
-
-CsrMatrix
-genFemLongRows(int n, int half_bandwidth, double fill,
-               int num_long_rows, double long_span,
-               double long_density, std::uint64_t seed)
-{
-    return cachedCsr(MatrixSpec("femlongrows")
-                         .arg("n", n)
-                         .arg("hb", half_bandwidth)
-                         .arg("fill", fill)
-                         .arg("long", num_long_rows)
-                         .arg("span", long_span)
-                         .arg("ldens", long_density)
-                         .seed(seed),
-                     [&] {
-                         return genFemLongRowsImpl(
-                             n, half_bandwidth, fill, num_long_rows,
-                             long_span, long_density, seed);
-                     });
-}
-
-CsrMatrix
-genArrow(int n, int head, double head_fill, int half_bandwidth,
-         double band_fill, std::uint64_t seed)
-{
-    UNISTC_ASSERT(head >= 0 && head <= n, "arrow head out of range");
-    return cachedCsr(MatrixSpec("arrow")
-                         .arg("n", n)
-                         .arg("head", head)
-                         .arg("hfill", head_fill)
-                         .arg("hb", half_bandwidth)
-                         .arg("bfill", band_fill)
-                         .seed(seed),
-                     [&] {
-                         return genArrowImpl(n, head, head_fill,
-                                             half_bandwidth,
-                                             band_fill, seed);
-                     });
-}
-
-CsrMatrix
-genRmat(int scale, int edges_per_vertex, double a, double b, double c,
-        std::uint64_t seed)
-{
-    UNISTC_ASSERT(scale >= 1 && scale <= 24, "R-MAT scale 1..24");
-    return cachedCsr(MatrixSpec("rmat")
-                         .arg("scale", scale)
-                         .arg("epv", edges_per_vertex)
-                         .arg("a", a)
-                         .arg("b", b)
-                         .arg("c", c)
-                         .seed(seed),
-                     [&] {
-                         return genRmatImpl(scale, edges_per_vertex,
-                                            a, b, c, seed);
-                     });
 }
 
 CsrMatrix

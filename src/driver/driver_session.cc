@@ -13,7 +13,6 @@
 #define UNISTC_DRIVER_POSIX 0
 #endif
 
-#include "cache/matrix_cache.hh"
 #include "common/logging.hh"
 #include "warehouse/sink.hh"
 
@@ -51,41 +50,8 @@ ScopedPlanQuiet::~ScopedPlanQuiet()
     setLogLevel(savedLevel_);
 }
 
-void
-logCacheSummary()
-{
-    const MatrixCache &cache = MatrixCache::global();
-    if (!cache.enabled())
-        return;
-    const CacheCounters c = cache.counters();
-    UNISTC_INFORM("matrix cache (", cache.dir(), "): ", c.hits,
-                  " hit(s), ", c.misses, " miss(es), ", c.bytesRead,
-                  " B read, ", c.bytesWritten, " B written");
-}
-
 namespace
 {
-
-/**
- * Cache flags override the UNISTC_CACHE_DIR / UNISTC_CACHE env
- * configuration; the driver applies them before the body runs so
- * generated matrices go through the cache.
- */
-void
-applyCacheFlags(const SweepRequest &req)
-{
-    std::string dir = req.cacheDir;
-    if (dir.empty()) {
-        if (const char *env = std::getenv("UNISTC_CACHE_DIR"))
-            dir = env;
-    }
-    if (req.cacheMode != CacheMode::Off && dir.empty()) {
-        UNISTC_FATAL("--cache=", toString(req.cacheMode),
-                     " needs --cache-dir or UNISTC_CACHE_DIR");
-    }
-    MatrixCache::global().configure(
-        req.cacheMode == CacheMode::Off ? "" : dir, req.cacheMode);
-}
 
 /** Restore the previous current() context on scope exit. */
 class ScopedCurrentContext
@@ -130,8 +96,6 @@ DriverSession::run(const SweepRequest &req, int argc, char **argv,
         ::setenv("UNISTC_CORPUS_CLAMP", "2", 0);
     }
 #endif
-    if (req.cacheFlagged)
-        applyCacheFlags(req);
 
     // Warehouse sink (off unless UNISTC_WAREHOUSE_DIR): opened before
     // the body so rows stream out as they are recorded.
@@ -143,20 +107,15 @@ DriverSession::run(const SweepRequest &req, int argc, char **argv,
     if (req.jobs > 1)
         UNISTC_WARN("--jobs needs POSIX fd redirection; running "
                     "serially");
-    const int rc = body(argc, argv);
-    logCacheSummary();
-    return rc;
+    return body(argc, argv);
 #else
     // A plan/replay double traversal is needed for parallelism and
     // for per-job trace spans — a traced run uses it even at
     // --jobs 1 so the trace has the same structure for any N.
     const bool usePlanPass =
         req.jobs > 1 || req.traceJobCapacity > 0;
-    if (!usePlanPass) {
-        const int rc = body(argc, argv);
-        logCacheSummary();
-        return rc;
-    }
+    if (!usePlanPass)
+        return body(argc, argv);
     ctx_.sweep().startPlan(req);
     int rc;
     {
@@ -171,7 +130,6 @@ DriverSession::run(const SweepRequest &req, int argc, char **argv,
     ctx_.checkpoints().resetCursor();
     rc = body(argc, argv);
     ctx_.sweep().finish();
-    logCacheSummary();
     return rc;
 #endif
 }

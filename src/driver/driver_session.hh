@@ -51,13 +51,6 @@ class ScopedPlanQuiet
     int savedFd_ = -1;
 };
 
-/**
- * One-line cache summary on stderr after a cached run (stdout stays
- * untouched: the determinism tests cmp it byte for byte). A warm run
- * over an unchanged corpus reports "0 miss(es)".
- */
-void logCacheSummary();
-
 /** Orchestrates one request over one ExecutionContext. */
 class DriverSession
 {

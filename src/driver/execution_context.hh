@@ -92,8 +92,7 @@ class ExecutionContext
     /**
      * Reset per-run session state (sweep/checkpoint modes, cursors)
      * so a long-lived context can serve another request. Recorded
-     * results are kept — the log spans the process — and the matrix
-     * cache, a process-wide resource, is untouched.
+     * results are kept: the log spans the process.
      */
     void beginRun();
 

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "bbc/bbc_matrix.hh"
-#include "cache/matrix_cache.hh"
 #include "common/rng.hh"
 #include "engine/kernel_pipeline.hh"
 #include "runner/report.hh"
@@ -33,20 +32,6 @@ namespace unistc
 namespace driver
 {
 
-/**
- * BBC for @p csr: the artifact cache's already-decoded conversion
- * when one exists for these exact contents, a fresh fromCsr()
- * otherwise. With the cache disabled this is exactly fromCsr(), so
- * front-ends built on Prepared need zero changes either way.
- */
-inline BbcMatrix
-bbcFor(const CsrMatrix &csr)
-{
-    if (auto cached = MatrixCache::global().findBbcFor(csr))
-        return *cached;
-    return BbcMatrix::fromCsr(csr);
-}
-
 /** A matrix prepared once and reused across models and kernels. */
 struct Prepared
 {
@@ -56,8 +41,8 @@ struct Prepared
     SparseVector x50; ///< 50%-sparse x for SpMSpV (§VI-A).
 
     Prepared(std::string n, CsrMatrix m, std::uint64_t seed = 99)
-        : name(std::move(n)), csr(std::move(m)), bbc(bbcFor(csr)),
-          x50(csr.cols())
+        : name(std::move(n)), csr(std::move(m)),
+          bbc(BbcMatrix::fromCsr(csr)), x50(csr.cols())
     {
         Rng rng(seed);
         for (int i = 0; i < csr.cols(); ++i) {
@@ -68,8 +53,8 @@ struct Prepared
 
     /** Front-end-supplied x (simulate_cli builds its own stream). */
     Prepared(std::string n, CsrMatrix m, SparseVector x)
-        : name(std::move(n)), csr(std::move(m)), bbc(bbcFor(csr)),
-          x50(std::move(x))
+        : name(std::move(n)), csr(std::move(m)),
+          bbc(BbcMatrix::fromCsr(csr)), x50(std::move(x))
     {
     }
 };

@@ -1,6 +1,7 @@
 #include "driver/sweep_request.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -42,7 +43,8 @@ parseNonNegSeconds(const std::string &text, double &out)
         return false;
     char *end = nullptr;
     const double v = std::strtod(text.c_str(), &end);
-    if (end == nullptr || *end != '\0' || v < 0.0)
+    if (end == nullptr || *end != '\0' || !std::isfinite(v) ||
+        v < 0.0)
         return false;
     out = v;
     return true;
@@ -73,12 +75,6 @@ const StdFlag kStdFlags[] = {
      "cooperative per-job watchdog budget (0 = off)"},
     {"log-level", true, "LEVEL",
      "debug|info|warn|error|silent (or 0-4)"},
-    {"cache-dir", true, "PATH",
-     "content-addressed matrix artifact cache directory (also "
-     "UNISTC_CACHE_DIR; docs/CACHING.md)"},
-    {"cache", true, "MODE",
-     "off | ro | rw (default rw when a cache dir is set; also "
-     "UNISTC_CACHE)"},
 };
 
 const StdFlag *
@@ -148,17 +144,6 @@ applyStdFlag(SweepRequest &req, const std::string &name,
         }
         req.logLevelSet = true;
         req.logLevel = level;
-    } else if (name == "cache-dir") {
-        req.cacheFlagged = true;
-        req.cacheDir = value;
-    } else if (name == "cache") {
-        CacheMode mode = CacheMode::ReadWrite;
-        if (!parseCacheMode(value, mode)) {
-            return optError("unknown --cache '" + value +
-                            "' (use off|ro|rw)");
-        }
-        req.cacheFlagged = true;
-        req.cacheMode = mode;
     }
     return Status();
 }

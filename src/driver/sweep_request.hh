@@ -18,7 +18,6 @@
  *   --strict                     fail fast instead of quarantining
  *   --max-job-seconds S          cooperative per-job watchdog
  *   --log-level LEVEL            debug|info|warn|error|silent (or 0-4)
- *   --cache-dir P / --cache M    matrix artifact cache (docs/CACHING.md)
  *   --help, -h                   the generated usage text
  *   --version                    git sha + on-disk schema versions
  *
@@ -35,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/matrix_cache.hh"
 #include "common/logging.hh"
 #include "robust/status.hh"
 
@@ -90,13 +88,6 @@ struct SweepRequest
     // Log level (--log-level), applied before the driver runs.
     bool logLevelSet = false;
     LogLevel logLevel = LogLevel::Info;
-
-    // Matrix artifact cache (docs/CACHING.md). cacheFlagged is true
-    // only when a cache flag appeared: without it the MatrixCache
-    // keeps its environment-driven configuration untouched.
-    bool cacheFlagged = false;
-    std::string cacheDir;
-    CacheMode cacheMode = CacheMode::ReadWrite;
 };
 
 /** parseSweepCli() result: the request plus front-end extras. */

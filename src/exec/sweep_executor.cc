@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "cache/matrix_cache.hh"
 #include "common/logging.hh"
 #include "obs/metrics_export.hh"
 #include "robust/status.hh"
@@ -291,12 +290,6 @@ SweepExecutor::wait()
             stats_.setCounter("robust.jobs_quarantined", quarantined,
                               "jobs replaced by a zeroed result");
         }
-        // One shared artifact cache feeds every job's operands; its
-        // counters depend only on the corpus requested before this
-        // barrier, never on worker count, so they keep the 1-vs-N
-        // byte-identical stats guarantee.
-        if (MatrixCache::global().enabled())
-            MatrixCache::global().registerStats(stats_);
     }
 
     // Aggregate engine counters over multi-model jobs: tasks sum;

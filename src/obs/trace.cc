@@ -23,8 +23,6 @@ toString(TraceTrack track)
         return "SDPU";
       case TraceTrack::Memory:
         return "memory";
-      case TraceTrack::Cache:
-        return "cache";
     }
     return "?";
 }
@@ -204,8 +202,7 @@ TraceSink::writeChromeTrace(std::ostream &os) const
         w.endObject();
         for (const TraceTrack track :
              {TraceTrack::Runner, TraceTrack::Tms, TraceTrack::Dpg,
-              TraceTrack::Sdpu, TraceTrack::Memory,
-              TraceTrack::Cache}) {
+              TraceTrack::Sdpu, TraceTrack::Memory}) {
             w.beginObject();
             w.key("ph");
             w.value("M");

@@ -35,7 +35,6 @@ enum class TraceTrack : int
     Dpg = 2,    ///< Stage 2: DPG T4 expansion.
     Sdpu = 3,   ///< Stage 3: SDPU segment execution / write-back.
     Memory = 4, ///< Off-chip memory model events.
-    Cache = 5,  ///< Matrix artifact cache key resolutions.
 };
 
 /** Printable track name (shown as the Perfetto thread name). */

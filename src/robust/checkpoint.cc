@@ -363,7 +363,7 @@ atomicWriteFile(const std::string &path, const std::string &bytes)
 {
 #ifdef UNISTC_CHECKPOINT_POSIX
     // Same-directory temp file so the final rename cannot cross a
-    // filesystem boundary (MatrixCache discipline).
+    // filesystem boundary.
     const std::string tmp = path + ".tmp." +
         std::to_string(static_cast<long>(::getpid()));
     const int fd = ::open(tmp.c_str(),

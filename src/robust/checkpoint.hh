@@ -15,8 +15,8 @@
  * write(2) on an O_APPEND descriptor followed by fdatasync, so a
  * SIGKILL mid-append can only tear the in-flight line, never an
  * earlier one. A log whose tail did get torn is repaired on load
- * via rewriteCheckpointAtomic() — the tmp-file + fsync +
- * atomic-rename discipline of MatrixCache — so records appended
+ * via rewriteCheckpointAtomic() — a same-directory temp file,
+ * fsync, then an atomic rename over the log — so records appended
  * after a torn line can never become unreachable (the "poisoned
  * --resume" failure mode).
  */
@@ -127,10 +127,9 @@ class CheckpointWriter
 
 /**
  * Durable atomic whole-file replace: write a temp file in the same
- * directory, fsync it, atomically rename over @p path (the
- * MatrixCache discipline plus the fsync a crash-consistency story
- * needs). Readers see either the old file or the new one, never a
- * mix, even across a SIGKILL or power loss mid-write.
+ * directory, fsync it, atomically rename over @p path. Readers see
+ * either the old file or the new one, never a mix, even across a
+ * SIGKILL or power loss mid-write.
  */
 Status atomicWriteFile(const std::string &path,
                        const std::string &bytes);

@@ -213,31 +213,6 @@ utilisationDrift(const WarehouseReader &reader,
     return R(std::move(out));
 }
 
-std::vector<CacheRatePoint>
-cacheRates(const WarehouseReader &reader, const std::string &bench)
-{
-    std::vector<CacheRatePoint> out;
-    for (const RunMeta &meta : reader.runs()) {
-        if (!bench.empty() && meta.bench != bench)
-            continue;
-        CacheRatePoint p;
-        p.runId = meta.id;
-        p.bench = meta.bench;
-        const auto hits = meta.counters.find("cache.hits");
-        const auto misses = meta.counters.find("cache.misses");
-        if (hits != meta.counters.end())
-            p.hits = hits->second;
-        if (misses != meta.counters.end())
-            p.misses = misses->second;
-        const std::uint64_t total = p.hits + p.misses;
-        p.hitRate = total > 0 ? static_cast<double>(p.hits) /
-                                    static_cast<double>(total)
-                              : 0.0;
-        out.push_back(std::move(p));
-    }
-    return out;
-}
-
 std::vector<ResultRow>
 slowestMatrices(const RunData &run, std::size_t n)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Analytics over the results warehouse: the trend/drift/cache-rate/
- * slowest-N queries behind unistc_query, plus the regression check
+ * Analytics over the results warehouse: the trend/drift/slowest-N
+ * queries behind unistc_query, plus the regression check
  * (--check-regressions) that compares the latest run against a named
  * baseline using the summary statistics in stattests.hh.
  *
@@ -82,20 +82,6 @@ struct DriftPoint
 Result<std::vector<DriftPoint>>
 utilisationDrift(const WarehouseReader &reader,
                  const std::string &bench);
-
-/** Matrix-cache effectiveness of one run (META counters). */
-struct CacheRatePoint
-{
-    std::string runId;
-    std::string bench;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    double hitRate = 0.0; ///< hits / (hits + misses), 0 when idle.
-};
-
-/** Cache hit-rate per run, ascending by run id. */
-std::vector<CacheRatePoint> cacheRates(const WarehouseReader &reader,
-                                       const std::string &bench);
 
 /** The N slowest (kernel, model, matrix) rows of one run. */
 std::vector<ResultRow> slowestMatrices(const RunData &run,

@@ -7,7 +7,6 @@
 #include <ctime>
 #include <limits>
 
-#include "cache/matrix_cache.hh"
 #include "common/logging.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -183,16 +182,6 @@ BenchSink::finalize()
     std::lock_guard<std::mutex> lock(mu_);
     if (writer_ == nullptr)
         return;
-    const MatrixCache &cache = MatrixCache::global();
-    if (cache.enabled()) {
-        const CacheCounters c = cache.counters();
-        writer_->noteCounter("cache.hits", c.hits);
-        writer_->noteCounter("cache.misses", c.misses);
-        writer_->noteCounter("cache.bytesRead", c.bytesRead);
-        writer_->noteCounter("cache.bytesWritten", c.bytesWritten);
-        writer_->noteCounter("cache.loadFailures", c.loadFailures);
-        writer_->noteCounter("cache.storeFailures", c.storeFailures);
-    }
     if (Status s = writer_->finalize(); !s.ok())
         UNISTC_WARN("warehouse commit failed: ", s.message());
     writer_.reset();

@@ -78,7 +78,7 @@ class BenchSink
     void noteRecovery(const SweepExecutor::RecoveryCounters &rc);
 
     /**
-     * Seal the run: snapshot the matrix-cache counters, commit.
+     * Seal the run: commit.
      * Registered atexit by configure(); idempotent. A crash before
      * this point leaves the incrementally-flushed rows readable.
      */

@@ -80,8 +80,8 @@ class RunWriter
     void appendEngine(const EngineRow &row);
 
     /**
-     * Accumulate a named commit counter ("cache.hits", ...); summed
-     * across calls and appended to META by finalize().
+     * Accumulate a named commit counter ("robust.jobs_retried",
+     * ...); summed across calls and appended to META by finalize().
      */
     void noteCounter(const std::string &name, std::uint64_t v);
 

@@ -109,7 +109,6 @@ TEST(SweepRequestParse, DefaultsAreSerialAndUnsharded)
     EXPECT_TRUE(cli.request.resumePath.empty());
     EXPECT_FALSE(cli.request.strict);
     EXPECT_EQ(cli.request.maxJobSeconds, 0.0);
-    EXPECT_FALSE(cli.request.cacheFlagged);
     EXPECT_TRUE(cli.extra.empty());
 }
 
@@ -118,7 +117,7 @@ TEST(SweepRequestParse, StandardFamilyRoundTrips)
     const driver::ParsedCli cli = parseOk(
         {"--quick", "--jobs", "3", "--resume", "/tmp/ck",
          "--strict", "--max-job-seconds", "2.5", "--log-level",
-         "warn", "--cache-dir", "/tmp/cache", "--cache", "ro"});
+         "warn"});
     const driver::SweepRequest &req = cli.request;
     EXPECT_TRUE(req.quick);
     EXPECT_EQ(req.jobs, 3);
@@ -127,9 +126,6 @@ TEST(SweepRequestParse, StandardFamilyRoundTrips)
     EXPECT_DOUBLE_EQ(req.maxJobSeconds, 2.5);
     EXPECT_TRUE(req.logLevelSet);
     EXPECT_EQ(req.logLevel, LogLevel::Warn);
-    EXPECT_TRUE(req.cacheFlagged);
-    EXPECT_EQ(req.cacheDir, "/tmp/cache");
-    EXPECT_EQ(req.cacheMode, CacheMode::ReadOnly);
 }
 
 TEST(SweepRequestParse, EqualsFormAndSmokeImpliesQuick)
@@ -156,6 +152,10 @@ TEST(SweepRequestParse, RejectsMissingValueAndBadNumbers)
     parseError({"--jobs", "three"});
     parseError({"--jobs", "-2"});
     parseError({"--max-job-seconds", "-1"});
+    // NaN would switch the watchdog off without a word (NaN > 0 is
+    // false); infinities are no budget either.
+    parseError({"--max-job-seconds", "nan"});
+    parseError({"--max-job-seconds", "inf"});
     // Counts above the 1024-worker cap fail instead of wrapping
     // through the cast to int.
     EXPECT_NE(parseError({"--jobs", "3000000000"})

@@ -224,9 +224,9 @@ TEST_F(WarehouseTest, WriteFinalizeReadBack)
         writer->appendResult(r);
     writer->appendEngine(makeEngineRow(0));
     writer->appendEngine(makeEngineRow(1));
-    writer->noteCounter("cache.hits", 3);
-    writer->noteCounter("cache.hits", 4);
-    writer->noteCounter("cache.misses", 2);
+    writer->noteCounter("robust.jobs_retried", 3);
+    writer->noteCounter("robust.jobs_retried", 4);
+    writer->noteCounter("robust.jobs_quarantined", 2);
     ASSERT_TRUE(writer->finalize().ok());
     const std::string id = writer->runId();
     writer.reset();
@@ -242,9 +242,9 @@ TEST_F(WarehouseTest, WriteFinalizeReadBack)
     EXPECT_EQ(metas[0].bench, "bench_test");
     EXPECT_EQ(metas[0].label, "first");
     EXPECT_EQ(metas[0].gitSha, "deadbeef");
-    ASSERT_EQ(metas[0].counters.count("cache.hits"), 1u);
-    EXPECT_EQ(metas[0].counters.at("cache.hits"), 7u);
-    EXPECT_EQ(metas[0].counters.at("cache.misses"), 2u);
+    ASSERT_EQ(metas[0].counters.count("robust.jobs_retried"), 1u);
+    EXPECT_EQ(metas[0].counters.at("robust.jobs_retried"), 7u);
+    EXPECT_EQ(metas[0].counters.at("robust.jobs_quarantined"), 2u);
     ASSERT_EQ(metas[0].env.size(), 1u);
     EXPECT_EQ(metas[0].env[0].first, "UNISTC_SMOKE");
 
@@ -694,21 +694,6 @@ TEST_F(WarehouseTest, TrendAndDriftOverTwoRuns)
         EXPECT_EQ(d.family, "rand_d2");
         EXPECT_DOUBLE_EQ(d.lastUtil, d.firstUtil);
     }
-}
-
-TEST_F(WarehouseTest, CacheRatesFromMetaCounters)
-{
-    auto w = RunWriter::open(options());
-    ASSERT_TRUE(w.ok());
-    w.value()->noteCounter("cache.hits", 30);
-    w.value()->noteCounter("cache.misses", 10);
-    ASSERT_TRUE((*w.value()).finalize().ok());
-
-    const auto rates = cacheRates(WarehouseReader(dir_), "");
-    ASSERT_EQ(rates.size(), 1u);
-    EXPECT_EQ(rates[0].hits, 30u);
-    EXPECT_EQ(rates[0].misses, 10u);
-    EXPECT_NEAR(rates[0].hitRate, 0.75, 1e-12);
 }
 
 TEST(FsyncEnv, AcceptsNonNegativeIntegers)
