@@ -2,8 +2,8 @@
  * @file
  * Thin adapter between the benchmark harnesses and the execution
  * driver library (src/driver/). The sweep engine that used to live
- * here — result log, checkpoint/sweep sessions, the kernel-run
- * mode dispatch and the orchestrating main() — is now the compiled
+ * here — result log, sweep session, the kernel-run mode dispatch
+ * and the orchestrating main() — is now the compiled
  * driver library; this header only re-exports the handful of names
  * bench bodies use (Prepared, runKernel, runKernelLineup, quickMode)
  * and generates the standard main() on top of DriverSession.
@@ -16,10 +16,6 @@
  *   --smoke    tiny corpus for ctest smoke runs (implies --quick)
  *   --jobs N   fan runKernel() simulations across N worker threads
  *              (also UNISTC_JOBS; N = 0 or "auto" uses every core)
- *   --resume P checkpoint finished jobs to file P and skip any job
- *              already recorded there, so an interrupted bench picks
- *              up where it stopped (also UNISTC_BENCH_RESUME; see
- *              docs/ROBUSTNESS.md)
  *
  * How --jobs works (docs/PARALLELISM.md): the bench body runs twice.
  * The *plan* pass runs with stdout silenced and the log level raised;
@@ -77,7 +73,6 @@ namespace bench
 // The bench-facing surface, re-exported from the driver library.
 using driver::executeKernel;
 using driver::Prepared;
-using driver::RunInfo;
 using driver::runKernel;
 using driver::runKernelLineup;
 

@@ -3,8 +3,9 @@
 # pure functions of its inputs, and per-layer wall time is measured
 # from outside src/ (perfbench's spans), so a clock read here is
 # either dead weight in a hot loop or a source of run-to-run drift.
-# The infrastructure layers are exempt: exec/ (the sweep watchdog),
-# driver/, robust/, obs/ and warehouse/.
+# exec/ and robust/ are covered too: a job's result must not depend on
+# how long it took, so no wall-clock timeout belongs in the executor.
+# Exempt: driver/, obs/ and warehouse/.
 # Driven by ctest (see the top-level CMakeLists.txt):
 #
 #   cmake -DREPO=<source dir> -P cmake/no_clock_in_core.cmake
@@ -14,7 +15,7 @@ if(NOT DEFINED REPO)
 endif()
 
 set(core_dirs common sparse kernels bbc sim stc unistc isa sm engine
-              runner corpus apps)
+              runner corpus apps exec robust)
 set(clock_regex
     "<chrono>|steady_clock|system_clock|high_resolution_clock|clock_gettime")
 

@@ -42,8 +42,10 @@ expect_fatal("unknown option '--cache-dir'" --cache-dir /tmp/x ${small})
 expect_fatal("unknown option '--cache'" --cache rw ${small})
 expect_fatal("--jobs is capped at 1024 workers, got '3000000000'"
              --jobs 3000000000 ${small})
-expect_fatal("non-negative number of seconds, got 'nan'"
-             --max-job-seconds nan ${small})
+expect_fatal("unknown option '--resume'" --resume /tmp/x ${small})
+expect_fatal("unknown option '--strict'" --strict ${small})
+expect_fatal("unknown option '--max-job-seconds'"
+             --max-job-seconds 1 ${small})
 expect_fatal("unknown kernel 'nope'" --kernel nope ${small})
 expect_fatal("--model and --arch are mutually exclusive"
              --model Uni-STC --arch Uni-STC ${small})

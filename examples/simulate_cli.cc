@@ -11,9 +11,8 @@
  * Built on the execution driver (src/driver/): the experiment is a
  * plain serial body handed to a DriverSession, which supplies the
  * whole standard execution family — --jobs plan/replay sweeps
- * (docs/PARALLELISM.md), --resume checkpointing (docs/ROBUSTNESS.md),
- * --log-level, --help and --version — with byte-identical output
- * across worker counts and resume state.
+ * (docs/PARALLELISM.md), --log-level, --help and --version — with
+ * byte-identical output across worker counts.
  *
  * This file holds the experiment parser and body: the front-end flag
  * family (--matrix/--gen/--kernel/--model/--arch/--precision/--dpgs/
@@ -62,7 +61,6 @@ struct Experiment
     bool multi = false;             ///< --arch: one lineup job.
     MachineConfig cfg = MachineConfig::fp64();
     int bCols = 64;
-    bool robustStats = false; ///< --strict / --max-job-seconds set.
 
     /** Value of front-end flag @p key, "" when it was not given. */
     std::string
@@ -167,8 +165,8 @@ simulateCliFlags()
 
 /**
  * Resolve and validate every front-end flag of @p cli into an
- * Experiment, adjusting cli.request (trace ring capacity, robust
- * stat policy) on the way. UNISTC_FATALs on invalid input.
+ * Experiment, adjusting cli.request's trace ring capacity on the
+ * way. UNISTC_FATALs on invalid input.
  */
 Experiment
 makeExperiment(driver::ParsedCli &cli)
@@ -224,17 +222,13 @@ makeExperiment(driver::ParsedCli &cli)
                 parseCountOpt("trace-events", ex.opts["trace-events"]));
         }
     }
-    // The robust.* stat block appears whenever a robustness knob was
-    // set (legacy behaviour) or a job was actually quarantined.
-    ex.robustStats =
-        cli.request.strict || cli.request.maxJobSeconds > 0;
     return ex;
 }
 
 /**
  * The matrix source of @p ex: --matrix path, --gen spec, or the
- * default generator spec. Stable across processes — it keys
- * checkpoint entries.
+ * default generator spec. It names the matrix in the stats JSON
+ * and the bench JSON records.
  */
 std::string
 sourceLabel(const Experiment &ex)
@@ -284,8 +278,6 @@ simulateBody(const Experiment &ex)
     driver::ExecutionContext &ctx =
         driver::ExecutionContext::active();
 
-    // The Prepared name keys checkpoint entries, so it is the stable
-    // source label, not a per-run string.
     const driver::Prepared prep = buildPrepared(ex);
     if (ex.kernel == Kernel::SpGEMM && prep.csr.rows() !=
         prep.csr.cols())
@@ -329,9 +321,7 @@ simulateBody(const Experiment &ex)
     // the task stream once and fans every task out to all listed
     // models (docs/ARCHITECTURE.md). --model runs one unit per model.
     std::vector<RunResult> results(ex.names.size());
-    std::vector<driver::RunInfo> infos(ex.names.size());
     PipelineCounters engine_counters;
-    bool lineup_ran = false;
     if (ex.multi) {
         std::vector<const StcModel *> models;
         models.reserve(owned.size());
@@ -339,15 +329,11 @@ simulateBody(const Experiment &ex)
             models.push_back(m.get());
         results = driver::runKernelLineup(
             ex.kernel, models, prep, EnergyModel(),
-            /*record_timing=*/false, &engine_counters, ex.bCols,
-            &infos);
-        for (const driver::RunInfo &info : infos)
-            lineup_ran = lineup_ran || !info.resumed;
+            /*record_timing=*/false, &engine_counters, ex.bCols);
     } else {
         for (std::size_t n = 0; n < ex.names.size(); ++n) {
             results[n] = driver::runKernel(ex.kernel, *owned[n], prep,
-                                           EnergyModel(), ex.bCols,
-                                           &infos[n]);
+                                           EnergyModel(), ex.bCols);
         }
     }
 
@@ -356,46 +342,22 @@ simulateBody(const Experiment &ex)
                 std::to_string(ex.cfg.macCount) + " MACs");
     t.setHeader({"STC", "cycles", "MAC util", "energy", "A reads",
                  "C writes"});
-    std::uint64_t quarantined = 0;
-    std::uint64_t retried = 0;
-    std::uint64_t faults = 0;
     for (std::size_t i = 0; i < ex.names.size(); ++i) {
         const RunResult &r = results[i];
-        const driver::RunInfo &info = infos[i];
         registerRunResult(stats, r, "models." + ex.names[i] + ".");
-        faults += static_cast<std::uint64_t>(
-            info.quarantined ? info.attempts : info.attempts - 1);
-        retried += static_cast<std::uint64_t>(info.attempts - 1);
-        if (info.quarantined) {
-            ++quarantined;
-            UNISTC_WARN("job for model '", ex.names[i],
-                        "' quarantined",
-                        info.error.empty() ? "" : ": ", info.error);
-            t.addRow({ex.names[i], "QUARANTINED", "-", "-", "-",
-                      "-"});
-            continue;
-        }
-        t.addRow({ex.names[i] + (info.resumed ? " (resumed)" : ""),
-                  fmtCount(r.cycles), fmtPercent(r.utilisation()),
+        t.addRow({ex.names[i], fmtCount(r.cycles),
+                  fmtPercent(r.utilisation()),
                   fmtEnergyPj(r.energy.total()),
                   fmtCount(r.traffic.totalA()),
                   fmtCount(r.traffic.writesC)});
     }
     t.print();
 
-    if (ex.multi && lineup_ran) {
+    if (ex.multi) {
         // One shared stream fed the whole lineup; tasks_generated is
         // the single-model enumeration count while models_fanout
         // models consumed it.
         engine_counters.registerStats(stats);
-    }
-    if (ex.robustStats || quarantined > 0) {
-        stats.setCounter("robust.faults_detected", faults,
-                         "job attempts that threw or timed out");
-        stats.setCounter("robust.jobs_retried", retried,
-                         "extra attempts made after a failure");
-        stats.setCounter("robust.jobs_quarantined", quarantined,
-                         "jobs replaced by a zeroed result");
     }
 
     // Reporting artifacts (trace, stats JSON) are written exactly

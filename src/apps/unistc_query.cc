@@ -7,7 +7,6 @@
  *   unistc_query --warehouse DIR trend --metric cycles
  *   unistc_query --warehouse DIR drift
  *   unistc_query --warehouse DIR slowest --top 10
- *   unistc_query --warehouse DIR recovery
  *   unistc_query --warehouse DIR export-bench --run latest --out F
  *   unistc_query --warehouse DIR check-regressions \
  *       --baseline <label|id|latest> [--current latest] \
@@ -49,7 +48,6 @@ usage(const char *self)
         "  trend                     geomean speedup vs earliest run\n"
         "  drift                     per-family utilisation drift\n"
         "  slowest                   slowest rows of one run\n"
-        "  recovery                  robust.* recovery counters per run\n"
         "  export-bench              run -> UNISTC_BENCH_JSON format\n"
         "  check-regressions         latest run vs a baseline\n"
         "\n"
@@ -169,24 +167,6 @@ parseArgs(int argc, char **argv, Args *args)
     return !args->command.empty();
 }
 
-/** Counter lookup helper: 0 when a run never recorded @p name. */
-std::uint64_t
-counterOr0(const RunMeta &m, const std::string &name)
-{
-    const auto it = m.counters.find(name);
-    return it == m.counters.end() ? 0 : it->second;
-}
-
-bool
-hasRecoveryCounters(const RunMeta &m)
-{
-    for (const auto &[name, v] : m.counters) {
-        if (name.rfind("robust.", 0) == 0)
-            return true;
-    }
-    return false;
-}
-
 int
 cmdList(const WarehouseReader &reader, const Args &args)
 {
@@ -248,45 +228,6 @@ cmdShow(const WarehouseReader &reader, const Args &args)
     for (const auto &[name, v] : m.counters)
         std::printf("counter:   %s = %llu\n", name.c_str(),
                     static_cast<unsigned long long>(v));
-    if (hasRecoveryCounters(m)) {
-        std::printf(
-            "recovery:  %llu fault(s) detected, %llu job(s) "
-            "retried, %llu quarantined\n",
-            static_cast<unsigned long long>(
-                counterOr0(m, "robust.faults_detected")),
-            static_cast<unsigned long long>(
-                counterOr0(m, "robust.jobs_retried")),
-            static_cast<unsigned long long>(
-                counterOr0(m, "robust.jobs_quarantined")));
-    }
-    return 0;
-}
-
-int
-cmdRecovery(const WarehouseReader &reader, const Args &args)
-{
-    TextTable t("fault recovery by run (robust.* counters; "
-                "docs/ROBUSTNESS.md)");
-    t.setHeader({"run", "bench", "faults", "job retry", "job quar"});
-    std::size_t shown = 0;
-    for (const RunMeta &m : reader.runs()) {
-        if (!args.bench.empty() && m.bench != args.bench)
-            continue;
-        if (!hasRecoveryCounters(m))
-            continue;
-        ++shown;
-        t.addRow(
-            {m.id, m.bench,
-             std::to_string(counterOr0(m, "robust.faults_detected")),
-             std::to_string(counterOr0(m, "robust.jobs_retried")),
-             std::to_string(counterOr0(m, "robust.jobs_quarantined"))});
-    }
-    if (shown == 0) {
-        std::printf("no runs with recovery counters in '%s'\n",
-                    reader.dir().c_str());
-        return 0;
-    }
-    t.print();
     return 0;
 }
 
@@ -456,8 +397,6 @@ main(int argc, char **argv)
         return cmdDrift(reader, args);
     if (args.command == "slowest")
         return cmdSlowest(reader, args);
-    if (args.command == "recovery")
-        return cmdRecovery(reader, args);
     if (args.command == "export-bench")
         return cmdExportBench(reader, args);
     if (args.command == "check-regressions")

@@ -134,7 +134,7 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     if (fatalBehavior() == FatalBehavior::Throw) {
         // The exception carries the full message; the catcher owns
-        // reporting (a sweep quarantines, a test asserts, a fuzz
+        // reporting (a sweep fails the run, a test asserts, a fuzz
         // driver swallows).
         throw UnistcError(failedPrecondition(
             msg + " (" + file + ":" + std::to_string(line) + ")"));

@@ -16,13 +16,13 @@
  * at LogLevel::Silent; hiding the reason for a termination would
  * help nobody.
  *
- * The fatal *mechanism* is configurable (robustness layer, PR 3):
- * under FatalBehavior::Exit (the default, right for CLI mains)
+ * The fatal *mechanism* is configurable (docs/ROBUSTNESS.md): under
+ * FatalBehavior::Exit (the default, right for CLI mains)
  * UNISTC_FATAL prints and exit(1)s as it always has; under
  * FatalBehavior::Throw (library, tests, fuzz drivers) it throws
- * unistc::UnistcError carrying the same message, so a sweep can
- * quarantine one bad input instead of dying. panic() is for
- * simulator bugs and aborts unconditionally in both modes.
+ * unistc::UnistcError carrying the same message, so the caller
+ * decides what a bad input costs. panic() is for simulator bugs and
+ * aborts unconditionally in both modes.
  */
 
 #ifndef UNISTC_COMMON_LOGGING_HH

@@ -100,8 +100,6 @@ DriverSession::run(const SweepRequest &req, int argc, char **argv,
     // Warehouse sink (off unless UNISTC_WAREHOUSE_DIR): opened before
     // the body so rows stream out as they are recorded.
     warehouse::BenchSink::instance().configure(argc, argv);
-    if (!req.resumePath.empty())
-        ctx_.checkpoints().configure(req.resumePath);
 
 #if !UNISTC_DRIVER_POSIX
     if (req.jobs > 1)
@@ -127,9 +125,8 @@ DriverSession::run(const SweepRequest &req, int argc, char **argv,
     if (rc != 0)
         return rc;
     ctx_.sweep().startReplay();
-    ctx_.checkpoints().resetCursor();
     rc = body(argc, argv);
-    ctx_.sweep().finish();
+    ctx_.sweep().reset();
     return rc;
 #endif
 }

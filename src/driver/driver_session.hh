@@ -13,8 +13,9 @@
  *
  * In both shapes the reporting output — stdout, UNISTC_BENCH_JSON,
  * warehouse rows — is produced by exactly one serial traversal of
- * the body, so it is byte-identical across worker counts and resume
- * state.
+ * the body, so it is byte-identical across worker counts. A job
+ * that throws fails the run in both shapes: serially the exception
+ * leaves the body, under --jobs the barrier raises it.
  */
 
 #ifndef UNISTC_DRIVER_DRIVER_SESSION_HH

@@ -56,7 +56,6 @@ ExecutionContext::runTrace() const
 void
 ExecutionContext::beginRun()
 {
-    checkpoints_.reset();
     sweep_.reset();
     reportingPass_ = true;
 }

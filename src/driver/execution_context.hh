@@ -1,10 +1,10 @@
 /**
  * @file
  * ExecutionContext: everything one sweep run needs to execute —
- * checkpoint and sweep sessions plus the result log — owned by one
- * object instead of per-process singletons (the bench_common.hh
- * arrangement this library replaced). A process gets
- * a default context (global()) whose ResultLog still arms the
+ * the sweep session plus the result log — owned by one object
+ * instead of per-process singletons (the bench_common.hh
+ * arrangement this library replaced). A process gets a default
+ * context (global()) whose ResultLog still arms the
  * UNISTC_BENCH_JSON dump-at-exit, so existing binaries behave
  * identically; embedders (tests) construct their own contexts and
  * run several sweeps back to back in one process without state
@@ -18,7 +18,6 @@
 #ifndef UNISTC_DRIVER_EXECUTION_CONTEXT_HH
 #define UNISTC_DRIVER_EXECUTION_CONTEXT_HH
 
-#include "driver/checkpoint_session.hh"
 #include "driver/result_log.hh"
 #include "driver/sweep_session.hh"
 #include "obs/trace.hh"
@@ -28,7 +27,7 @@ namespace unistc
 namespace driver
 {
 
-/** One run's execution state: sessions + result log. */
+/** One run's execution state: sweep session + result log. */
 class ExecutionContext
 {
   public:
@@ -58,7 +57,6 @@ class ExecutionContext
     /** current() when installed, the process default otherwise. */
     static ExecutionContext &active();
 
-    CheckpointSession &checkpoints() { return checkpoints_; }
     SweepSession &sweep() { return sweep_; }
     ResultLog &results() { return results_; }
 
@@ -74,8 +72,8 @@ class ExecutionContext
 
     /**
      * The live sweep executor (null outside a --jobs run). Valid
-     * through the replay pass: front-ends read per-job outcomes,
-     * pipeline counters and the merged trace while reporting.
+     * through the replay pass: front-ends read pipeline counters
+     * and the merged trace while reporting.
      */
     const SweepExecutor *
     sweepExecutor() const
@@ -90,8 +88,8 @@ class ExecutionContext
     const TraceSink *runTrace() const;
 
     /**
-     * Reset per-run session state (sweep/checkpoint modes, cursors)
-     * so a long-lived context can serve another request. Recorded
+     * Reset per-run session state (sweep mode, cursor) so a
+     * long-lived context can serve another request. Recorded
      * results are kept: the log spans the process.
      */
     void beginRun();
@@ -102,7 +100,6 @@ class ExecutionContext
     {
     }
 
-    CheckpointSession checkpoints_;
     SweepSession sweep_;
     ResultLog results_;
     bool reportingPass_ = true;

@@ -3,10 +3,10 @@
  * The kernel-run surface of the execution driver: a matrix prepared
  * once (Prepared), and runKernel() / runKernelLineup() — the two
  * calls every front-end body makes per simulation. Behind them sits
- * the ExecutionContext's mode machinery (sweep plan/replay and
- * checkpoint resume; driver/execution_context.hh), so a body written
- * against these two functions transparently gains --jobs and
- * --resume with byte-identical output.
+ * the ExecutionContext's sweep plan/replay machinery
+ * (driver/execution_context.hh), so a body written against these
+ * two functions transparently gains --jobs with byte-identical
+ * output.
  *
  * Moved out of bench/bench_common.hh; bench harnesses still reach
  * them through the unistc::bench aliases in that header.
@@ -59,30 +59,6 @@ struct Prepared
     }
 };
 
-/**
- * Provenance of one runKernel() result — where the numbers actually
- * came from. Purely informational (the result itself already matches
- * the serial run byte for byte); simulate_cli uses it to annotate
- * its table rows.
- */
-struct RunInfo
-{
-    /** Served from the --resume checkpoint, not simulated. */
-    bool resumed = false;
-
-    /** Quarantined (recovery policy): the result is zeroed. */
-    bool quarantined = false;
-
-    /** Exceeded the cooperative --max-job-seconds watchdog. */
-    bool timedOut = false;
-
-    /** Simulation attempts made (retries included). */
-    int attempts = 1;
-
-    /** Final error of a quarantined job, empty otherwise. */
-    std::string error;
-};
-
 /** Inline (in-process, serial) execution of one kernel. */
 RunResult executeKernel(Kernel kernel, const StcModel &model,
                         const Prepared &p, const EnergyModel &energy,
@@ -90,13 +66,13 @@ RunResult executeKernel(Kernel kernel, const StcModel &model,
 
 /**
  * Run one of the four kernels on a prepared matrix through the
- * current ExecutionContext (sweep and checkpoint aware).
+ * current ExecutionContext (sweep aware).
  * @p bCols is the dense-B width for SpMM (the paper fixes 64).
  */
 RunResult runKernel(Kernel kernel, const StcModel &model,
                     const Prepared &p,
                     const EnergyModel &energy = EnergyModel(),
-                    int bCols = 64, RunInfo *info = nullptr);
+                    int bCols = 64);
 
 /**
  * Run one kernel on a prepared matrix across a whole architecture
@@ -104,24 +80,19 @@ RunResult runKernel(Kernel kernel, const StcModel &model,
  * fan-out, docs/ARCHITECTURE.md): the stream is enumerated once per
  * (kernel, matrix) no matter how many models run, and each returned
  * RunResult (lineup order) is bit-identical to a one-model
- * runKernel() call. Honors --resume — per-(kernel, model, matrix)
- * checkpoint entries, compatible with files written by runKernel() —
- * and --jobs, where the whole lineup rides as one multi-model job.
- * Records per-model ResultLog entries plus one "engine" entry with
- * the pass's counters. @p record_timing is ignored: the pipeline
- * reads no clock, and the parameter stays only so existing
- * positional callers compile. @p counters_out, when
- * non-null, receives the pass's counters (all zero in a --jobs plan
- * pass or when every model was served from the checkpoint).
- * @p infos, when non-null, is resized to the lineup and receives
- * per-model provenance.
+ * runKernel() call. Under --jobs the whole lineup rides as one
+ * multi-model job. Records per-model ResultLog entries plus one
+ * "engine" entry with the pass's counters. @p record_timing is
+ * ignored: the pipeline reads no clock, and the parameter stays
+ * only so existing positional callers compile. @p counters_out,
+ * when non-null, receives the pass's counters (all zero in a
+ * --jobs plan pass).
  */
 std::vector<RunResult> runKernelLineup(
     Kernel kernel, const std::vector<const StcModel *> &models,
     const Prepared &p, const EnergyModel &energy = EnergyModel(),
     bool record_timing = false,
-    PipelineCounters *counters_out = nullptr, int bCols = 64,
-    std::vector<RunInfo> *infos = nullptr);
+    PipelineCounters *counters_out = nullptr, int bCols = 64);
 
 } // namespace driver
 } // namespace unistc

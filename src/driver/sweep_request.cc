@@ -1,9 +1,6 @@
 #include "driver/sweep_request.hh"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdlib>
-#include <cstring>
 
 #include "exec/sweep_executor.hh"
 #include "exec/thread_pool.hh"
@@ -36,20 +33,6 @@ parseNonNegInt(const std::string &text, long &out)
     return true;
 }
 
-bool
-parseNonNegSeconds(const std::string &text, double &out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end == nullptr || *end != '\0' || !std::isfinite(v) ||
-        v < 0.0)
-        return false;
-    out = v;
-    return true;
-}
-
 struct StdFlag
 {
     const char *name;
@@ -66,13 +49,6 @@ const StdFlag kStdFlags[] = {
      "tiny corpus for ctest smoke runs (implies --quick)"},
     {"jobs", true, "N",
      "worker threads, 0/'auto' = all cores (also UNISTC_JOBS)"},
-    {"resume", true, "PATH",
-     "checkpoint finished jobs to PATH and skip jobs already there "
-     "(also UNISTC_BENCH_RESUME; docs/ROBUSTNESS.md)"},
-    {"strict", false, "",
-     "fail fast: first unrecovered job failure aborts the run"},
-    {"max-job-seconds", true, "S",
-     "cooperative per-job watchdog budget (0 = off)"},
     {"log-level", true, "LEVEL",
      "debug|info|warn|error|silent (or 0-4)"},
 };
@@ -104,7 +80,6 @@ applyStdFlag(SweepRequest &req, const std::string &name,
              const std::string &value, int &requestedJobs)
 {
     long n = 0;
-    double sec = 0.0;
     if (name == "quick") {
         req.quick = true;
     } else if (name == "smoke") {
@@ -126,16 +101,6 @@ applyStdFlag(SweepRequest &req, const std::string &name,
             return optError("--jobs needs a non-negative integer or "
                             "'auto', got '" + value + "'");
         }
-    } else if (name == "resume") {
-        req.resumePath = value;
-    } else if (name == "strict") {
-        req.strict = true;
-    } else if (name == "max-job-seconds") {
-        if (!parseNonNegSeconds(value, sec)) {
-            return optError("--max-job-seconds needs a non-negative "
-                            "number of seconds, got '" + value + "'");
-        }
-        req.maxJobSeconds = sec;
     } else if (name == "log-level") {
         LogLevel level = LogLevel::Info;
         if (!parseLogLevel(value, level)) {
@@ -221,12 +186,6 @@ parseSweepCli(int argc, char **argv,
         }
     }
 
-    // Environment fallbacks, exactly as the legacy per-binary
-    // parsers resolved them.
-    if (out.request.resumePath.empty()) {
-        if (const char *env = std::getenv("UNISTC_BENCH_RESUME"))
-            out.request.resumePath = env;
-    }
     out.request.jobs = SweepExecutor::resolveJobs(requestedJobs, 1);
     return out;
 }

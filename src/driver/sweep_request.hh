@@ -14,9 +14,6 @@
  *   --quick / --smoke            workload shrinking (UNISTC_BENCH_QUICK)
  *   --jobs N                     worker threads (UNISTC_JOBS; 0/auto =
  *                                all cores; at most 1024)
- *   --resume P                   checkpoint/resume (UNISTC_BENCH_RESUME)
- *   --strict                     fail fast instead of quarantining
- *   --max-job-seconds S          cooperative per-job watchdog
  *   --log-level LEVEL            debug|info|warn|error|silent (or 0-4)
  *   --help, -h                   the generated usage text
  *   --version                    git sha + on-disk schema versions
@@ -66,16 +63,6 @@ struct SweepRequest
     // Parallel in-process sweep (docs/PARALLELISM.md).
     int jobs = 1; ///< Resolved worker count (env + flag + hardware).
 
-    // Checkpoint / resume (docs/ROBUSTNESS.md).
-    std::string resumePath; ///< Empty: resume off.
-
-    // Executor recovery policy (docs/ROBUSTNESS.md). The canonical
-    // policy is one transient-failure retry + quarantine; --strict
-    // fails the run on the first unrecovered job instead.
-    bool strict = false;
-    double maxJobSeconds = 0.0; ///< Cooperative watchdog (0 = off).
-    int maxRetries = 1;         ///< Extra attempts per failing job.
-
     /**
      * Per-job trace ring capacity for the sweep executor. Not a
      * standard flag: front-ends with a --trace option set it
@@ -104,8 +91,8 @@ struct ParsedCli
 
 /**
  * Parse @p argv against the standard family plus @p extraFlags.
- * Environment fallbacks (UNISTC_JOBS, UNISTC_BENCH_RESUME,
- * UNISTC_BENCH_QUICK) are resolved here, so the returned request is
+ * Environment fallbacks (UNISTC_JOBS, UNISTC_BENCH_QUICK) are
+ * resolved here, so the returned request is
  * self-contained. Malformed or unknown options come back as a typed
  * error — front-ends raise() it — and --help/--version short-circuit
  * validation (helpRequested/versionRequested set, rest best-effort).

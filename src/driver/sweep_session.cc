@@ -1,28 +1,11 @@
 #include "driver/sweep_session.hh"
 
 #include "common/logging.hh"
-#include "warehouse/sink.hh"
 
 namespace unistc
 {
 namespace driver
 {
-
-namespace
-{
-
-RunInfo
-infoFromOutcome(const SweepExecutor::JobOutcome &oc)
-{
-    RunInfo info;
-    info.quarantined = !oc.ok;
-    info.timedOut = oc.timedOut;
-    info.attempts = oc.attempts;
-    info.error = oc.error;
-    return info;
-}
-
-} // namespace
 
 RunResult
 SweepSession::sentinel()
@@ -45,9 +28,6 @@ SweepSession::startPlan(const SweepRequest &req)
     // executor-side shards would be redundant work.
     opt.collectStats = false;
     opt.tracePerJob = req.traceJobCapacity;
-    opt.maxJobSeconds = req.maxJobSeconds;
-    opt.maxRetries = req.maxRetries;
-    opt.quarantine = !req.strict;
     exec_ = std::make_unique<SweepExecutor>(opt);
     cursor_ = 0;
     mode_ = Mode::Plan;
@@ -61,20 +41,6 @@ SweepSession::startReplay()
     exec_->wait();
     cursor_ = 0;
     mode_ = Mode::Replay;
-}
-
-void
-SweepSession::finish()
-{
-    // The sweep's recovery tallies belong in the warehouse commit
-    // record — after this point the executor is gone.
-    if (exec_ != nullptr) {
-        warehouse::BenchSink::instance().noteRecovery(
-            exec_->recoveryCounters());
-    }
-    mode_ = Mode::Off;
-    exec_.reset();
-    captures_.clear();
 }
 
 void
@@ -109,7 +75,7 @@ SweepSession::plan(Kernel kernel, const StcModel &model,
 
 RunResult
 SweepSession::replay(Kernel kernel, const StcModel &model,
-                     const Prepared &p, RunInfo *info)
+                     const Prepared &p)
 {
     UNISTC_ASSERT(exec_ != nullptr, "replay without a plan");
     if (cursor_ >= exec_->jobCount()) {
@@ -130,8 +96,6 @@ SweepSession::replay(Kernel kernel, const StcModel &model,
             ". This bench's control flow depends on simulation "
             "results; run it with --jobs 1.");
     }
-    if (info != nullptr)
-        *info = infoFromOutcome(exec_->outcome(cursor_));
     return exec_->result(cursor_++);
 }
 
@@ -165,8 +129,7 @@ SweepSession::planLineup(Kernel kernel,
 std::vector<RunResult>
 SweepSession::replayLineup(
     Kernel kernel, const std::vector<const StcModel *> &models,
-    const Prepared &p, PipelineCounters *counters,
-    std::vector<RunInfo> *infos)
+    const Prepared &p, PipelineCounters *counters)
 {
     UNISTC_ASSERT(exec_ != nullptr, "replay without a plan");
     if (cursor_ >= exec_->jobCount()) {
@@ -195,10 +158,6 @@ SweepSession::replayLineup(
     }
     if (counters != nullptr)
         *counters = exec_->countersOf(cursor_);
-    if (infos != nullptr) {
-        infos->assign(models.size(),
-                      infoFromOutcome(exec_->outcome(cursor_)));
-    }
     std::vector<RunResult> results;
     results.reserve(models.size());
     for (std::size_t m = 0; m < models.size(); ++m)

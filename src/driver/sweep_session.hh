@@ -48,18 +48,18 @@ class SweepSession
     Mode mode() const { return mode_; }
 
     /**
-     * Begin the plan pass with the request's worker count, recovery
-     * policy and trace capacity. Stats collection stays off — the
-     * ResultLog builds its own per-entry registries at dump time, so
-     * executor-side shards would be redundant work.
+     * Begin the plan pass with the request's worker count and trace
+     * capacity. Stats collection stays off — the ResultLog builds its
+     * own per-entry registries at dump time, so executor-side shards
+     * would be redundant work.
      */
     void startPlan(const SweepRequest &req);
 
-    /** Barrier: all planned jobs finish, then replay begins. */
+    /**
+     * Barrier: all planned jobs finish, then replay begins. Raises
+     * the first failed job's error (SweepExecutor::wait()).
+     */
     void startReplay();
-
-    /** End the sweep: recovery tallies go to the warehouse sink. */
-    void finish();
 
     /** Plan-pass runKernel(): record + submit, return a sentinel. */
     RunResult plan(Kernel kernel, const StcModel &model,
@@ -68,7 +68,7 @@ class SweepSession
 
     /** Replay-pass runKernel(): next precomputed result, checked. */
     RunResult replay(Kernel kernel, const StcModel &model,
-                     const Prepared &p, RunInfo *info);
+                     const Prepared &p);
 
     /**
      * Plan-pass runKernelLineup(): submit ONE multi-model job whose
@@ -85,13 +85,12 @@ class SweepSession
      */
     std::vector<RunResult> replayLineup(
         Kernel kernel, const std::vector<const StcModel *> &models,
-        const Prepared &p, PipelineCounters *counters,
-        std::vector<RunInfo> *infos);
+        const Prepared &p, PipelineCounters *counters);
 
     /**
      * The live executor (null when Off). Valid through the replay
-     * pass — front-ends read trace()/outcome()/pipelineCounters()
-     * from it while reporting; finish() destroys it.
+     * pass — front-ends read trace()/pipelineCounters() from it
+     * while reporting; reset() destroys it.
      */
     const SweepExecutor *executor() const { return exec_.get(); }
 

@@ -5,7 +5,6 @@
 #include "bbc/bbc_io.hh"
 #include "driver/build_info.hh"
 #include "obs/bench_json.hh"
-#include "robust/checkpoint.hh"
 #include "warehouse/schema.hh"
 
 namespace unistc
@@ -28,8 +27,7 @@ versionString(const std::string &binaryName)
     os << "formats: bench-json " << kBenchSchemaName << "/v"
        << kBenchSchemaVersion << ", warehouse v"
        << warehouse::kSchemaVersion << ", bbc-container v"
-       << kBbcContainerVersion << ", checkpoint v"
-       << kCheckpointFormatVersion << "\n";
+       << kBbcContainerVersion << "\n";
     return os.str();
 }
 

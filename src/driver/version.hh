@@ -2,11 +2,10 @@
  * @file
  * One --version for every unistc binary: the git revision the build
  * was configured from plus the version of every on-disk format the
- * binary reads or writes (bench JSON, warehouse, BBC container,
- * checkpoint). Front-ends print versionString() and
- * exit when parseSweepCli() reports versionRequested — so a results
- * directory can always be matched back to the code and schemas that
- * produced it.
+ * binary reads or writes (bench JSON, warehouse, BBC container).
+ * Front-ends print versionString() and exit when parseSweepCli()
+ * reports versionRequested — so a results directory can always be
+ * matched back to the code and schemas that produced it.
  */
 
 #ifndef UNISTC_DRIVER_VERSION_HH

@@ -2,7 +2,6 @@
 
 #include "common/logging.hh"
 #include "engine/kernel_pipeline.hh"
-#include "robust/fault_inject.hh"
 #include "runner/block_driver.hh"
 #include "stc/registry.hh"
 
@@ -56,8 +55,6 @@ JobSpec::runMulti(const std::vector<TraceSink *> &traces,
 {
     UNISTC_ASSERT(a != nullptr, "JobSpec without an A operand: ",
                   label());
-    if (fault)
-        fault->apply(label());
 
     // Resolve the model lineup: clones passed in by the caller, or
     // registry constructions from (name, config).

@@ -27,7 +27,6 @@ namespace unistc
 {
 
 class TraceSink;
-struct FaultSpec;
 struct PipelineCounters;
 
 /**
@@ -95,14 +94,6 @@ struct JobSpec
      * regardless of worker count ("seeded per-job, not per-thread").
      */
     std::uint64_t seed = 0;
-
-    /**
-     * Injected fault (robust/fault_inject.hh), applied at the start
-     * of run(): an artificial delay and/or a budget of throwing
-     * attempts. Null (the default) means no fault. Test-only — used
-     * to prove the executor's watchdog/retry/quarantine machinery.
-     */
-    std::shared_ptr<const FaultSpec> fault;
 
     /**
      * Multi-architecture lineup. Empty (the default) means a single-

@@ -8,7 +8,6 @@
 
 #include "common/logging.hh"
 #include "obs/metrics_export.hh"
-#include "robust/status.hh"
 
 namespace unistc
 {
@@ -19,17 +18,6 @@ namespace
 /** Base mixed into auto-assigned per-job seeds. */
 constexpr std::uint64_t kJobSeedBase = 0x5EEDBA5Eu;
 
-/** Watchdog scan period. */
-constexpr std::chrono::milliseconds kWatchdogTick{25};
-
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
 } // namespace
 
 SweepExecutor::SweepExecutor() : SweepExecutor(Options()) {}
@@ -37,25 +25,12 @@ SweepExecutor::SweepExecutor() : SweepExecutor(Options()) {}
 SweepExecutor::SweepExecutor(const Options &opt)
     : opt_(opt), pool_(opt.jobs <= 1 ? 0 : opt.jobs)
 {
-    if (opt_.maxJobSeconds > 0)
-        watchdog_ = std::thread([this] { watchdogLoop(); });
 }
 
-SweepExecutor::~SweepExecutor()
-{
-    pool_.wait();
-    stopWatchdog();
-}
-
-bool
-SweepExecutor::recoveryEnabled() const
-{
-    return opt_.maxJobSeconds > 0 || opt_.maxRetries > 0 ||
-           opt_.quarantine;
-}
+SweepExecutor::~SweepExecutor() { pool_.wait(); }
 
 void
-SweepExecutor::resetSink(Slot &slot)
+SweepExecutor::makeSinks(Slot &slot)
 {
     if (opt_.tracePerJob == 0)
         return;
@@ -66,7 +41,6 @@ SweepExecutor::resetSink(Slot &slot)
     slot.sink->setProcess(slot.pidBase,
                           slot.spec.modelName(0) + " | " +
                               slot.spec.matrix);
-    slot.extraSinks.clear();
     for (std::size_t m = 1; m < slot.spec.fanout(); ++m) {
         slot.extraSinks.push_back(
             std::make_unique<TraceSink>(opt_.tracePerJob));
@@ -88,19 +62,11 @@ SweepExecutor::submit(JobSpec spec)
         // the stream is identical whichever worker runs the job.
         spec.seed = kJobSeedBase + static_cast<std::uint64_t>(index);
     }
-    Slot *slot = nullptr;
-    {
-        // The watchdog scans slots_ while the deque grows; references
-        // stay stable but the deque's bookkeeping does not.
-        std::lock_guard<std::mutex> lock(slotsMu_);
-        slots_.emplace_back();
-        slot = &slots_.back();
-    }
-    slot->index = index;
+    Slot *slot = &slots_.emplace_back();
     slot->spec = std::move(spec);
     slot->pidBase = nextPid_;
     nextPid_ += static_cast<int>(slot->spec.fanout());
-    resetSink(*slot);
+    makeSinks(*slot);
     pool_.submit([this, slot] { runSlot(*slot); });
     return index;
 }
@@ -108,117 +74,28 @@ SweepExecutor::submit(JobSpec spec)
 void
 SweepExecutor::runSlot(Slot &slot)
 {
-    const int max_attempts = 1 + std::max(0, opt_.maxRetries);
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-        slot.attempts = attempt;
-        if (attempt > 1) {
-            // Retry: fresh trace buffer (no half-written events from
-            // the failed attempt) and a small linear backoff.
-            resetSink(slot);
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(10 * (attempt - 1)));
-        }
-        slot.start = std::chrono::steady_clock::now();
-        slot.state.store(SlotState::Running,
-                         std::memory_order_release);
-        try {
-            std::vector<RunResult> results;
-            if (slot.spec.fanout() > 1) {
-                // Multi-model job: one pass over one task stream,
-                // every task fanned out to the whole lineup.
-                slot.counters = PipelineCounters{};
-                std::vector<TraceSink *> traces;
-                if (slot.sink != nullptr) {
-                    traces.push_back(slot.sink.get());
-                    for (const auto &s : slot.extraSinks)
-                        traces.push_back(s.get());
-                }
-                results = slot.spec.runMulti(traces, &slot.counters);
-            } else {
-                results.push_back(slot.spec.run(slot.sink.get()));
+    try {
+        if (slot.spec.fanout() > 1) {
+            // Multi-model job: one pass over one task stream, every
+            // task fanned out to the whole lineup.
+            std::vector<TraceSink *> traces;
+            if (slot.sink != nullptr) {
+                traces.push_back(slot.sink.get());
+                for (const auto &s : slot.extraSinks)
+                    traces.push_back(s.get());
             }
-            slot.state.store(SlotState::Done,
-                             std::memory_order_release);
-            if (opt_.maxJobSeconds > 0 &&
-                secondsSince(slot.start) > opt_.maxJobSeconds) {
-                // Cooperative timeout: the job cannot be killed
-                // mid-flight, so the overrun is detected here and
-                // the (late) result discarded. Not retried — a slow
-                // job stays slow.
-                slot.failed = true;
-                slot.timedOut = true;
-                slot.error = "job " + slot.spec.label() +
-                             " exceeded the " +
-                             std::to_string(opt_.maxJobSeconds) +
-                             " s budget";
-                break;
-            }
-            slot.results = std::move(results);
-            slot.result = slot.results.front();
-            slot.failed = false;
-            slot.error.clear();
-            return;
-        } catch (const std::exception &e) {
-            slot.state.store(SlotState::Done,
-                             std::memory_order_release);
-            slot.failed = true;
-            slot.error = e.what();
-            if (attempt < max_attempts) {
-                UNISTC_WARN("job ", slot.spec.label(), " attempt ",
-                            attempt, " failed (", e.what(),
-                            "); retrying");
-            }
+            slot.results = slot.spec.runMulti(traces, &slot.counters);
+        } else {
+            slot.results.push_back(slot.spec.run(slot.sink.get()));
         }
+    } catch (const UnistcError &e) {
+        slot.error = Status(e.code(), "job " + slot.spec.label() +
+                                          " failed: " +
+                                          e.status().message());
+    } catch (const std::exception &e) {
+        slot.error = internalError("job " + slot.spec.label() +
+                                   " failed: " + e.what());
     }
-    // Failed after every attempt (or timed out). Quarantine
-    // semantics: zeroed results (one per lineup model) and an empty
-    // trace buffer, both independent of worker count, preserving the
-    // byte-identical merge guarantee.
-    slot.result = RunResult{};
-    slot.results.assign(slot.spec.fanout(), RunResult{});
-    slot.counters = PipelineCounters{};
-    resetSink(slot);
-}
-
-void
-SweepExecutor::watchdogLoop()
-{
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(watchdogMu_);
-            watchdogCv_.wait_for(lock, kWatchdogTick,
-                                 [this] { return watchdogStop_; });
-            if (watchdogStop_)
-                return;
-        }
-        std::lock_guard<std::mutex> lock(slotsMu_);
-        for (Slot &s : slots_) {
-            if (s.state.load(std::memory_order_acquire) !=
-                SlotState::Running)
-                continue;
-            if (secondsSince(s.start) <= opt_.maxJobSeconds)
-                continue;
-            if (s.warned.exchange(true))
-                continue;
-            UNISTC_WARN("watchdog: job ", s.spec.label(),
-                        " exceeded its ", opt_.maxJobSeconds,
-                        " s budget and is still running; it will be "
-                        "flagged as timed out when it completes");
-        }
-    }
-}
-
-void
-SweepExecutor::stopWatchdog()
-{
-    if (!watchdog_.joinable())
-        return;
-    {
-        std::lock_guard<std::mutex> lock(watchdogMu_);
-        watchdogStop_ = true;
-    }
-    watchdogCv_.notify_all();
-    watchdog_.join();
 }
 
 void
@@ -227,22 +104,13 @@ SweepExecutor::wait()
     pool_.wait();
     if (merged_)
         return;
-    stopWatchdog();
 
-    // Without quarantine, a failed job fails the sweep: surface the
-    // first failure in submission order through raise() (throw or
-    // exit per FatalBehavior) before any merging happens.
-    if (!opt_.quarantine) {
-        for (const Slot &s : slots_) {
-            if (!s.failed)
-                continue;
-            raise(s.timedOut ? timeoutError(s.error)
-                             : internalError(
-                                   "job " + s.spec.label() +
-                                   " failed after " +
-                                   std::to_string(s.attempts) +
-                                   " attempt(s): " + s.error));
-        }
+    // A failed job fails the sweep: surface the first failure in
+    // submission order through raise() (throw or exit per
+    // FatalBehavior) before any merging happens.
+    for (const Slot &s : slots_) {
+        if (!s.error.ok())
+            raise(s.error);
     }
     merged_ = true;
 
@@ -256,8 +124,7 @@ SweepExecutor::wait()
         for (std::size_t i = 0; i < slots_.size(); ++i) {
             const Slot &s = slots_[i];
             for (std::size_t m = 0; m < s.spec.fanout(); ++m) {
-                const RunResult &res =
-                    m < s.results.size() ? s.results[m] : s.result;
+                const RunResult &res = s.results[m];
                 registerRunResult(
                     stats_, res,
                     opt_.statsPrefix + std::to_string(i) + "." +
@@ -269,27 +136,6 @@ SweepExecutor::wait()
         stats_.setCounter(opt_.statsPrefix + "totalCycles",
                           total_cycles,
                           "sum of simulated cycles over all jobs");
-        if (recoveryEnabled()) {
-            std::uint64_t faults = 0;
-            std::uint64_t retried = 0;
-            std::uint64_t quarantined = 0;
-            for (const Slot &s : slots_) {
-                // Every attempt that did not produce a result is one
-                // detected fault.
-                faults += static_cast<std::uint64_t>(
-                    s.failed ? s.attempts : s.attempts - 1);
-                retried += static_cast<std::uint64_t>(
-                    std::max(0, s.attempts - 1));
-                if (s.failed)
-                    ++quarantined;
-            }
-            stats_.setCounter("robust.faults_detected", faults,
-                              "job attempts that threw or timed out");
-            stats_.setCounter("robust.jobs_retried", retried,
-                              "extra attempts made after a failure");
-            stats_.setCounter("robust.jobs_quarantined", quarantined,
-                              "jobs replaced by a zeroed result");
-        }
     }
 
     // Aggregate engine counters over multi-model jobs: tasks sum;
@@ -339,10 +185,7 @@ SweepExecutor::spec(std::size_t i) const
 const RunResult &
 SweepExecutor::result(std::size_t i) const
 {
-    UNISTC_ASSERT(merged_, "SweepExecutor::result before wait()");
-    UNISTC_ASSERT(i < slots_.size(), "job index ", i,
-                  " out of range");
-    return slots_[i].result;
+    return resultOf(i, 0);
 }
 
 std::size_t
@@ -362,11 +205,6 @@ SweepExecutor::resultOf(std::size_t i, std::size_t m) const
     const Slot &s = slots_[i];
     UNISTC_ASSERT(m < s.spec.fanout(), "model index ", m,
                   " out of range for job ", i);
-    if (s.results.empty()) {
-        // A job that never ran its attempt loop (defensive; the
-        // quarantine path always fills results).
-        return s.result;
-    }
     return s.results[m];
 }
 
@@ -385,40 +223,6 @@ SweepExecutor::pipelineCounters() const
     UNISTC_ASSERT(merged_,
                   "SweepExecutor::pipelineCounters before wait()");
     return engineCounters_;
-}
-
-SweepExecutor::JobOutcome
-SweepExecutor::outcome(std::size_t i) const
-{
-    UNISTC_ASSERT(merged_, "SweepExecutor::outcome before wait()");
-    UNISTC_ASSERT(i < slots_.size(), "job index ", i,
-                  " out of range");
-    const Slot &s = slots_[i];
-    JobOutcome out;
-    out.ok = !s.failed;
-    out.timedOut = s.timedOut;
-    out.attempts = std::max(1, s.attempts);
-    out.error = s.error;
-    return out;
-}
-
-SweepExecutor::RecoveryCounters
-SweepExecutor::recoveryCounters() const
-{
-    UNISTC_ASSERT(merged_,
-                  "SweepExecutor::recoveryCounters before wait()");
-    RecoveryCounters rc;
-    for (const Slot &s : slots_) {
-        rc.faultsDetected += static_cast<std::uint64_t>(
-            s.failed ? s.attempts : std::max(0, s.attempts - 1));
-        rc.jobsRetried += static_cast<std::uint64_t>(
-            std::max(0, s.attempts - 1));
-        if (s.failed)
-            ++rc.jobsQuarantined;
-        if (s.timedOut)
-            ++rc.jobsTimedOut;
-    }
-    return rc;
 }
 
 const StatRegistry &

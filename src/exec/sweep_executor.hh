@@ -11,38 +11,28 @@
  * 1 worker and with N workers therefore produces byte-identical
  * stats JSON and trace output; only wall-clock time differs.
  *
- * Recovery (docs/ROBUSTNESS.md): with Options::maxRetries a job that
- * throws is re-run (small backoff) before being declared failed; with
- * Options::maxJobSeconds a cooperative watchdog warns when a job
- * overruns and the overrun is recorded as a timeout on completion;
- * with Options::quarantine failed jobs are replaced by a zeroed
- * RunResult and the sweep continues (otherwise wait() raise()s the
- * first failure). Quarantined results are zeroed — not partial — so
- * the 1-worker/N-worker byte-identical guarantee still holds under
- * deterministic faults. Recovery counters (robust.faults_detected,
- * robust.jobs_retried, robust.jobs_quarantined) appear in stats()
- * whenever a recovery option is enabled.
+ * Failures: a job that throws is caught on its worker, and wait()
+ * raise()s the first failure in submission order, naming the job.
+ * A job is a pure function of its spec, so re-running it would
+ * repeat the failure; a failing job fails the sweep at every worker
+ * count, as it fails a serial run.
  */
 
 #ifndef UNISTC_EXEC_SWEEP_EXECUTOR_HH
 #define UNISTC_EXEC_SWEEP_EXECUTOR_HH
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
+#include <vector>
 
 #include "engine/kernel_pipeline.hh"
 #include "exec/job_spec.hh"
 #include "exec/thread_pool.hh"
 #include "obs/stat_registry.hh"
 #include "obs/trace.hh"
+#include "robust/status.hh"
 
 namespace unistc
 {
@@ -72,48 +62,6 @@ class SweepExecutor
 
         /** Key prefix for merged statistics. */
         std::string statsPrefix = "sweep.";
-
-        /**
-         * Soft per-job wall-clock budget in seconds; 0 disables the
-         * watchdog. Jobs cannot be killed mid-flight (cooperative
-         * timeout): a watchdog thread warns when a running job
-         * overruns, and on completion the job is recorded as timed
-         * out — quarantined or raised like any other failure.
-         * Timed-out jobs are not retried (a slow job stays slow).
-         */
-        double maxJobSeconds = 0;
-
-        /**
-         * Re-run a throwing job up to this many extra times (with a
-         * small backoff) before declaring it failed. Each retry
-         * resets the job's trace buffer, so a transient failure
-         * leaves no half-written events behind.
-         */
-        int maxRetries = 0;
-
-        /**
-         * Keep going past failed jobs: a job that still fails after
-         * retries (or times out) contributes a zeroed RunResult and
-         * the sweep completes. When false (default), wait() raise()s
-         * the first failure in submission order.
-         */
-        bool quarantine = false;
-    };
-
-    /** Post-wait() per-job recovery verdict (see outcome()). */
-    struct JobOutcome
-    {
-        /** Job produced a real result (possibly after retries). */
-        bool ok = true;
-
-        /** Job exceeded Options::maxJobSeconds. */
-        bool timedOut = false;
-
-        /** Execution attempts made (1 = clean first run). */
-        int attempts = 1;
-
-        /** Last failure message; empty when ok. */
-        std::string error;
     };
 
     SweepExecutor();
@@ -137,7 +85,9 @@ class SweepExecutor
 
     /**
      * Barrier: block until every submitted job has run, then merge
-     * stats shards and trace buffers in submission order. Idempotent.
+     * stats shards and trace buffers in submission order. If any job
+     * threw, raise()s the first failure in submission order instead
+     * (its message names the job). Idempotent once it has merged.
      */
     void wait();
 
@@ -179,29 +129,6 @@ class SweepExecutor
      */
     const PipelineCounters &pipelineCounters() const;
 
-    /**
-     * Recovery verdict of job @p i (attempts, timeout, final error);
-     * requires wait() first. outcome(i).ok is false exactly when job
-     * i was quarantined (its result() is zeroed).
-     */
-    JobOutcome outcome(std::size_t i) const;
-
-    /** Sweep-wide recovery tallies (the robust.* stats counters). */
-    struct RecoveryCounters
-    {
-        std::uint64_t faultsDetected = 0; ///< Attempts that failed.
-        std::uint64_t jobsRetried = 0;    ///< Extra attempts made.
-        std::uint64_t jobsQuarantined = 0;
-        std::uint64_t jobsTimedOut = 0;
-    };
-
-    /**
-     * Aggregate recovery counters over every job — available even
-     * with Options::collectStats off (the warehouse commit record
-     * reads them without paying for stat shards); requires wait().
-     */
-    RecoveryCounters recoveryCounters() const;
-
     /** Merged statistics (submission order); requires wait(). */
     const StatRegistry &stats() const;
 
@@ -223,17 +150,12 @@ class SweepExecutor
     static int resolveJobs(int requested, int fallback = 1);
 
   private:
-    /** Watchdog's view of a slot's lifecycle. */
-    enum class SlotState { Idle, Running, Done };
-
     struct Slot
     {
-        std::size_t index = 0;
         JobSpec spec;
-        RunResult result;
         std::unique_ptr<TraceSink> sink;
 
-        /** Per-model results (lineup order); results[0] == result. */
+        /** Per-model results (lineup order); empty if the job threw. */
         std::vector<RunResult> results;
 
         /** Sinks for lineup models 1..N-1 (sink covers model 0). */
@@ -245,46 +167,25 @@ class SweepExecutor
         /** First trace pid of this job (one pid per lineup model). */
         int pidBase = 0;
 
-        // Recovery bookkeeping, written by the worker running the
-        // job and read after the wait() barrier (except state/start/
-        // warned, which the watchdog reads while the job runs).
-        int attempts = 0;
-        bool failed = false;
-        bool timedOut = false;
-        std::string error;
-        std::atomic<SlotState> state{SlotState::Idle};
-        std::chrono::steady_clock::time_point start{};
-        std::atomic<bool> warned{false};
+        /** The job's failure, Ok when it ran to completion. */
+        Status error;
     };
 
-    /** Execute one job with retry / timeout / quarantine handling. */
+    /** Execute one job, recording its failure instead of throwing. */
     void runSlot(Slot &slot);
 
-    /** Fresh (empty) trace sink for @p slot, if tracing is on. */
-    void resetSink(Slot &slot);
-
-    /** True when any recovery option is enabled. */
-    bool recoveryEnabled() const;
-
-    void watchdogLoop();
-    void stopWatchdog();
+    /** Fresh (empty) trace sinks for @p slot, if tracing is on. */
+    void makeSinks(Slot &slot);
 
     Options opt_;
     ThreadPool pool_;
     /** Deque: stable element addresses while workers run. */
     std::deque<Slot> slots_;
-    /** Guards slots_ growth against the watchdog's scan. */
-    mutable std::mutex slotsMu_;
     StatRegistry stats_;
     std::unique_ptr<TraceSink> mergedTrace_;
     PipelineCounters engineCounters_;
     bool merged_ = false;
     int nextPid_ = 0;
-
-    std::thread watchdog_;
-    std::mutex watchdogMu_;
-    std::condition_variable watchdogCv_;
-    bool watchdogStop_ = false;
 };
 
 } // namespace unistc

@@ -14,8 +14,8 @@ namespace
 /**
  * Backstop for exceptions escaping a task: turn them into an
  * attributed panic instead of std::terminate with no context.
- * Recovery-aware callers (SweepExecutor) catch inside the task and
- * never reach this.
+ * SweepExecutor catches a job's exception inside the task and never
+ * reaches this.
  */
 void
 runTask(const std::function<void()> &task)

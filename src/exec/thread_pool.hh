@@ -7,9 +7,9 @@
  * and multi-threaded executions share one code path and differ only
  * in scheduling, never in results.
  *
- * Tasks are expected to handle their own failures: callers that need
- * recovery (SweepExecutor's retry/quarantine machinery) catch inside
- * the task. As a backstop, an exception that does escape a task is
+ * Tasks are expected to handle their own failures: SweepExecutor
+ * catches a job's exception inside the task and reports it at its
+ * wait() barrier. As a backstop, an exception that does escape a task is
  * caught by the pool and reported via UNISTC_PANIC with its message —
  * a deliberate, attributed abort instead of an opaque std::terminate
  * from a detached worker stack.

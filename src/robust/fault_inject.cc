@@ -1,13 +1,10 @@
 #include "robust/fault_inject.hh"
 
-#include <chrono>
 #include <limits>
 #include <sstream>
-#include <thread>
 
 #include "bbc/bbc_matrix.hh"
 #include "common/logging.hh"
-#include "robust/status.hh"
 
 namespace unistc
 {
@@ -28,28 +25,8 @@ toString(FaultKind kind)
         return "TruncateStream";
       case FaultKind::GarbleStream:
         return "GarbleStream";
-      case FaultKind::SlowJob:
-        return "SlowJob";
-      case FaultKind::ThrowJob:
-        return "ThrowJob";
     }
     return "?";
-}
-
-void
-FaultSpec::apply(const std::string &jobLabel) const
-{
-    if (delayMs > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(delayMs));
-    }
-    // fetch_add caps the throws at throwCount no matter how many
-    // attempts (or concurrent executors in a buggy test) run.
-    if (thrown.load(std::memory_order_relaxed) < throwCount &&
-        thrown.fetch_add(1, std::memory_order_relaxed) < throwCount) {
-        throw UnistcError(internalError(
-            "injected fault (ThrowJob) in " + jobLabel));
-    }
 }
 
 std::string

@@ -1,36 +1,28 @@
 /**
  * @file
- * Deterministic, seed-driven fault injection (docs/ROBUSTNESS.md).
- *
- * Two fault families, both driven from one RNG stream so a failing
- * campaign replays exactly from its seed:
- *
- *  - *Data faults* (FaultPlan): corrupt an in-memory BbcMatrix
- *    (bitmap bit-flips, NaN/Inf value injection) or a serialized
- *    byte image (truncation, garbled bytes). Tests use these to
- *    prove each validator/checksum detector fires.
- *
- *  - *Job faults* (FaultSpec): make a sweep job artificially slow or
- *    make its first N attempts throw, to exercise the executor's
- *    watchdog / retry / quarantine machinery.
+ * Deterministic, seed-driven data-fault injection
+ * (docs/ROBUSTNESS.md). FaultPlan corrupts an in-memory BbcMatrix
+ * (bitmap bit-flips, NaN/Inf value injection) or a serialized byte
+ * image (truncation, garbled bytes), all drawn from one RNG stream,
+ * so a failing campaign replays exactly from its seed. Tests use it
+ * to prove each validator and checksum detector fires.
  */
 
 #ifndef UNISTC_ROBUST_FAULT_INJECT_HH
 #define UNISTC_ROBUST_FAULT_INJECT_HH
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "common/rng.hh"
-#include "robust/status.hh"
 
 namespace unistc
 {
 
 class BbcMatrix;
 
-/** Corruption classes the robustness layer must detect or recover. */
+/** Corruption classes the validators and checksums must detect. */
 enum class FaultKind
 {
     BitmapLv1Flip,  ///< Flip one bit of a random Lv1 tile bitmap.
@@ -39,35 +31,10 @@ enum class FaultKind
     InfValue,       ///< Overwrite one stored value with +infinity.
     TruncateStream, ///< Cut a serialized byte image short.
     GarbleStream,   ///< XOR-garble one byte of a serialized image.
-    SlowJob,        ///< Delay a sweep job past its watchdog budget.
-    ThrowJob,       ///< Make a sweep job's first attempts throw.
 };
 
 /** Printable kind name ("BitmapLv1Flip", ...). */
 const char *toString(FaultKind kind);
-
-/**
- * Per-job fault knobs, attached to an exec::JobSpec by tests. The
- * throw counter is shared mutable state: build a fresh FaultSpec per
- * sweep, or retries observed in an earlier sweep leak into the next.
- */
-struct FaultSpec
-{
-    /** Sleep this long at the start of every attempt (SlowJob). */
-    int delayMs = 0;
-
-    /** First N attempts throw UnistcError before running (ThrowJob). */
-    int throwCount = 0;
-
-    /** Attempts that have thrown so far (runtime state). */
-    mutable std::atomic<int> thrown{0};
-
-    /**
-     * Apply the fault for one attempt: sleep, then throw if the
-     * throw budget is not yet exhausted.
-     */
-    void apply(const std::string &jobLabel) const;
-};
 
 /**
  * Seed-driven corruption engine. Every corrupt*() call draws from

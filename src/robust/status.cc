@@ -24,10 +24,6 @@ toString(ErrorCode code)
         return "CorruptData";
       case ErrorCode::FailedPrecondition:
         return "FailedPrecondition";
-      case ErrorCode::Timeout:
-        return "Timeout";
-      case ErrorCode::Cancelled:
-        return "Cancelled";
       case ErrorCode::Internal:
         return "Internal";
     }
@@ -70,12 +66,6 @@ Status
 failedPrecondition(std::string msg)
 {
     return Status(ErrorCode::FailedPrecondition, std::move(msg));
-}
-
-Status
-timeoutError(std::string msg)
-{
-    return Status(ErrorCode::Timeout, std::move(msg));
 }
 
 Status

@@ -14,7 +14,7 @@
  *     mains) — see common/logging.hh for the behavior switch.
  *
  * panic() (simulator bugs) still aborts unconditionally; this model
- * covers *user-caused* failures: bad files, corrupt data, timeouts.
+ * covers *user-caused* failures: bad files, corrupt data, bad flags.
  */
 
 #ifndef UNISTC_ROBUST_STATUS_HH
@@ -37,8 +37,6 @@ enum class ErrorCode
     ParseError,         ///< Text input did not match its grammar.
     CorruptData,        ///< Structured input failed an integrity check.
     FailedPrecondition, ///< Valid input, unusable in this context.
-    Timeout,            ///< A watchdog deadline expired.
-    Cancelled,          ///< Work abandoned before completion.
     Internal,           ///< Unexpected library-side failure.
 };
 
@@ -77,7 +75,6 @@ Status ioError(std::string msg);
 Status parseError(std::string msg);
 Status corruptData(std::string msg);
 Status failedPrecondition(std::string msg);
-Status timeoutError(std::string msg);
 Status internalError(std::string msg);
 
 /** Exception form of a Status, thrown under FatalBehavior::Throw. */

@@ -41,7 +41,7 @@ struct RunMeta
     std::string time;   ///< ISO-8601 UTC start time ("" if unknown).
     std::string argvLine;
     std::vector<std::pair<std::string, std::string>> env;
-    /** finalize()-time counters ("robust.jobs_retried", ...). */
+    /** finalize()-time counters (RunWriter::noteCounter). */
     std::map<std::string, std::uint64_t> counters;
     /** Row totals recorded at finalize (absent on crashed runs). */
     std::uint64_t declaredResultRows = 0;

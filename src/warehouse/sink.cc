@@ -164,19 +164,6 @@ BenchSink::recordEngine(const std::string &kernel,
 }
 
 void
-BenchSink::noteRecovery(const SweepExecutor::RecoveryCounters &rc)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (writer_ == nullptr)
-        return;
-    writer_->noteCounter("robust.faults_detected", rc.faultsDetected);
-    writer_->noteCounter("robust.jobs_retried", rc.jobsRetried);
-    writer_->noteCounter("robust.jobs_quarantined",
-                         rc.jobsQuarantined);
-    writer_->noteCounter("robust.jobs_timed_out", rc.jobsTimedOut);
-}
-
-void
 BenchSink::finalize()
 {
     std::lock_guard<std::mutex> lock(mu_);

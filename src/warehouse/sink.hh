@@ -27,7 +27,6 @@
 #include <string>
 
 #include "engine/kernel_pipeline.hh"
-#include "exec/sweep_executor.hh"
 #include "sim/result.hh"
 #include "warehouse/warehouse.hh"
 
@@ -73,9 +72,6 @@ class BenchSink
     void recordEngine(const std::string &kernel,
                       const std::string &matrix,
                       const PipelineCounters &counters);
-
-    /** Fold a sweep's recovery tallies into the commit counters. */
-    void noteRecovery(const SweepExecutor::RecoveryCounters &rc);
 
     /**
      * Seal the run: commit.

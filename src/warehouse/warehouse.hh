@@ -6,7 +6,7 @@
  *
  * Durability contract (the crash-resilience satellite of PR 6):
  * every append is written through to the OS immediately (fflush) and
- * fsync'd in small batches, so a crashed or watchdog-killed bench
+ * fsync'd in small batches, so a crashed or killed bench
  * leaves a run that is queryable up to the failure point — atexit
  * alone would lose everything. finalize() seals the run: counters
  * are appended to META, everything is fsync'd, and a COMMIT marker
@@ -80,8 +80,8 @@ class RunWriter
     void appendEngine(const EngineRow &row);
 
     /**
-     * Accumulate a named commit counter ("robust.jobs_retried",
-     * ...); summed across calls and appended to META by finalize().
+     * Accumulate a named commit counter; summed across calls and
+     * appended to META by finalize().
      */
     void noteCounter(const std::string &name, std::uint64_t v);
 

@@ -2,15 +2,15 @@
  * @file
  * Execution-driver library tests (src/driver/): the SweepRequest
  * parser shared by every binary, runKernel() routing through an
- * ExecutionContext, DriverSession's plan/replay orchestration,
- * context reuse across back-to-back sweeps in one process — the
- * embedding contract the bench singletons could never offer — and
+ * ExecutionContext, DriverSession's plan/replay orchestration (a
+ * throwing job fails the run at any --jobs), context reuse across
+ * back-to-back sweeps in one process — the embedding contract the
+ * bench singletons could never offer — and
  * $TMPDIR-aware scratch paths (driver/tmpdir.hh).
  * Labeled "driver" so every sanitizer preset runs it (see
  * CMakePresets.json).
  */
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -26,17 +26,12 @@
 #include "driver/tmpdir.hh"
 #include "driver/version.hh"
 #include "stc/registry.hh"
+#include "throwing_model.hh"
 
 namespace unistc
 {
 namespace
 {
-
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + "/" + name;
-}
 
 /** argv adapter: parseSweepCli wants mutable char** like main(). */
 class Argv
@@ -106,24 +101,16 @@ TEST(SweepRequestParse, DefaultsAreSerialAndUnsharded)
     EXPECT_FALSE(cli.request.quick);
     EXPECT_FALSE(cli.request.smoke);
     EXPECT_EQ(cli.request.jobs, 1);
-    EXPECT_TRUE(cli.request.resumePath.empty());
-    EXPECT_FALSE(cli.request.strict);
-    EXPECT_EQ(cli.request.maxJobSeconds, 0.0);
     EXPECT_TRUE(cli.extra.empty());
 }
 
 TEST(SweepRequestParse, StandardFamilyRoundTrips)
 {
     const driver::ParsedCli cli = parseOk(
-        {"--quick", "--jobs", "3", "--resume", "/tmp/ck",
-         "--strict", "--max-job-seconds", "2.5", "--log-level",
-         "warn"});
+        {"--quick", "--jobs", "3", "--log-level", "warn"});
     const driver::SweepRequest &req = cli.request;
     EXPECT_TRUE(req.quick);
     EXPECT_EQ(req.jobs, 3);
-    EXPECT_EQ(req.resumePath, "/tmp/ck");
-    EXPECT_TRUE(req.strict);
-    EXPECT_DOUBLE_EQ(req.maxJobSeconds, 2.5);
     EXPECT_TRUE(req.logLevelSet);
     EXPECT_EQ(req.logLevel, LogLevel::Warn);
 }
@@ -131,11 +118,11 @@ TEST(SweepRequestParse, StandardFamilyRoundTrips)
 TEST(SweepRequestParse, EqualsFormAndSmokeImpliesQuick)
 {
     const driver::ParsedCli cli =
-        parseOk({"--jobs=2", "--smoke", "--resume=/tmp/ck"});
+        parseOk({"--jobs=2", "--smoke", "--log-level=error"});
     EXPECT_EQ(cli.request.jobs, 2);
     EXPECT_TRUE(cli.request.smoke);
     EXPECT_TRUE(cli.request.quick);
-    EXPECT_EQ(cli.request.resumePath, "/tmp/ck");
+    EXPECT_EQ(cli.request.logLevel, LogLevel::Error);
 }
 
 TEST(SweepRequestParse, RejectsUnknownOption)
@@ -151,11 +138,6 @@ TEST(SweepRequestParse, RejectsMissingValueAndBadNumbers)
     parseError({"--jobs"});
     parseError({"--jobs", "three"});
     parseError({"--jobs", "-2"});
-    parseError({"--max-job-seconds", "-1"});
-    // NaN would switch the watchdog off without a word (NaN > 0 is
-    // false); infinities are no budget either.
-    parseError({"--max-job-seconds", "nan"});
-    parseError({"--max-job-seconds", "inf"});
     // Counts above the 1024-worker cap fail instead of wrapping
     // through the cast to int.
     EXPECT_NE(parseError({"--jobs", "3000000000"})
@@ -208,7 +190,8 @@ TEST(SweepCliHelp, ListsExtraFlagsThenStandardFamily)
     EXPECT_NE(jobs_at, std::string::npos);
     EXPECT_LT(kernel_at, jobs_at); // binary flags lead
     EXPECT_NE(text.find("--version"), std::string::npos);
-    EXPECT_NE(text.find("--resume PATH"), std::string::npos);
+    for (const char *gone : {"--resume", "--strict", "--max-job-seconds"})
+        EXPECT_EQ(text.find(gone), std::string::npos) << gone;
 }
 
 TEST(Version, ReportsRevisionAndSchemaVersions)
@@ -218,7 +201,7 @@ TEST(Version, ReportsRevisionAndSchemaVersions)
               std::string::npos);
     EXPECT_NE(v.find("bench-json"), std::string::npos);
     EXPECT_NE(v.find("warehouse v"), std::string::npos);
-    EXPECT_NE(v.find("checkpoint v"), std::string::npos);
+    EXPECT_NE(v.find("bbc-container v"), std::string::npos);
 }
 
 // ---------------------------------------------------------------
@@ -253,13 +236,9 @@ TEST(DriverKernelRun, SerialRunMatchesInlineExecution)
     const RunResult inline_r = driver::executeKernel(
         Kernel::SpMV, *model, prep, EnergyModel());
     ScopedContext ctx;
-    driver::RunInfo info;
-    const RunResult driven = driver::runKernel(
-        Kernel::SpMV, *model, prep, EnergyModel(), 64, &info);
+    const RunResult driven =
+        driver::runKernel(Kernel::SpMV, *model, prep, EnergyModel());
     expectSameResult(inline_r, driven);
-    EXPECT_FALSE(info.resumed);
-    EXPECT_FALSE(info.quarantined);
-    EXPECT_EQ(info.attempts, 1);
 }
 
 namespace
@@ -267,18 +246,15 @@ namespace
 
 /** The shared experiment body: 3 models x 1 kernel, like a bench. */
 std::vector<RunResult>
-runThreeModels(std::vector<driver::RunInfo> *infos = nullptr)
+runThreeModels()
 {
     const driver::Prepared prep("t", genBanded(192, 8, 0.5, 3));
     const MachineConfig cfg = MachineConfig::fp64();
     std::vector<RunResult> out;
     for (const char *name : {"DS-STC", "RM-STC", "Uni-STC"}) {
         const auto model = makeStcModel(name, cfg);
-        driver::RunInfo info;
-        out.push_back(driver::runKernel(Kernel::SpMV, *model, prep,
-                                        EnergyModel(), 64, &info));
-        if (infos != nullptr)
-            infos->push_back(info);
+        out.push_back(
+            driver::runKernel(Kernel::SpMV, *model, prep, EnergyModel()));
     }
     return out;
 }
@@ -334,7 +310,6 @@ TEST(DriverSessionTest, LineupThroughJobsMatchesPerModelRuns)
     driver::SweepRequest req;
     req.jobs = 2;
     std::vector<RunResult> driven;
-    std::vector<driver::RunInfo> infos;
     driver::DriverSession session(ctx);
     Argv argv({});
     const int rc = session.run(
@@ -342,9 +317,8 @@ TEST(DriverSessionTest, LineupThroughJobsMatchesPerModelRuns)
         [&](int, char **) {
             const driver::Prepared prep("t",
                                         genBanded(192, 8, 0.5, 3));
-            driven = driver::runKernelLineup(
-                Kernel::SpMV, models, prep, EnergyModel(), false,
-                nullptr, 64, &infos);
+            driven = driver::runKernelLineup(Kernel::SpMV, models,
+                                             prep, EnergyModel());
             return 0;
         });
     EXPECT_EQ(rc, 0);
@@ -352,75 +326,76 @@ TEST(DriverSessionTest, LineupThroughJobsMatchesPerModelRuns)
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE(i);
         expectSameResult(serial[i], driven[i]);
-        EXPECT_FALSE(infos[i].resumed);
-        EXPECT_FALSE(infos[i].quarantined);
     }
 }
 
 TEST(DriverSessionTest, ContextServesBackToBackSweeps)
 {
-    const std::string ck = tempPath("driver_reuse.ck");
-    std::remove(ck.c_str());
-
     driver::ExecutionContext ctx;
     driver::DriverSession session(ctx);
     Argv argv({});
 
-    // Sweep 1: checkpointing on — every job simulates and lands on
-    // the checkpoint file.
+    // Sweep 1 fans out over two workers; sweep 2 reuses the context
+    // serially. beginRun() must have dropped sweep 1's plan/replay
+    // state, and both must give the same results.
     driver::SweepRequest req1;
     req1.jobs = 2;
-    req1.resumePath = ck;
     std::vector<RunResult> first;
-    std::vector<driver::RunInfo> first_infos;
     EXPECT_EQ(session.run(req1, argv.argc(), argv.argv(),
                           [&](int, char **) {
-                              first = runThreeModels(&first_infos);
+                              first = runThreeModels();
                               return 0;
                           }),
               0);
-    for (const driver::RunInfo &info : first_infos)
-        EXPECT_FALSE(info.resumed);
 
-    // Sweep 2, same context, resume OFF: beginRun() must have
-    // cleared the checkpoint session — nothing may be served as
-    // "resumed" from sweep 1's state.
     driver::SweepRequest req2;
     std::vector<RunResult> second;
-    std::vector<driver::RunInfo> second_infos;
     EXPECT_EQ(session.run(req2, argv.argc(), argv.argv(),
                           [&](int, char **) {
-                              second = runThreeModels(&second_infos);
+                              second = runThreeModels();
                               return 0;
                           }),
               0);
-    for (const driver::RunInfo &info : second_infos)
-        EXPECT_FALSE(info.resumed);
     ASSERT_EQ(second.size(), first.size());
     for (std::size_t i = 0; i < first.size(); ++i) {
         SCOPED_TRACE(i);
         expectSameResult(first[i], second[i]);
     }
+}
 
-    // Sweep 3, same context, resume ON again: every job must now be
-    // served from the file sweep 1 wrote, bit-identically.
-    driver::SweepRequest req3;
-    req3.resumePath = ck;
-    std::vector<RunResult> third;
-    std::vector<driver::RunInfo> third_infos;
-    EXPECT_EQ(session.run(req3, argv.argc(), argv.argv(),
-                          [&](int, char **) {
-                              third = runThreeModels(&third_infos);
-                              return 0;
-                          }),
-              0);
-    for (const driver::RunInfo &info : third_infos)
-        EXPECT_TRUE(info.resumed);
-    for (std::size_t i = 0; i < first.size(); ++i) {
-        SCOPED_TRACE(i);
-        expectSameResult(first[i], third[i]);
+TEST(DriverSessionTest, ThrowingJobFailsTheRunAtAnyJobCount)
+{
+    // A job that throws ends a serial run; at --jobs 2 the barrier
+    // must raise it too, naming the job.
+    ScopedFatalThrow guard;
+    const ThrowingModel model;
+    for (const int jobs : {1, 2}) {
+        SCOPED_TRACE(jobs);
+        driver::ExecutionContext ctx;
+        driver::SweepRequest req;
+        req.jobs = jobs;
+        driver::DriverSession session(ctx);
+        Argv argv({});
+        try {
+            const int rc = session.run(
+                req, argv.argc(), argv.argv(), [&](int, char **) {
+                    const driver::Prepared prep(
+                        "t", genBanded(192, 8, 0.5, 3));
+                    driver::runKernel(Kernel::SpMV, model, prep);
+                    return 0;
+                });
+            ADD_FAILURE() << "the run returned " << rc;
+        } catch (const UnistcError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("block task refused"), std::string::npos)
+                << what;
+            if (jobs == 2) {
+                EXPECT_NE(what.find("SpMV Throwing-STC @ t"),
+                          std::string::npos)
+                    << what;
+            }
+        }
     }
-    std::remove(ck.c_str());
 }
 
 TEST(DriverSessionTest, ReportingPassFlagGuardsPlanPass)

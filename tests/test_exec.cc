@@ -1,9 +1,10 @@
 /**
  * @file
  * Parallel sweep engine tests: the ThreadPool contract, JobSpec
- * purity, and the executor's headline guarantee — a sweep run with 1
+ * purity, the executor's headline guarantee — a sweep run with 1
  * worker and with N workers produces byte-identical merged stats and
- * trace output. The concurrency hammer tests at the bottom exist for
+ * trace output — and its failure report: wait() raises the first
+ * failed job in submission order. The concurrency hammer tests at the bottom exist for
  * the tsan preset; they pass trivially single-threaded but catch
  * races under -fsanitize=thread.
  */
@@ -25,6 +26,7 @@
 #include "obs/stat_registry.hh"
 #include "obs/trace.hh"
 #include "stc/registry.hh"
+#include "throwing_model.hh"
 
 using namespace unistc;
 
@@ -260,6 +262,42 @@ TEST(SweepExecutor, StatsCarrySweepKeys)
     EXPECT_TRUE(exec.stats().has(
         "sweep.0.banded.Uni-STC.SpMV.cycles"));
     EXPECT_GT(exec.stats().counter("sweep.totalCycles"), 0u);
+}
+
+TEST(SweepExecutor, WaitRaisesTheFirstFailureInSubmissionOrder)
+{
+    // Jobs m1 and m3 throw. Whichever worker fails first, wait()
+    // reports m1, the first failure in submission order.
+    const auto a = sharedBbc(genBanded(96, 4, 0.7, 9));
+    SweepExecutor::Options opt;
+    opt.jobs = 2;
+    SweepExecutor exec(opt);
+    for (int i = 0; i < 4; ++i) {
+        JobSpec spec;
+        spec.kernel = Kernel::SpMV;
+        spec.matrix = "m" + std::to_string(i);
+        spec.a = a;
+        if (i % 2 == 1) {
+            spec.model = "Throwing-STC";
+            spec.impl = std::make_shared<const ThrowingModel>();
+        } else {
+            spec.model = "Uni-STC";
+        }
+        exec.submit(std::move(spec));
+    }
+
+    ScopedFatalThrow guard;
+    try {
+        exec.wait();
+        FAIL() << "wait() returned";
+    } catch (const UnistcError &e) {
+        const std::string what = e.what();
+        EXPECT_EQ(e.code(), ErrorCode::Internal);
+        EXPECT_NE(what.find("SpMV Throwing-STC @ m1"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("block task refused"), std::string::npos)
+            << what;
+    }
 }
 
 TEST(SweepExecutor, ResolveJobsReadsTheEnvironment)

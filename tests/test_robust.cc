@@ -3,21 +3,13 @@
  * Robustness-layer tests (docs/ROBUSTNESS.md): the typed error
  * model, the structural validators against every FaultPlan data
  * corruption class, a corrupted-file corpus over the BBC binary
- * format, Matrix Market parser hardening, the executor's watchdog /
- * retry / quarantine machinery (including the jobs-determinism
- * guarantee with recovery enabled), and checkpoint/resume with its
- * durability layer (atomic replace, whole-line appends, torn-log
- * repair).
+ * format, and Matrix Market parser hardening.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,10 +18,6 @@
 #include "bbc/bbc_matrix.hh"
 #include "common/logging.hh"
 #include "corpus/generators.hh"
-#include "exec/job_spec.hh"
-#include "exec/sweep_executor.hh"
-#include "obs/metrics_export.hh"
-#include "robust/checkpoint.hh"
 #include "robust/checksum.hh"
 #include "robust/fault_inject.hh"
 #include "robust/status.hh"
@@ -42,33 +30,6 @@ using namespace unistc;
 
 namespace
 {
-
-/** Field-by-field RunResult equality (bitwise for the doubles). */
-void
-expectSameResult(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.products, b.products);
-    EXPECT_EQ(a.macSlots, b.macSlots);
-    EXPECT_EQ(a.tasksT1, b.tasksT1);
-    EXPECT_EQ(a.tasksT3, b.tasksT3);
-    EXPECT_EQ(a.stallCycles, b.stallCycles);
-    EXPECT_EQ(a.dpgActiveAccum, b.dpgActiveAccum);
-    EXPECT_EQ(a.cNetScaleAccum, b.cNetScaleAccum);
-    EXPECT_EQ(a.traffic.readsA, b.traffic.readsA);
-    EXPECT_EQ(a.traffic.wastedA, b.traffic.wastedA);
-    EXPECT_EQ(a.traffic.readsB, b.traffic.readsB);
-    EXPECT_EQ(a.traffic.wastedB, b.traffic.wastedB);
-    EXPECT_EQ(a.traffic.writesC, b.traffic.writesC);
-    EXPECT_EQ(a.energy.fetchA, b.energy.fetchA);
-    EXPECT_EQ(a.energy.fetchB, b.energy.fetchB);
-    EXPECT_EQ(a.energy.writeC, b.energy.writeC);
-    EXPECT_EQ(a.energy.schedule, b.energy.schedule);
-    EXPECT_EQ(a.energy.compute, b.energy.compute);
-    ASSERT_EQ(a.utilHist.numBuckets(), b.utilHist.numBuckets());
-    for (int i = 0; i < a.utilHist.numBuckets(); ++i)
-        EXPECT_EQ(a.utilHist.bucketCount(i), b.utilHist.bucketCount(i));
-}
 
 /** A small real matrix for corruption experiments. */
 BbcMatrix
@@ -94,20 +55,6 @@ parseMtx(const std::string &text)
     return tryReadMatrixMarket(is, "<test>");
 }
 
-/** One job spec over a tiny matrix (deterministic). */
-JobSpec
-tinyJob(const std::shared_ptr<const BbcMatrix> &a,
-        const std::string &matrix)
-{
-    JobSpec spec;
-    spec.kernel = Kernel::SpMV;
-    spec.model = "Uni-STC";
-    spec.config = MachineConfig::fp64();
-    spec.matrix = matrix;
-    spec.a = a;
-    return spec;
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -127,7 +74,6 @@ TEST(Status, FactoriesCarryCodeAndMessage)
     EXPECT_EQ(parseError("x").code(), ErrorCode::ParseError);
     EXPECT_EQ(failedPrecondition("x").code(),
               ErrorCode::FailedPrecondition);
-    EXPECT_EQ(timeoutError("x").code(), ErrorCode::Timeout);
     EXPECT_EQ(internalError("x").code(), ErrorCode::Internal);
 }
 
@@ -151,11 +97,11 @@ TEST(Status, RaiseThrowsUnderScopedFatalThrow)
 {
     ScopedFatalThrow guard;
     try {
-        raise(timeoutError("too slow"));
+        raise(ioError("disk gone"));
         FAIL() << "raise returned";
     } catch (const UnistcError &e) {
-        EXPECT_EQ(e.code(), ErrorCode::Timeout);
-        EXPECT_NE(std::string(e.what()).find("too slow"),
+        EXPECT_EQ(e.code(), ErrorCode::IoError);
+        EXPECT_NE(std::string(e.what()).find("disk gone"),
                   std::string::npos);
     }
 }
@@ -519,401 +465,4 @@ TEST(SparseIoHardening, PatternAndSymmetricStillWork)
                             "pattern symmetric\n3 3 2\n2 1\n3 3\n");
     ASSERT_TRUE(r.ok()) << r.status().toString();
     EXPECT_EQ(r.value().nnz(), 3); // (2,1) mirrored + diagonal.
-}
-
-// ---------------------------------------------------------------------
-// Executor recovery: retry, quarantine, strict, watchdog, determinism.
-// ---------------------------------------------------------------------
-
-TEST(ExecRecovery, TransientFaultIsRetriedAndRecovers)
-{
-    const auto a = std::make_shared<const BbcMatrix>(sampleBbc());
-
-    SweepExecutor::Options opt;
-    opt.jobs = 1;
-    opt.maxRetries = 2;
-    opt.statsPrefix = "t.";
-    SweepExecutor exec(opt);
-
-    JobSpec clean = tinyJob(a, "clean");
-    const std::size_t i_clean = exec.submit(std::move(clean));
-
-    JobSpec flaky = tinyJob(a, "flaky");
-    auto fault = std::make_shared<FaultSpec>();
-    fault->throwCount = 1; // first attempt throws, retry succeeds
-    flaky.fault = fault;
-    const std::size_t i_flaky = exec.submit(std::move(flaky));
-    exec.wait();
-
-    EXPECT_TRUE(exec.outcome(i_flaky).ok);
-    EXPECT_EQ(exec.outcome(i_flaky).attempts, 2);
-    EXPECT_EQ(exec.outcome(i_clean).attempts, 1);
-    // The recovered job's result matches the clean job (same spec
-    // modulo seed-irrelevant SpMV).
-    EXPECT_GT(exec.result(i_flaky).cycles, 0u);
-    EXPECT_EQ(exec.stats().counter("robust.jobs_retried"), 1u);
-    EXPECT_EQ(exec.stats().counter("robust.faults_detected"), 1u);
-    EXPECT_EQ(exec.stats().counter("robust.jobs_quarantined"), 0u);
-}
-
-TEST(ExecRecovery, PersistentFaultIsQuarantined)
-{
-    const auto a = std::make_shared<const BbcMatrix>(sampleBbc());
-
-    SweepExecutor::Options opt;
-    opt.jobs = 2;
-    opt.maxRetries = 1;
-    opt.quarantine = true;
-    opt.statsPrefix = "t.";
-    SweepExecutor exec(opt);
-
-    JobSpec doomed = tinyJob(a, "doomed");
-    auto fault = std::make_shared<FaultSpec>();
-    fault->throwCount = 100; // every attempt throws
-    doomed.fault = fault;
-    const std::size_t i_doomed = exec.submit(std::move(doomed));
-    const std::size_t i_ok = exec.submit(tinyJob(a, "survivor"));
-    exec.wait();
-
-    const auto out = exec.outcome(i_doomed);
-    EXPECT_FALSE(out.ok);
-    EXPECT_EQ(out.attempts, 2);
-    EXPECT_NE(out.error.find("injected fault"), std::string::npos);
-    // Quarantined result is zeroed, the rest of the sweep survives.
-    EXPECT_EQ(exec.result(i_doomed).cycles, 0u);
-    EXPECT_GT(exec.result(i_ok).cycles, 0u);
-    EXPECT_EQ(exec.stats().counter("robust.jobs_quarantined"), 1u);
-    EXPECT_EQ(exec.stats().counter("robust.faults_detected"), 2u);
-}
-
-TEST(ExecRecovery, StrictModeRaisesTheFirstFailure)
-{
-    const auto a = std::make_shared<const BbcMatrix>(sampleBbc());
-
-    SweepExecutor::Options opt;
-    opt.jobs = 1;
-    opt.quarantine = false; // strict
-    SweepExecutor exec(opt);
-
-    JobSpec doomed = tinyJob(a, "doomed");
-    auto fault = std::make_shared<FaultSpec>();
-    fault->throwCount = 100;
-    doomed.fault = fault;
-    exec.submit(std::move(doomed));
-
-    ScopedFatalThrow guard;
-    EXPECT_THROW(exec.wait(), UnistcError);
-}
-
-TEST(ExecRecovery, WatchdogFlagsOverrunningJobs)
-{
-    const auto a = std::make_shared<const BbcMatrix>(sampleBbc());
-
-    // The budget leaves the fast job room for a loaded sanitizer run,
-    // where the simulator core tests share the cores.
-    SweepExecutor::Options opt;
-    opt.jobs = 1;
-    opt.maxJobSeconds = 0.05;
-    opt.quarantine = true;
-    opt.statsPrefix = "t.";
-    SweepExecutor exec(opt);
-
-    JobSpec slow = tinyJob(a, "slow");
-    auto fault = std::make_shared<FaultSpec>();
-    fault->delayMs = 500; // well past the 50 ms budget
-    slow.fault = fault;
-    const std::size_t i_slow = exec.submit(std::move(slow));
-    const std::size_t i_fast = exec.submit(tinyJob(a, "fast"));
-    exec.wait();
-
-    const auto out = exec.outcome(i_slow);
-    EXPECT_FALSE(out.ok);
-    EXPECT_TRUE(out.timedOut);
-    EXPECT_EQ(out.attempts, 1); // timeouts are not retried
-    EXPECT_NE(out.error.find("budget"), std::string::npos);
-    EXPECT_EQ(exec.result(i_slow).cycles, 0u);
-    EXPECT_TRUE(exec.outcome(i_fast).ok);
-    EXPECT_EQ(exec.stats().counter("robust.jobs_quarantined"), 1u);
-}
-
-TEST(ExecRecovery, DeterministicAcrossWorkerCountsWithFaults)
-{
-    // The headline guarantee must survive recovery: a sweep with a
-    // deterministic fault plan (one transient, one persistent fault)
-    // merges to byte-identical stats with 1 worker and with 4.
-    auto run = [](int jobs) {
-        const auto a =
-            std::make_shared<const BbcMatrix>(sampleBbc());
-        const auto b = std::make_shared<const BbcMatrix>(
-            BbcMatrix::fromCsr(genRandomUniform(96, 96, 0.06, 21)));
-
-        SweepExecutor::Options opt;
-        opt.jobs = jobs;
-        opt.maxRetries = 1;
-        opt.quarantine = true;
-        opt.statsPrefix = "sweep.";
-        SweepExecutor exec(opt);
-
-        int n = 0;
-        for (const auto &mat : {a, b}) {
-            for (const Kernel k :
-                 {Kernel::SpMV, Kernel::SpMSpV, Kernel::SpMM}) {
-                JobSpec spec;
-                spec.kernel = k;
-                spec.model = "Uni-STC";
-                spec.config = MachineConfig::fp64();
-                spec.matrix = mat == a ? "banded" : "random";
-                spec.a = mat;
-                if (n == 1) { // transient: retry recovers it
-                    auto f = std::make_shared<FaultSpec>();
-                    f->throwCount = 1;
-                    spec.fault = f;
-                }
-                if (n == 4) { // persistent: quarantined
-                    auto f = std::make_shared<FaultSpec>();
-                    f->throwCount = 100;
-                    spec.fault = f;
-                }
-                ++n;
-                exec.submit(std::move(spec));
-            }
-        }
-        exec.wait();
-        EXPECT_EQ(exec.stats().counter("robust.jobs_quarantined"),
-                  1u);
-        return statsJson(exec.stats());
-    };
-
-    const std::string serial = run(1);
-    const std::string parallel = run(4);
-    EXPECT_EQ(serial, parallel);
-}
-
-// ---------------------------------------------------------------------
-// Checkpoint encode/decode and resume.
-// ---------------------------------------------------------------------
-
-TEST(Checkpoint, EntryRoundTripIsBitExact)
-{
-    CheckpointEntry e;
-    e.kernel = "SpMV";
-    e.model = "Uni STC %weird%"; // spaces and escapes in names
-    e.matrix = "path/with space\tand tab";
-    e.result.cycles = 123456789;
-    e.result.products = 42;
-    e.result.traffic.readsA = 7;
-    e.result.energy.fetchA = -0.0; // signed zero survives
-    e.result.energy.fetchB = 5e-324; // denormal survives
-    e.result.energy.compute = 1.0 / 3.0;
-    e.result.utilHist = Histogram(4, 0.0, 1.0);
-    e.result.utilHist.add(0.1, 3);
-    e.result.utilHist.add(0.9, 5);
-
-    const std::string line = encodeCheckpointEntry(e);
-    EXPECT_EQ(line.find('\n'), std::string::npos);
-    Result<CheckpointEntry> back = decodeCheckpointEntry(line);
-    ASSERT_TRUE(back.ok()) << back.status().toString();
-    EXPECT_EQ(back.value().kernel, e.kernel);
-    EXPECT_EQ(back.value().model, e.model);
-    EXPECT_EQ(back.value().matrix, e.matrix);
-    expectSameResult(back.value().result, e.result);
-    EXPECT_TRUE(std::signbit(back.value().result.energy.fetchA));
-}
-
-TEST(Checkpoint, RealRunResultRoundTrips)
-{
-    const auto a = std::make_shared<const BbcMatrix>(sampleBbc());
-    JobSpec spec = tinyJob(a, "real");
-    spec.seed = 1234;
-    CheckpointEntry e;
-    e.kernel = "SpMV";
-    e.model = spec.model;
-    e.matrix = spec.matrix;
-    e.result = spec.run();
-    Result<CheckpointEntry> back =
-        decodeCheckpointEntry(encodeCheckpointEntry(e));
-    ASSERT_TRUE(back.ok()) << back.status().toString();
-    expectSameResult(back.value().result, e.result);
-}
-
-TEST(Checkpoint, DecodeRejectsMalformedLines)
-{
-    EXPECT_FALSE(decodeCheckpointEntry("").ok());
-    EXPECT_FALSE(decodeCheckpointEntry("random garbage line").ok());
-    // A valid line with one counter token chopped off.
-    CheckpointEntry e;
-    e.kernel = "SpMV";
-    e.model = "m";
-    e.matrix = "x";
-    std::string line = encodeCheckpointEntry(e);
-    line.resize(line.rfind(' '));
-    EXPECT_FALSE(decodeCheckpointEntry(line).ok());
-}
-
-TEST(Checkpoint, LoadKeepsValidPrefixOfCorruptFile)
-{
-    const std::string path =
-        ::testing::TempDir() + "/ckpt_prefix.txt";
-    {
-        CheckpointWriter w;
-        ASSERT_TRUE(w.open(path).ok());
-        CheckpointEntry e;
-        e.kernel = "SpMV";
-        e.model = "m";
-        e.matrix = "one";
-        ASSERT_TRUE(w.append(e).ok());
-        e.matrix = "two";
-        ASSERT_TRUE(w.append(e).ok());
-    }
-    // Simulate an interrupted write: half a line at the end.
-    {
-        std::ofstream out(path, std::ios::app);
-        out << "unistc-ckpt-v1 SpMV m thr";
-    }
-    Result<CheckpointLog> log = CheckpointLog::load(path);
-    ASSERT_TRUE(log.ok());
-    EXPECT_EQ(log.value().size(), 2u);
-    EXPECT_TRUE(log.value().truncated());
-    EXPECT_NE(log.value().find("SpMV", "m", "two"), nullptr);
-    std::remove(path.c_str());
-}
-
-TEST(Checkpoint, MissingFileIsAnEmptyLog)
-{
-    Result<CheckpointLog> log =
-        CheckpointLog::load("/nonexistent/dir/ck.txt");
-    ASSERT_TRUE(log.ok());
-    EXPECT_TRUE(log.value().empty());
-    EXPECT_FALSE(log.value().truncated());
-}
-
-TEST(Checkpoint, DuplicateKeysResolveByOccurrence)
-{
-    const std::string path = ::testing::TempDir() + "/ckpt_dup.txt";
-    std::remove(path.c_str());
-    {
-        CheckpointWriter w;
-        ASSERT_TRUE(w.open(path).ok());
-        CheckpointEntry e;
-        e.kernel = "SpMV";
-        e.model = "m";
-        e.matrix = "same";
-        e.result.cycles = 100;
-        ASSERT_TRUE(w.append(e).ok());
-        e.result.cycles = 200;
-        ASSERT_TRUE(w.append(e).ok());
-    }
-    Result<CheckpointLog> log = CheckpointLog::load(path);
-    ASSERT_TRUE(log.ok());
-    ASSERT_EQ(log.value().size(), 2u);
-    EXPECT_EQ(log.value().find("SpMV", "m", "same", 0)->result.cycles,
-              100u);
-    EXPECT_EQ(log.value().find("SpMV", "m", "same", 1)->result.cycles,
-              200u);
-    EXPECT_EQ(log.value().find("SpMV", "m", "same", 2), nullptr);
-    EXPECT_EQ(log.value().find("SpMV", "m", "other"), nullptr);
-    std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------
-// Checkpoint durability: atomic replace, whole-line appends, torn-log
-// repair.
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-/** Scratch path under the test's temp directory. */
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + "/" + name;
-}
-
-/** Whole file as bytes. */
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-/** Append raw bytes, e.g. a torn half line. */
-void
-appendRaw(const std::string &path, const std::string &bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out << bytes;
-}
-
-/** A checkpoint entry with a few distinct counters set. */
-CheckpointEntry
-makeEntry(const std::string &kernel, const std::string &model,
-          const std::string &matrix, std::uint64_t cycles)
-{
-    CheckpointEntry e;
-    e.kernel = kernel;
-    e.model = model;
-    e.matrix = matrix;
-    e.result.cycles = cycles;
-    e.result.products = cycles * 2;
-    e.result.macSlots = cycles * 256;
-    e.result.tasksT1 = 7;
-    e.result.tasksT3 = 3;
-    e.result.energy.compute = 1.25;
-    e.result.energy.fetchA = 0.5;
-    return e;
-}
-
-} // namespace
-
-TEST(CheckpointDurability, AtomicWriteFileReplacesWholeFile)
-{
-    const std::string path = tempPath("atomic_write");
-    ASSERT_TRUE(atomicWriteFile(path, "first\n").ok());
-    EXPECT_EQ(slurp(path), "first\n");
-    ASSERT_TRUE(atomicWriteFile(path, "second\n").ok());
-    EXPECT_EQ(slurp(path), "second\n");
-}
-
-TEST(CheckpointDurability, DurableAppendFileWritesWholeLines)
-{
-    const std::string path = tempPath("durable_append");
-    std::remove(path.c_str());
-    DurableAppendFile file;
-    ASSERT_TRUE(file.open(path).ok());
-    ASSERT_TRUE(file.appendLine("alpha").ok());
-    ASSERT_TRUE(file.appendLine("beta").ok());
-    file.close();
-    EXPECT_FALSE(file.isOpen());
-    EXPECT_EQ(slurp(path), "alpha\nbeta\n");
-}
-
-TEST(CheckpointDurability, RewriteCheckpointAtomicRepairsTornLog)
-{
-    const std::string path = tempPath("ckpt_torn");
-    std::remove(path.c_str());
-    CheckpointEntry a = makeEntry("Spmm", "uni", "m0", 10);
-    CheckpointEntry b = makeEntry("Spmm", "uni", "m1", 20);
-    appendRaw(path, encodeCheckpointEntry(a) + "\n");
-    appendRaw(path, encodeCheckpointEntry(b) + "\n");
-    std::string torn =
-        encodeCheckpointEntry(makeEntry("Spmm", "uni", "m2", 30));
-    appendRaw(path, torn.substr(0, torn.size() / 2));
-
-    auto log = CheckpointLog::load(path);
-    ASSERT_TRUE(log.ok());
-    EXPECT_EQ(log.value().size(), 2u);
-    EXPECT_TRUE(log.value().truncated());
-
-    ASSERT_TRUE(rewriteCheckpointAtomic(path, log.value().entries()).ok());
-    auto repaired = CheckpointLog::load(path);
-    ASSERT_TRUE(repaired.ok());
-    EXPECT_EQ(repaired.value().size(), 2u);
-    EXPECT_FALSE(repaired.value().truncated());
-    ASSERT_NE(repaired.value().find("Spmm", "uni", "m1"), nullptr);
-    EXPECT_EQ(repaired.value().find("Spmm", "uni", "m1")->result.cycles,
-              20u);
 }

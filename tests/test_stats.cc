@@ -9,8 +9,8 @@
 #include <limits>
 
 #include "common/stats.hh"
-#include "robust/checkpoint.hh"
 #include "sim/result.hh"
+#include "warehouse/schema.hh"
 
 namespace unistc
 {
@@ -234,7 +234,7 @@ TEST(HistogramAddRatio, ChangingDenominatorRebuildsTheMap)
 }
 
 // The map travels with copies, assignment and merge-into-empty; a
-// histogram decoded from a checkpoint line starts without one. Each
+// histogram decoded from a warehouse row starts without one. Each
 // must keep matching add() on further addRatio() calls.
 TEST(HistogramAddRatio, CopiedAndDecodedHistogramsMatchAdd)
 {
@@ -254,12 +254,12 @@ TEST(HistogramAddRatio, CopiedAndDecodedHistogramsMatchAdd)
     merged.merge(src);
     merged_ref.merge(src_ref);
 
-    CheckpointEntry entry{"SpMV", "Uni-STC", "m", RunResult()};
-    entry.result.utilHist = src;
-    Result<CheckpointEntry> decoded_entry =
-        decodeCheckpointEntry(encodeCheckpointEntry(entry));
-    ASSERT_TRUE(decoded_entry.ok());
-    Histogram decoded = decoded_entry.value().result.utilHist;
+    RunResult packed;
+    packed.utilHist = src;
+    Result<RunResult> unpacked =
+        warehouse::unpackResult(warehouse::packResult(packed));
+    ASSERT_TRUE(unpacked.ok());
+    Histogram decoded = unpacked.value().utilHist;
     Histogram decoded_ref(src_ref);
 
     struct Case {
@@ -269,7 +269,7 @@ TEST(HistogramAddRatio, CopiedAndDecodedHistogramsMatchAdd)
     for (const Case &c : {Case{"copy", &copied, &copied_ref},
                           Case{"assignment", &assigned, &assigned_ref},
                           Case{"merge", &merged, &merged_ref},
-                          Case{"checkpoint", &decoded, &decoded_ref},
+                          Case{"warehouse row", &decoded, &decoded_ref},
                           Case{"source", &src, &src_ref}}) {
         SCOPED_TRACE(c.name);
         for (const int den : {64, 128, 64})
