@@ -4,9 +4,10 @@
  * driver library (src/driver/). The sweep engine that used to live
  * here — result log, sweep session, the kernel-run mode dispatch
  * and the orchestrating main() — is now the compiled
- * driver library; this header only re-exports the handful of names
- * bench bodies use (Prepared, runKernel, runKernelLineup, quickMode)
- * and generates the standard main() on top of DriverSession.
+ * driver library; this header only re-exports the names bench bodies
+ * use (Prepared, runKernel, runKernelLineup), adds quickMode() over
+ * the run's parsed request, and generates the standard main() on top
+ * of DriverSession.
  *
  * Every harness that includes this header accepts the full standard
  * execution family with no per-bench code (one parser, one --help,
@@ -19,9 +20,10 @@
  *
  * How --jobs works (docs/PARALLELISM.md): the bench body runs twice.
  * The *plan* pass runs with stdout silenced and the log level raised;
- * every runKernel() call records a JobSpec — model clone, shared BBC
- * operands, energy parameters — submits it to the thread pool (which
- * starts simulating immediately) and returns a sentinel RunResult.
+ * every runKernel() / runKernelLineup() call records a JobSpec — a
+ * lineup of model clones, shared BBC operands, energy parameters —
+ * submits it to the thread pool (which starts simulating
+ * immediately) and returns sentinel RunResults.
  * After a barrier, the *replay* pass re-runs the body serially; each
  * runKernel() call now returns the precomputed result for its
  * submission index. Because replay is the serial program with the
@@ -71,16 +73,18 @@ namespace bench
 {
 
 // The bench-facing surface, re-exported from the driver library.
-using driver::executeKernel;
 using driver::Prepared;
 using driver::runKernel;
 using driver::runKernelLineup;
 
-/** True when the bench should shrink workloads (--quick / env). */
+/**
+ * True when the bench should shrink workloads: the run's request
+ * asked for --quick, --smoke or UNISTC_BENCH_QUICK.
+ */
 inline bool
-quickMode(int argc, char **argv)
+quickMode()
 {
-    return driver::quickRequested(argc, argv);
+    return driver::ExecutionContext::active().request().quick;
 }
 
 } // namespace bench

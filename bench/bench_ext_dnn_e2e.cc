@@ -16,9 +16,9 @@
 using namespace unistc;
 
 int
-main(int argc, char **argv)
+main(int, char **)
 {
-    const bool quick = bench::quickMode(argc, argv);
+    const bool quick = bench::quickMode();
     const MachineConfig cfg = MachineConfig::fp32();
     const int num_sms = 108;
     const int stc_per_sm = 4;

@@ -29,9 +29,9 @@
 using namespace unistc;
 
 int
-main(int argc, char **argv)
+main(int, char **)
 {
-    const int scale = bench::quickMode(argc, argv) ? 1 : 2;
+    const int scale = bench::quickMode() ? 1 : 2;
     auto matrices = syntheticSuite(scale);
     for (auto &nm : representativeMatrices())
         matrices.push_back(std::move(nm));

@@ -21,9 +21,9 @@
 using namespace unistc;
 
 int
-main(int argc, char **argv)
+main(int, char **)
 {
-    const bool quick = bench::quickMode(argc, argv);
+    const bool quick = bench::quickMode();
     const MachineConfig cfg = MachineConfig::fp64();
     const int n = quick ? 256 : 512;
     const auto names = allModelNames();

@@ -20,10 +20,10 @@ using namespace unistc;
 using unistc::bench::Prepared;
 
 int
-main(int argc, char **argv)
+main(int, char **)
 {
     const MachineConfig cfg = MachineConfig::fp64();
-    const int scale = bench::quickMode(argc, argv) ? 1 : 2;
+    const int scale = bench::quickMode() ? 1 : 2;
     const auto suite = syntheticSuite(scale);
 
     // DS / RM / Uni share one task stream per (kernel, matrix).

@@ -35,10 +35,10 @@ struct Case
 } // namespace
 
 int
-main(int argc, char **argv)
+main(int, char **)
 {
     const MachineConfig cfg = MachineConfig::fp64();
-    const bool quick = bench::quickMode(argc, argv);
+    const bool quick = bench::quickMode();
     const int grid = quick ? 24 : 40;
     const int graph_n = quick ? 800 : 2000;
 

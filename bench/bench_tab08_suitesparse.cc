@@ -17,10 +17,10 @@ using namespace unistc;
 using unistc::bench::Prepared;
 
 int
-main(int argc, char **argv)
+main(int, char **)
 {
     const MachineConfig cfg = MachineConfig::fp64();
-    const int scale = bench::quickMode(argc, argv) ? 1 : 2;
+    const int scale = bench::quickMode() ? 1 : 2;
     auto suite = syntheticSuite(scale);
     for (auto &nm : representativeMatrices())
         suite.push_back(std::move(nm));

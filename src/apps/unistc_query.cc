@@ -225,9 +225,6 @@ cmdShow(const WarehouseReader &reader, const Args &args)
                     static_cast<unsigned long long>(
                         run.value().recoveredDrops));
     }
-    for (const auto &[name, v] : m.counters)
-        std::printf("counter:   %s = %llu\n", name.c_str(),
-                    static_cast<unsigned long long>(v));
     return 0;
 }
 

@@ -84,17 +84,14 @@ DriverSession::run(const SweepRequest &req, int argc, char **argv,
     ScopedCurrentContext scope(ctx_);
     // A long-lived context (tests) may run several requests back to
     // back; stale per-run session state must not leak into this one.
-    ctx_.beginRun();
+    ctx_.beginRun(req);
     if (req.logLevelSet)
         setLogLevel(req.logLevel);
 #if UNISTC_DRIVER_POSIX
-    // --smoke: propagate the tiny-corpus environment before the body
-    // runs, so every corpus builder sees it. Existing environment
-    // settings win.
-    if (req.smoke) {
-        ::setenv("UNISTC_BENCH_QUICK", "1", 0);
+    // --smoke: propagate the tiny-corpus clamp before the body runs,
+    // so every corpus builder sees it. An existing setting wins.
+    if (req.smoke)
         ::setenv("UNISTC_CORPUS_CLAMP", "2", 0);
-    }
 #endif
 
     // Warehouse sink (off unless UNISTC_WAREHOUSE_DIR): opened before

@@ -46,16 +46,10 @@ ExecutionContext::active()
     return ctx != nullptr ? *ctx : global();
 }
 
-const TraceSink *
-ExecutionContext::runTrace() const
-{
-    const SweepExecutor *exec = sweep_.executor();
-    return exec != nullptr ? exec->trace() : nullptr;
-}
-
 void
-ExecutionContext::beginRun()
+ExecutionContext::beginRun(const SweepRequest &req)
 {
+    request_ = req;
     sweep_.reset();
     reportingPass_ = true;
 }

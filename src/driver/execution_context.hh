@@ -1,10 +1,10 @@
 /**
  * @file
  * ExecutionContext: everything one sweep run needs to execute —
- * the sweep session plus the result log — owned by one object
- * instead of per-process singletons (the bench_common.hh
- * arrangement this library replaced). A process gets a default
- * context (global()) whose ResultLog still arms the
+ * the run's request, the sweep session and the result log — owned
+ * by one object instead of per-process singletons (the
+ * bench_common.hh arrangement this library replaced). A process
+ * gets a default context (global()) whose ResultLog still arms the
  * UNISTC_BENCH_JSON dump-at-exit, so existing binaries behave
  * identically; embedders (tests) construct their own contexts and
  * run several sweeps back to back in one process without state
@@ -19,6 +19,7 @@
 #define UNISTC_DRIVER_EXECUTION_CONTEXT_HH
 
 #include "driver/result_log.hh"
+#include "driver/sweep_request.hh"
 #include "driver/sweep_session.hh"
 #include "obs/trace.hh"
 
@@ -71,28 +72,23 @@ class ExecutionContext
     void setReportingPass(bool on) { reportingPass_ = on; }
 
     /**
-     * The live sweep executor (null outside a --jobs run). Valid
-     * through the replay pass: front-ends read pipeline counters
-     * and the merged trace while reporting.
+     * The request of the current run (defaults outside a
+     * DriverSession). Bench bodies read request().quick.
      */
-    const SweepExecutor *
-    sweepExecutor() const
-    {
-        return sweep_.executor();
-    }
+    const SweepRequest &request() const { return request_; }
 
     /**
      * The run's trace: the sweep executor's merged per-job trace
      * during replay, null otherwise.
      */
-    const TraceSink *runTrace() const;
+    const TraceSink *runTrace() const { return sweep_.trace(); }
 
     /**
-     * Reset per-run session state (sweep mode, cursor) so a
-     * long-lived context can serve another request. Recorded
-     * results are kept: the log spans the process.
+     * Start serving @p req: reset per-run session state (sweep mode,
+     * cursor) so a long-lived context can serve another request.
+     * Recorded results are kept: the log spans the process.
      */
-    void beginRun();
+    void beginRun(const SweepRequest &req);
 
   private:
     explicit ExecutionContext(bool processDefault)
@@ -100,6 +96,7 @@ class ExecutionContext
     {
     }
 
+    SweepRequest request_;
     SweepSession sweep_;
     ResultLog results_;
     bool reportingPass_ = true;

@@ -1,15 +1,17 @@
 /**
  * @file
  * The kernel-run surface of the execution driver: a matrix prepared
- * once (Prepared), and runKernel() / runKernelLineup() — the two
- * calls every front-end body makes per simulation. Behind them sits
- * the ExecutionContext's sweep plan/replay machinery
- * (driver/execution_context.hh), so a body written against these
- * two functions transparently gains --jobs with byte-identical
- * output.
+ * once (Prepared), and runKernelLineup() — the one call every
+ * front-end body makes per simulation — with runKernel(), its
+ * one-model form. Both take one path: serially the caller's own
+ * models run through runLineup() (exec/job_spec.hh) on the
+ * Prepared's own operands; under the ExecutionContext's sweep
+ * plan/replay machinery (driver/execution_context.hh) the lineup
+ * rides as one job of model clones. A body written against these
+ * calls transparently gains --jobs with byte-identical output.
  *
- * Moved out of bench/bench_common.hh; bench harnesses still reach
- * them through the unistc::bench aliases in that header.
+ * Bench harnesses reach them through the unistc::bench aliases in
+ * bench/bench_common.hh.
  */
 
 #ifndef UNISTC_DRIVER_KERNEL_RUN_HH
@@ -59,14 +61,10 @@ struct Prepared
     }
 };
 
-/** Inline (in-process, serial) execution of one kernel. */
-RunResult executeKernel(Kernel kernel, const StcModel &model,
-                        const Prepared &p, const EnergyModel &energy,
-                        int bCols = 64);
-
 /**
  * Run one of the four kernels on a prepared matrix through the
- * current ExecutionContext (sweep aware).
+ * current ExecutionContext (sweep aware): a one-model
+ * runKernelLineup() that records no "engine" entry.
  * @p bCols is the dense-B width for SpMM (the paper fixes 64).
  */
 RunResult runKernel(Kernel kernel, const StcModel &model,
@@ -80,13 +78,13 @@ RunResult runKernel(Kernel kernel, const StcModel &model,
  * fan-out, docs/ARCHITECTURE.md): the stream is enumerated once per
  * (kernel, matrix) no matter how many models run, and each returned
  * RunResult (lineup order) is bit-identical to a one-model
- * runKernel() call. Under --jobs the whole lineup rides as one
- * multi-model job. Records per-model ResultLog entries plus one
- * "engine" entry with the pass's counters. @p record_timing is
- * ignored: the pipeline reads no clock, and the parameter stays
- * only so existing positional callers compile. @p counters_out,
- * when non-null, receives the pass's counters (all zero in a
- * --jobs plan pass).
+ * runKernel() call. Under --jobs (or a trace) the whole lineup
+ * rides as one job. Records per-model ResultLog entries plus one
+ * "engine" entry with the pass's counters, the same at any --jobs.
+ * @p record_timing is ignored: the pipeline reads no clock, and the
+ * parameter stays only so existing positional callers compile.
+ * @p counters_out, when non-null, receives the pass's counters (all
+ * zero in a --jobs plan pass).
  */
 std::vector<RunResult> runKernelLineup(
     Kernel kernel, const std::vector<const StcModel *> &models,

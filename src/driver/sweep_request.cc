@@ -187,6 +187,8 @@ parseSweepCli(int argc, char **argv,
     }
 
     out.request.jobs = SweepExecutor::resolveJobs(requestedJobs, 1);
+    if (std::getenv("UNISTC_BENCH_QUICK") != nullptr)
+        out.request.quick = true;
     return out;
 }
 
@@ -217,17 +219,6 @@ sweepCliHelp(const std::string &binaryName,
     line("version", false, "",
          "git revision + on-disk schema versions");
     return text;
-}
-
-bool
-quickRequested(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string a(argv[i]);
-        if (a == "--quick" || a == "--smoke")
-            return true;
-    }
-    return std::getenv("UNISTC_BENCH_QUICK") != nullptr;
 }
 
 } // namespace driver

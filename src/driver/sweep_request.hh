@@ -57,7 +57,8 @@ struct CliFlag
 struct SweepRequest
 {
     // Workload shaping.
-    bool quick = false; ///< --quick (or --smoke, which implies it).
+    /** --quick, --smoke (which implies it) or UNISTC_BENCH_QUICK. */
+    bool quick = false;
     bool smoke = false; ///< --smoke: tiny-corpus ctest runs.
 
     // Parallel in-process sweep (docs/PARALLELISM.md).
@@ -104,14 +105,6 @@ Result<ParsedCli> parseSweepCli(
 /** The generated --help text (standard family + @p extraFlags). */
 std::string sweepCliHelp(const std::string &binaryName,
                          const std::vector<CliFlag> &extraFlags = {});
-
-/**
- * True when the run should shrink workloads: --quick / --smoke on
- * the command line or UNISTC_BENCH_QUICK in the environment. Kept as
- * an argv scan (not a SweepRequest field) because bench bodies call
- * it after the driver exported --smoke into the environment.
- */
-bool quickRequested(int argc, char **argv);
 
 } // namespace driver
 } // namespace unistc

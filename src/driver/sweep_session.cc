@@ -24,9 +24,6 @@ SweepSession::startPlan(const SweepRequest &req)
 {
     SweepExecutor::Options opt;
     opt.jobs = req.jobs;
-    // ResultLog builds its own per-entry registries at dump time;
-    // executor-side shards would be redundant work.
-    opt.collectStats = false;
     opt.tracePerJob = req.traceJobCapacity;
     exec_ = std::make_unique<SweepExecutor>(opt);
     cursor_ = 0;
@@ -52,17 +49,24 @@ SweepSession::reset()
     cursor_ = 0;
 }
 
-RunResult
-SweepSession::plan(Kernel kernel, const StcModel &model,
+const TraceSink *
+SweepSession::trace() const
+{
+    return mode_ == Mode::Replay ? exec_->trace() : nullptr;
+}
+
+std::vector<RunResult>
+SweepSession::plan(Kernel kernel,
+                   const std::vector<const StcModel *> &models,
                    const Prepared &p, const EnergyModel &energy,
                    int bCols)
 {
     JobSpec spec;
     spec.kernel = kernel;
-    spec.model = model.name();
-    spec.config = model.config();
     spec.matrix = p.name;
-    spec.impl = std::shared_ptr<const StcModel>(model.clone());
+    spec.models.reserve(models.size());
+    for (const StcModel *m : models)
+        spec.models.emplace_back(m->clone());
     const Capture &cap = capture(p);
     spec.a = cap.bbc;
     if (kernel == Kernel::SpMSpV)
@@ -70,83 +74,29 @@ SweepSession::plan(Kernel kernel, const StcModel &model,
     spec.bCols = bCols;
     spec.energy = energy.params();
     exec_->submit(std::move(spec));
-    return sentinel();
-}
-
-RunResult
-SweepSession::replay(Kernel kernel, const StcModel &model,
-                     const Prepared &p)
-{
-    UNISTC_ASSERT(exec_ != nullptr, "replay without a plan");
-    if (cursor_ >= exec_->jobCount()) {
-        UNISTC_FATAL(
-            "--jobs replay diverged: the bench issued more "
-            "runKernel() calls than the plan pass recorded "
-            "(call ", cursor_ + 1, " of ", exec_->jobCount(),
-            "). This bench's control flow depends on simulation "
-            "results; run it with --jobs 1.");
-    }
-    const JobSpec &planned = exec_->spec(cursor_);
-    if (planned.kernel != kernel || planned.model != model.name() ||
-        planned.matrix != p.name) {
-        UNISTC_FATAL(
-            "--jobs replay diverged at job ", cursor_, ": planned ",
-            planned.label(), " but the bench requested ",
-            toString(kernel), " ", model.name(), " @ ", p.name,
-            ". This bench's control flow depends on simulation "
-            "results; run it with --jobs 1.");
-    }
-    return exec_->result(cursor_++);
-}
-
-std::vector<RunResult>
-SweepSession::planLineup(Kernel kernel,
-                         const std::vector<const StcModel *> &models,
-                         const Prepared &p, const EnergyModel &energy,
-                         int bCols)
-{
-    JobSpec spec;
-    spec.kernel = kernel;
-    spec.matrix = p.name;
-    for (const StcModel *m : models) {
-        ModelSpec entry;
-        entry.name = m->name();
-        entry.config = m->config();
-        entry.impl = std::shared_ptr<const StcModel>(m->clone());
-        spec.lineup.push_back(std::move(entry));
-    }
-    const Capture &cap = capture(p);
-    spec.a = cap.bbc;
-    if (kernel == Kernel::SpMSpV)
-        spec.x = cap.x50;
-    spec.bCols = bCols;
-    spec.energy = energy.params();
-    exec_->submit(std::move(spec));
-    // Same degenerate sentinel as plan() — one per model.
     return std::vector<RunResult>(models.size(), sentinel());
 }
 
 std::vector<RunResult>
-SweepSession::replayLineup(
-    Kernel kernel, const std::vector<const StcModel *> &models,
-    const Prepared &p, PipelineCounters *counters)
+SweepSession::replay(Kernel kernel,
+                     const std::vector<const StcModel *> &models,
+                     const Prepared &p, PipelineCounters &counters)
 {
     UNISTC_ASSERT(exec_ != nullptr, "replay without a plan");
     if (cursor_ >= exec_->jobCount()) {
         UNISTC_FATAL(
-            "--jobs replay diverged: the bench issued more "
-            "runKernelLineup() calls than the plan pass recorded "
-            "(call ", cursor_ + 1, " of ", exec_->jobCount(),
+            "--jobs replay diverged: the bench issued more kernel "
+            "runs than the plan pass recorded (call ", cursor_ + 1,
+            " of ", exec_->jobCount(),
             "). This bench's control flow depends on simulation "
             "results; run it with --jobs 1.");
     }
     const JobSpec &planned = exec_->spec(cursor_);
     bool matches = planned.kernel == kernel &&
                    planned.matrix == p.name &&
-                   planned.fanout() == models.size() &&
-                   !planned.lineup.empty();
+                   planned.models.size() == models.size();
     for (std::size_t m = 0; matches && m < models.size(); ++m)
-        matches = planned.modelName(m) == models[m]->name();
+        matches = planned.models[m]->name() == models[m]->name();
     if (!matches) {
         UNISTC_FATAL(
             "--jobs replay diverged at job ", cursor_, ": planned ",
@@ -156,8 +106,7 @@ SweepSession::replayLineup(
             ". This bench's control flow depends on simulation "
             "results; run it with --jobs 1.");
     }
-    if (counters != nullptr)
-        *counters = exec_->countersOf(cursor_);
+    counters = exec_->countersOf(cursor_);
     std::vector<RunResult> results;
     results.reserve(models.size());
     for (std::size_t m = 0; m < models.size(); ++m)

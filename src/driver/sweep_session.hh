@@ -1,14 +1,15 @@
 /**
  * @file
  * SweepSession: the per-run --jobs state machine driving the plan /
- * execute / replay phases (docs/PARALLELISM.md; moved out of
- * bench/bench_common.hh). Off by default; DriverSession flips it
- * when the request asks for a parallel sweep: the body runs twice,
- * first as a silenced *plan* pass where every runKernel() call
- * submits a JobSpec to the SweepExecutor and returns a degenerate
- * sentinel, then — after a barrier — as a serial *replay* pass that
- * splices the precomputed results back in, producing byte-identical
- * output for any worker count.
+ * execute / replay phases (docs/PARALLELISM.md). Off by default;
+ * DriverSession flips it when the request asks for a parallel sweep
+ * or a trace: the body runs twice, first as a silenced *plan* pass
+ * where every runKernel() / runKernelLineup() call submits one
+ * JobSpec — a lineup of model clones — to the SweepExecutor and
+ * returns degenerate sentinels, then — after a barrier — as a serial
+ * *replay* pass that splices the precomputed results and engine
+ * counters back in, producing byte-identical output for any worker
+ * count.
  */
 
 #ifndef UNISTC_DRIVER_SWEEP_SESSION_HH
@@ -35,7 +36,7 @@ class SweepSession
   public:
     enum class Mode
     {
-        Off,    ///< Serial: runKernel() simulates inline.
+        Off,    ///< Serial: kernel runs simulate inline.
         Plan,   ///< Recording pass: submit jobs, return sentinels.
         Replay, ///< Serial re-run returning precomputed results.
     };
@@ -49,9 +50,7 @@ class SweepSession
 
     /**
      * Begin the plan pass with the request's worker count and trace
-     * capacity. Stats collection stays off — the ResultLog builds its
-     * own per-entry registries at dump time, so executor-side shards
-     * would be redundant work.
+     * capacity.
      */
     void startPlan(const SweepRequest &req);
 
@@ -61,38 +60,29 @@ class SweepSession
      */
     void startReplay();
 
-    /** Plan-pass runKernel(): record + submit, return a sentinel. */
-    RunResult plan(Kernel kernel, const StcModel &model,
-                   const Prepared &p, const EnergyModel &energy,
-                   int bCols);
-
-    /** Replay-pass runKernel(): next precomputed result, checked. */
-    RunResult replay(Kernel kernel, const StcModel &model,
-                     const Prepared &p);
+    /**
+     * Plan-pass kernel run: submit ONE job whose lineup (clones of
+     * @p models) shares a single task stream, and return one
+     * sentinel per model.
+     */
+    std::vector<RunResult>
+    plan(Kernel kernel, const std::vector<const StcModel *> &models,
+         const Prepared &p, const EnergyModel &energy, int bCols);
 
     /**
-     * Plan-pass runKernelLineup(): submit ONE multi-model job whose
-     * lineup shares a single task stream, return sentinels.
+     * Replay-pass kernel run: per-model results of the next planned
+     * job, checked against the request; the job's engine counters
+     * land in @p counters.
      */
-    std::vector<RunResult> planLineup(
-        Kernel kernel, const std::vector<const StcModel *> &models,
-        const Prepared &p, const EnergyModel &energy, int bCols);
+    std::vector<RunResult>
+    replay(Kernel kernel, const std::vector<const StcModel *> &models,
+           const Prepared &p, PipelineCounters &counters);
 
     /**
-     * Replay-pass runKernelLineup(): per-model results of the next
-     * planned multi-model job, checked against the request; the
-     * job's engine counters land in @p counters.
+     * The merged per-job trace while replaying a traced run, null
+     * otherwise. reset() drops it.
      */
-    std::vector<RunResult> replayLineup(
-        Kernel kernel, const std::vector<const StcModel *> &models,
-        const Prepared &p, PipelineCounters *counters);
-
-    /**
-     * The live executor (null when Off). Valid through the replay
-     * pass — front-ends read trace()/pipelineCounters() from it
-     * while reporting; reset() destroys it.
-     */
-    const SweepExecutor *executor() const { return exec_.get(); }
+    const TraceSink *trace() const;
 
     /** Drop all sweep state for context reuse. */
     void reset();

@@ -1,24 +1,27 @@
 /**
  * @file
- * Self-contained description of one simulation job — everything a
- * worker thread needs to run (kernel, model, operands, energy
- * parameters, RNG seed) captured by value or shared immutable
- * pointer, so the job can execute on any thread at any time and
- * always produce the identical RunResult.
+ * Self-contained description of one simulation job — a kernel, a
+ * lineup of one or more model instances fed from one task stream,
+ * shared immutable operands and energy parameters — captured by
+ * value or shared immutable pointer, so the job can execute on any
+ * thread at any time and always produce the identical RunResults.
+ *
+ * runLineup() is the one plan-and-pipeline setup behind every
+ * simulation the driver runs: JobSpec::run() calls it on its model
+ * clones and shared operands, and the driver's serial path calls it
+ * on the caller's own models and operands.
  */
 
 #ifndef UNISTC_EXEC_JOB_SPEC_HH
 #define UNISTC_EXEC_JOB_SPEC_HH
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bbc/bbc_matrix.hh"
-#include "common/rng.hh"
+#include "runner/block_driver.hh"
 #include "runner/report.hh"
-#include "sim/config.hh"
 #include "sim/energy.hh"
 #include "sparse/sparse_vector.hh"
 #include "stc/stc_model.hh"
@@ -30,19 +33,22 @@ class TraceSink;
 struct PipelineCounters;
 
 /**
- * One architecture of a multi-model job lineup: registry name plus
- * either a machine configuration (the job builds makeStcModel) or an
- * exact instance to simulate on.
+ * Plan @p kernel over @p in and run the plan through every model of
+ * @p models in a single pass over one task stream
+ * (KernelPipeline::run). Returns one finalized RunResult per model,
+ * in lineup order. Model m is traced into @p traces[m] when that
+ * entry exists and is non-null; @p counters, when given, receives
+ * the engine's per-layer counters.
  */
-struct ModelSpec
-{
-    std::string name;
-    MachineConfig config = MachineConfig::fp64();
-    std::shared_ptr<const StcModel> impl;
-};
+std::vector<RunResult>
+runLineup(Kernel kernel, const PlanInputs &in,
+          const std::vector<const StcModel *> &models,
+          const EnergyModel &energy,
+          const std::vector<TraceSink *> &traces = {},
+          PipelineCounters *counters = nullptr);
 
 /**
- * One (kernel, model, matrix) simulation job. Operands are shared
+ * One (kernel, lineup, matrix) simulation job. Operands are shared
  * immutable pointers so a sweep over one matrix does not copy it per
  * job. Determinism contract: run() is a pure function of the spec —
  * two executions of the same spec, on any threads in any order,
@@ -52,21 +58,15 @@ struct JobSpec
 {
     Kernel kernel = Kernel::SpMV;
 
-    /** Display / registry name of the architecture. */
-    std::string model;
-
-    /** Machine configuration (used when @ref impl is null). */
-    MachineConfig config = MachineConfig::fp64();
-
-    /** Matrix display name (stats keys, result logs). */
+    /** Matrix display name (result logs, trace process names). */
     std::string matrix;
 
     /**
-     * Exact model instance to simulate on (usually a clone() of the
-     * caller's model, preserving non-config knobs). When null the
-     * job constructs makeStcModel(model, config) instead.
+     * The lineup: one or more exact model instances (usually
+     * clone()s of the caller's models, preserving non-config knobs),
+     * all fed from one task stream.
      */
-    std::shared_ptr<const StcModel> impl;
+    std::vector<std::shared_ptr<const StcModel>> models;
 
     /** Left operand (all kernels). */
     std::shared_ptr<const BbcMatrix> a;
@@ -74,12 +74,7 @@ struct JobSpec
     /** SpGEMM right operand; null means C = A * A. */
     std::shared_ptr<const BbcMatrix> b;
 
-    /**
-     * SpMSpV input vector; when null the job synthesizes the paper's
-     * standard 50 %-sparse x from this job's own RNG stream (see
-     * rng()), so the vector depends on the job seed, never on which
-     * thread runs the job.
-     */
+    /** SpMSpV input vector (required for SpMSpV). */
     std::shared_ptr<const SparseVector> x;
 
     /** Dense-B width for SpMM (the paper fixes 64). */
@@ -89,55 +84,14 @@ struct JobSpec
     EnergyParams energy{};
 
     /**
-     * Per-job RNG seed. SweepExecutor derives one from the submission
-     * index when left at zero, giving every job its own stream
-     * regardless of worker count ("seeded per-job, not per-thread").
-     */
-    std::uint64_t seed = 0;
-
-    /**
-     * Multi-architecture lineup. Empty (the default) means a single-
-     * model job described by @ref model / @ref config / @ref impl.
-     * Non-empty means runMulti() opens the kernel's task stream ONCE
-     * and fans every generated task out to all lineup entries in a
-     * single pass (engine/kernel_pipeline.hh); model/config/impl are
-     * then ignored.
-     */
-    std::vector<ModelSpec> lineup;
-
-    /** Models this job simulates (1 unless @ref lineup is set). */
-    std::size_t fanout() const
-    {
-        return lineup.empty() ? 1 : lineup.size();
-    }
-
-    /** Display name of model @p m (@ref model for single jobs). */
-    const std::string &modelName(std::size_t m) const;
-
-    /** This job's private RNG stream. */
-    Rng rng() const;
-
-    /**
-     * Execute the job: build the model (clone or registry), run the
-     * kernel, return the finalized RunResult. @p trace, when given,
-     * receives the job's pipeline events. For a multi-model job this
-     * is runMulti() with only the first model traced, returning the
-     * first model's result.
-     */
-    RunResult run(TraceSink *trace = nullptr) const;
-
-    /**
-     * Execute the job's plan through every model of the lineup in a
-     * single pass over one task stream, returning one finalized
-     * RunResult per model (lineup order; one result for single-model
-     * jobs). Each result is bit-identical to a run() of the same spec
-     * restricted to that model. @p traces, when non-empty, supplies
-     * one optional sink per model; @p counters, when given, receives
-     * the engine's per-layer counters.
+     * Execute the job through runLineup(): one finalized RunResult
+     * per lineup model. @p traces, when non-empty, supplies one
+     * optional sink per model; @p counters, when given, receives the
+     * engine's per-layer counters.
      */
     std::vector<RunResult>
-    runMulti(const std::vector<TraceSink *> &traces = {},
-             PipelineCounters *counters = nullptr) const;
+    run(const std::vector<TraceSink *> &traces = {},
+        PipelineCounters *counters = nullptr) const;
 
     /** "kernel model[+model...] @ matrix" label for logs/errors. */
     std::string label() const;

@@ -1,15 +1,21 @@
 /**
  * @file
  * Parallel sweep executor: fans independent JobSpecs out across a
- * ThreadPool and merges per-job observability state back in
- * deterministic submission order at the wait() barrier.
+ * ThreadPool and, at the wait() barrier, hands results and engine
+ * counters back and merges trace buffers, all in deterministic
+ * submission order.
+ *
+ * Every job is a lineup of one or more model clones fed from one
+ * task stream (exec/job_spec.hh), and every job takes the same path:
+ * JobSpec::run() with one optional trace sink per model and the
+ * job's engine counters.
  *
  * Determinism guarantee: every job is a pure function of its spec
- * (own model clone, shared immutable operands, per-job RNG seed), and
- * all merging — results, StatRegistry shards, TraceSink buffers —
+ * (own model clones, shared immutable operands), and all merging —
+ * results, engine counters, TraceSink buffers — is read back or
  * happens at the barrier in submission order. A sweep executed with
  * 1 worker and with N workers therefore produces byte-identical
- * stats JSON and trace output; only wall-clock time differs.
+ * results and trace output; only wall-clock time differs.
  *
  * Failures: a job that throws is caught on its worker, and wait()
  * raise()s the first failure in submission order, naming the job.
@@ -24,13 +30,11 @@
 #include <cstddef>
 #include <deque>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "engine/kernel_pipeline.hh"
 #include "exec/job_spec.hh"
 #include "exec/thread_pool.hh"
-#include "obs/stat_registry.hh"
 #include "obs/trace.hh"
 #include "robust/status.hh"
 
@@ -47,24 +51,13 @@ class SweepExecutor
         int jobs = 1;
 
         /**
-         * Register every job's RunResult into a per-job StatRegistry
-         * shard, merged into stats() at the barrier under
-         * "<statsPrefix><index>.<matrix>.<model>.<kernel>." keys.
-         */
-        bool collectStats = true;
-
-        /**
-         * Per-job TraceSink ring capacity; 0 disables tracing. The
+         * Per-model TraceSink ring capacity; 0 disables tracing. The
          * merged trace() concatenates per-job buffers in submission
          * order.
          */
         std::size_t tracePerJob = 0;
-
-        /** Key prefix for merged statistics. */
-        std::string statsPrefix = "sweep.";
     };
 
-    SweepExecutor();
     explicit SweepExecutor(const Options &opt);
 
     /** Waits for outstanding jobs (results are discarded). */
@@ -75,17 +68,14 @@ class SweepExecutor
 
     /**
      * Enqueue a job; execution may begin immediately on a worker
-     * (or runs inline when jobs <= 1). When @p spec.seed is zero a
-     * per-job seed is derived from the submission index, so the
-     * seed — and any synthesized operand — is identical no matter
-     * how many workers execute the sweep. Returns the job index.
+     * (or runs inline when jobs <= 1). Returns the job index.
      * submit() after wait() is a lifecycle bug (panic).
      */
     std::size_t submit(JobSpec spec);
 
     /**
      * Barrier: block until every submitted job has run, then merge
-     * stats shards and trace buffers in submission order. If any job
+     * trace buffers in submission order. If any job
      * threw, raise()s the first failure in submission order instead
      * (its message names the job). Idempotent once it has merged.
      */
@@ -96,46 +86,22 @@ class SweepExecutor
     /** Worker threads in use (0 = inline). */
     int workerCount() const { return pool_.threadCount(); }
 
-    /** Spec of job @p i as submitted (seed filled in). */
+    /** Spec of job @p i as submitted. */
     const JobSpec &spec(std::size_t i) const;
 
     /**
-     * Result of job @p i (the first model's result for multi-model
-     * jobs); requires wait() first.
-     */
-    const RunResult &result(std::size_t i) const;
-
-    /** Models fanned out by job @p i (1 for single-model jobs). */
-    std::size_t fanout(std::size_t i) const;
-
-    /**
-     * Result of model @p m of (multi-model) job @p i, in lineup
-     * order; requires wait() first. resultOf(i, 0) == result(i).
+     * Result of model @p m of job @p i, in lineup order; requires
+     * wait() first.
      */
     const RunResult &resultOf(std::size_t i, std::size_t m) const;
 
-    /**
-     * Engine counters of (multi-model) job @p i — all zero for
-     * single-model jobs; requires wait() first.
-     */
+    /** Engine counters of job @p i; requires wait() first. */
     const PipelineCounters &countersOf(std::size_t i) const;
 
     /**
-     * Engine counters aggregated over every multi-model job of the
-     * sweep (tasks summed; fan-out and peak-live maxima); requires
-     * wait(). All zero when no job carried a lineup. They are also
-     * registered in stats() under "engine." whenever a multi-model
-     * job ran.
-     */
-    const PipelineCounters &pipelineCounters() const;
-
-    /** Merged statistics (submission order); requires wait(). */
-    const StatRegistry &stats() const;
-
-    /**
      * Merged trace, null when Options::tracePerJob is 0; requires
-     * wait(). Each job appears as its own trace process named
-     * "<model> | <matrix>".
+     * wait(). Each lineup model of each job appears as its own trace
+     * process named "<model> | <matrix>".
      */
     const TraceSink *trace() const;
 
@@ -153,19 +119,15 @@ class SweepExecutor
     struct Slot
     {
         JobSpec spec;
-        std::unique_ptr<TraceSink> sink;
+
+        /** One sink per lineup model; empty when tracing is off. */
+        std::vector<std::unique_ptr<TraceSink>> sinks;
 
         /** Per-model results (lineup order); empty if the job threw. */
         std::vector<RunResult> results;
 
-        /** Sinks for lineup models 1..N-1 (sink covers model 0). */
-        std::vector<std::unique_ptr<TraceSink>> extraSinks;
-
-        /** Engine counters of a multi-model run (else all zero). */
+        /** Engine counters of the job's pass. */
         PipelineCounters counters;
-
-        /** First trace pid of this job (one pid per lineup model). */
-        int pidBase = 0;
 
         /** The job's failure, Ok when it ran to completion. */
         Status error;
@@ -174,17 +136,13 @@ class SweepExecutor
     /** Execute one job, recording its failure instead of throwing. */
     void runSlot(Slot &slot);
 
-    /** Fresh (empty) trace sinks for @p slot, if tracing is on. */
-    void makeSinks(Slot &slot);
-
     Options opt_;
     ThreadPool pool_;
     /** Deque: stable element addresses while workers run. */
     std::deque<Slot> slots_;
-    StatRegistry stats_;
     std::unique_ptr<TraceSink> mergedTrace_;
-    PipelineCounters engineCounters_;
     bool merged_ = false;
+    /** Trace pid of the next lineup model (one pid per model). */
     int nextPid_ = 0;
 };
 

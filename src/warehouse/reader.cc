@@ -222,10 +222,6 @@ readRunMeta(const std::string &runDir, const std::string &runId)
         } else if (key == "rows.engine" && parseU64(v, &u)) {
             meta.declaredEngineRows = u;
             meta.hasDeclaredRows = true;
-        } else if (key.rfind("counter.", 0) == 0 && parseU64(v, &u)) {
-            auto name = unescapeField(key.substr(8));
-            if (name.ok())
-                meta.counters[name.value()] = u;
         }
         // Unknown keys from an older-compatible writer are ignored.
     }

@@ -16,7 +16,6 @@
 #define UNISTC_WAREHOUSE_READER_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,8 +40,6 @@ struct RunMeta
     std::string time;   ///< ISO-8601 UTC start time ("" if unknown).
     std::string argvLine;
     std::vector<std::pair<std::string, std::string>> env;
-    /** finalize()-time counters (RunWriter::noteCounter). */
-    std::map<std::string, std::uint64_t> counters;
     /** Row totals recorded at finalize (absent on crashed runs). */
     std::uint64_t declaredResultRows = 0;
     std::uint64_t declaredEngineRows = 0;

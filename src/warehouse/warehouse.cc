@@ -350,13 +350,6 @@ RunWriter::appendEngine(const EngineRow &row)
         sinceSync_ = 0;
 }
 
-void
-RunWriter::noteCounter(const std::string &name, std::uint64_t v)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    counters_[name] += v;
-}
-
 std::uint64_t
 RunWriter::resultRows() const
 {
@@ -380,17 +373,13 @@ RunWriter::finalize()
     finalized_ = true;
     flushAll(/*sync=*/true);
 
-    // Close-time commit fields: row totals + accumulated counters.
+    // Close-time commit fields: the row totals.
     std::string tail;
     tail += "rows.results=" + std::to_string(resultRows_) + "\n";
     tail += "rows.engine=" + std::to_string(engineRows_) + "\n";
-    for (const auto &[name, v] : counters_) {
-        tail += "counter." + escapeField(name) + "=" +
-                std::to_string(v) + "\n";
-    }
     if (std::fwrite(tail.data(), 1, tail.size(), meta_) !=
         tail.size()) {
-        return ioError("short write appending counters to META");
+        return ioError("short write appending row totals to META");
     }
     std::fflush(meta_);
     syncFile(meta_);

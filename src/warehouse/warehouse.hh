@@ -80,14 +80,8 @@ class RunWriter
     void appendEngine(const EngineRow &row);
 
     /**
-     * Accumulate a named commit counter; summed across calls and
-     * appended to META by finalize().
-     */
-    void noteCounter(const std::string &name, std::uint64_t v);
-
-    /**
-     * Seal the run: flush + fsync every file, append the counters
-     * and row totals to META, then write the COMMIT marker.
+     * Seal the run: flush + fsync every file, append the row totals
+     * to META, then write the COMMIT marker.
      * Idempotent; appends after finalize() are a lifecycle bug.
      */
     Status finalize();
@@ -128,7 +122,6 @@ class RunWriter
     std::uint64_t resultRows_ = 0;
     std::uint64_t engineRows_ = 0;
     std::uint64_t sinceSync_ = 0;
-    std::map<std::string, std::uint64_t> counters_;
 };
 
 /** True when @p s is a valid warehouse run id ("000042"). */

@@ -25,6 +25,7 @@
 #include "driver/sweep_request.hh"
 #include "driver/tmpdir.hh"
 #include "driver/version.hh"
+#include "runner/spmv_runner.hh"
 #include "stc/registry.hh"
 #include "throwing_model.hh"
 
@@ -51,6 +52,37 @@ class Argv
   private:
     std::vector<std::string> strings_;
     std::vector<char *> ptrs_;
+};
+
+/** Set/unset an env var for one test, restoring the old value. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        const char *old = std::getenv(name);
+        if (old != nullptr) {
+            had_ = true;
+            old_ = old;
+        }
+        if (value != nullptr)
+            ::setenv(name, value, 1);
+        else
+            ::unsetenv(name);
+    }
+
+    ~ScopedEnv()
+    {
+        if (had_)
+            ::setenv(name_.c_str(), old_.c_str(), 1);
+        else
+            ::unsetenv(name_.c_str());
+    }
+
+  private:
+    std::string name_;
+    bool had_ = false;
+    std::string old_;
 };
 
 driver::ParsedCli
@@ -123,6 +155,18 @@ TEST(SweepRequestParse, EqualsFormAndSmokeImpliesQuick)
     EXPECT_TRUE(cli.request.smoke);
     EXPECT_TRUE(cli.request.quick);
     EXPECT_EQ(cli.request.logLevel, LogLevel::Error);
+}
+
+TEST(SweepRequestParse, QuickComesFromTheEnvironment)
+{
+    {
+        ScopedEnv unset("UNISTC_BENCH_QUICK", nullptr);
+        EXPECT_FALSE(parseOk({}).request.quick);
+    }
+    ScopedEnv quick("UNISTC_BENCH_QUICK", "1");
+    const driver::ParsedCli cli = parseOk({});
+    EXPECT_TRUE(cli.request.quick);
+    EXPECT_FALSE(cli.request.smoke);
 }
 
 TEST(SweepRequestParse, RejectsUnknownOption)
@@ -233,8 +277,7 @@ TEST(DriverKernelRun, SerialRunMatchesInlineExecution)
     const driver::Prepared prep("t", genBanded(192, 8, 0.5, 3));
     const MachineConfig cfg = MachineConfig::fp64();
     const auto model = makeStcModel("Uni-STC", cfg);
-    const RunResult inline_r = driver::executeKernel(
-        Kernel::SpMV, *model, prep, EnergyModel());
+    const RunResult inline_r = runSpmv(*model, prep.bbc);
     ScopedContext ctx;
     const RunResult driven =
         driver::runKernel(Kernel::SpMV, *model, prep, EnergyModel());
@@ -329,6 +372,50 @@ TEST(DriverSessionTest, LineupThroughJobsMatchesPerModelRuns)
     }
 }
 
+TEST(DriverSessionTest, OneModelLineupKeepsEngineCountersAtAnyJobCount)
+{
+    // A one-model lineup records the same engine entry serially, at
+    // --jobs 2, and on the traced plan/replay path at --jobs 1.
+    const auto model = makeStcModel("Uni-STC", MachineConfig::fp64());
+    const std::vector<const StcModel *> lineup = {model.get()};
+    struct Shape
+    {
+        int jobs;
+        std::size_t traceCapacity;
+    };
+    std::vector<PipelineCounters> seen;
+    for (const Shape shape : {Shape{1, 0}, Shape{2, 0}, Shape{1, 4096}}) {
+        SCOPED_TRACE("jobs=" + std::to_string(shape.jobs) + " trace=" +
+                     std::to_string(shape.traceCapacity));
+        driver::ExecutionContext ctx;
+        driver::SweepRequest req;
+        req.jobs = shape.jobs;
+        req.traceJobCapacity = shape.traceCapacity;
+        driver::DriverSession session(ctx);
+        Argv argv({});
+        EXPECT_EQ(session.run(req, argv.argc(), argv.argv(),
+                              [&](int, char **) {
+                                  const driver::Prepared prep(
+                                      "t", genBanded(192, 8, 0.5, 3));
+                                  driver::runKernelLineup(
+                                      Kernel::SpGEMM, lineup, prep);
+                                  return 0;
+                              }),
+                  0);
+        ASSERT_EQ(ctx.results().engineEntries().size(), 1u);
+        seen.push_back(ctx.results().engineEntries()[0].counters);
+    }
+    EXPECT_GT(seen[0].tasksGenerated, 0u);
+    EXPECT_EQ(seen[0].modelsFanout, 1u);
+    EXPECT_EQ(seen[0].peakLiveTasks, 1u);
+    for (std::size_t i = 1; i < seen.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(seen[i].tasksGenerated, seen[0].tasksGenerated);
+        EXPECT_EQ(seen[i].modelsFanout, seen[0].modelsFanout);
+        EXPECT_EQ(seen[i].peakLiveTasks, seen[0].peakLiveTasks);
+    }
+}
+
 TEST(DriverSessionTest, ContextServesBackToBackSweeps)
 {
     driver::ExecutionContext ctx;
@@ -417,41 +504,11 @@ TEST(DriverSessionTest, ReportingPassFlagGuardsPlanPass)
     ASSERT_EQ(seen.size(), 2u);
     EXPECT_FALSE(seen[0]);
     EXPECT_TRUE(seen[1]);
-    // The context is reusable state after the run: no live executor.
-    EXPECT_EQ(ctx.sweepExecutor(), nullptr);
+    // The context is reusable state after the run: no live sweep.
+    EXPECT_EQ(ctx.sweep().mode(), driver::SweepSession::Mode::Off);
+    EXPECT_EQ(ctx.runTrace(), nullptr);
     EXPECT_TRUE(ctx.reportingPass());
 }
-
-/** Set/unset an env var for one test, restoring the old value. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old != nullptr) {
-            had_ = true;
-            old_ = old;
-        }
-        if (value != nullptr)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (had_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    bool had_ = false;
-    std::string old_;
-};
 
 TEST(Tmpdir, HonorsTmpdirEnvAndTrimsTrailingSlashes)
 {

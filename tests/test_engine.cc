@@ -256,7 +256,7 @@ TEST(TaskStream, RunStreamDefaultMatchesBlockLoop)
 }
 
 // A JobSpec lineup (one job, N models) returns exactly what N
-// independent single-model jobs return.
+// independent one-model jobs return.
 TEST(JobSpecLineup, RunMultiMatchesSingleRuns)
 {
     const MachineConfig cfg = MachineConfig::fp64();
@@ -270,14 +270,12 @@ TEST(JobSpecLineup, RunMultiMatchesSingleRuns)
     multi.matrix = "banded";
     multi.a = shared_a;
     for (const auto &name : names) {
-        multi.lineup.push_back(
-            {name, cfg,
-             std::shared_ptr<const StcModel>(makeStcModel(name, cfg))});
+        multi.models.push_back(
+            std::shared_ptr<const StcModel>(makeStcModel(name, cfg)));
     }
-    ASSERT_EQ(multi.fanout(), names.size());
 
     PipelineCounters counters;
-    const std::vector<RunResult> rs = multi.runMulti({}, &counters);
+    const std::vector<RunResult> rs = multi.run({}, &counters);
     ASSERT_EQ(rs.size(), names.size());
     EXPECT_EQ(counters.modelsFanout, names.size());
     EXPECT_GT(counters.tasksGenerated, 0u);
@@ -287,18 +285,17 @@ TEST(JobSpecLineup, RunMultiMatchesSingleRuns)
         JobSpec single;
         single.kernel = Kernel::SpMM;
         single.matrix = "banded";
-        single.model = names[m];
-        single.config = cfg;
-        single.impl = std::shared_ptr<const StcModel>(
-            makeStcModel(names[m], cfg));
+        single.models = {multi.models[m]};
         single.a = shared_a;
-        expectSameResult(rs[m], single.run());
+        const std::vector<RunResult> one = single.run();
+        ASSERT_EQ(one.size(), 1u);
+        expectSameResult(rs[m], one[0]);
     }
 }
 
-// The sweep executor carries multi-model jobs: per-slot results equal
-// the same models run as separate single jobs, for any worker count,
-// and the engine counters land in the merged stats.
+// The sweep executor runs every job the same way: an N-model job's
+// per-model results equal N one-model jobs, for any worker count,
+// and every job carries its own engine counters.
 TEST(SweepExecutorLineup, MultiModelJobMatchesSingleJobs)
 {
     const MachineConfig cfg = MachineConfig::fp64();
@@ -319,10 +316,8 @@ TEST(SweepExecutorLineup, MultiModelJobMatchesSingleJobs)
         multi.a = shared_a;
         multi.b = shared_a;
         for (const auto &name : names) {
-            multi.lineup.push_back(
-                {name, cfg,
-                 std::shared_ptr<const StcModel>(
-                     makeStcModel(name, cfg))});
+            multi.models.push_back(std::shared_ptr<const StcModel>(
+                makeStcModel(name, cfg)));
         }
         const std::size_t mj = exec.submit(std::move(multi));
 
@@ -331,28 +326,26 @@ TEST(SweepExecutorLineup, MultiModelJobMatchesSingleJobs)
             JobSpec s;
             s.kernel = Kernel::SpGEMM;
             s.matrix = "powerlaw";
-            s.model = name;
-            s.config = cfg;
-            s.impl = std::shared_ptr<const StcModel>(
-                makeStcModel(name, cfg));
+            s.models = {std::shared_ptr<const StcModel>(
+                makeStcModel(name, cfg))};
             s.a = shared_a;
             s.b = shared_a;
             singles.push_back(exec.submit(std::move(s)));
         }
         exec.wait();
 
-        ASSERT_EQ(exec.fanout(mj), names.size());
+        ASSERT_EQ(exec.spec(mj).models.size(), names.size());
+        const PipelineCounters &pc = exec.countersOf(mj);
+        EXPECT_EQ(pc.modelsFanout, names.size());
+        EXPECT_GT(pc.tasksGenerated, 0u);
         for (std::size_t m = 0; m < names.size(); ++m) {
             SCOPED_TRACE(names[m]);
             expectSameResult(exec.resultOf(mj, m),
-                             exec.result(singles[m]));
+                             exec.resultOf(singles[m], 0));
+            const PipelineCounters &one = exec.countersOf(singles[m]);
+            EXPECT_EQ(one.modelsFanout, 1u);
+            EXPECT_EQ(one.tasksGenerated, pc.tasksGenerated);
         }
-
-        const PipelineCounters &pc = exec.countersOf(mj);
-        EXPECT_EQ(pc.modelsFanout, names.size());
-        EXPECT_EQ(pc.tasksGenerated,
-                  exec.pipelineCounters().tasksGenerated);
-        EXPECT_TRUE(exec.stats().has("engine.tasks_generated"));
     }
 }
 

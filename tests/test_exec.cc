@@ -1,12 +1,14 @@
 /**
  * @file
  * Parallel sweep engine tests: the ThreadPool contract, JobSpec
- * purity, the executor's headline guarantee — a sweep run with 1
- * worker and with N workers produces byte-identical merged stats and
- * trace output — and its failure report: wait() raises the first
- * failed job in submission order. The concurrency hammer tests at the bottom exist for
- * the tsan preset; they pass trivially single-threaded but catch
- * races under -fsanitize=thread.
+ * purity, model clones matching their originals for every
+ * architecture, the executor's headline guarantee — a sweep run with
+ * 1 worker and with N workers produces identical results and
+ * byte-identical trace output — and its failure report: wait()
+ * raises the first failed job in submission order. The concurrency
+ * hammer tests at the bottom exist for the tsan preset; they pass
+ * trivially single-threaded but catch races under
+ * -fsanitize=thread.
  */
 
 #include <gtest/gtest.h>
@@ -18,11 +20,11 @@
 
 #include "bbc/bbc_matrix.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "corpus/generators.hh"
 #include "exec/job_spec.hh"
 #include "exec/sweep_executor.hh"
 #include "exec/thread_pool.hh"
-#include "obs/metrics_export.hh"
 #include "obs/stat_registry.hh"
 #include "obs/trace.hh"
 #include "stc/registry.hh"
@@ -63,13 +65,32 @@ sharedBbc(const CsrMatrix &a)
     return std::make_shared<const BbcMatrix>(BbcMatrix::fromCsr(a));
 }
 
+std::shared_ptr<const StcModel>
+sharedModel(const std::string &name,
+            const MachineConfig &cfg = MachineConfig::fp64())
+{
+    return std::shared_ptr<const StcModel>(makeStcModel(name, cfg));
+}
+
+/** A 50%-sparse SpMSpV input vector over @p a's columns. */
+std::shared_ptr<const SparseVector>
+halfSparseX(const BbcMatrix &a, std::uint64_t seed)
+{
+    auto x = std::make_shared<SparseVector>(a.cols());
+    Rng rng(seed);
+    for (int i = 0; i < a.cols(); ++i) {
+        if (rng.nextBool(0.5))
+            x->push(i, rng.nextDouble(0.1, 1.0));
+    }
+    return x;
+}
+
 /** A small mixed-kernel sweep exercising every merge path. */
 std::vector<JobSpec>
 sampleSweep()
 {
     const auto banded = sharedBbc(genBanded(192, 8, 0.5, 11));
     const auto random = sharedBbc(genRandomUniform(160, 160, 0.04, 12));
-    const MachineConfig cfg = MachineConfig::fp64();
 
     std::vector<JobSpec> specs;
     for (const auto &model : {"Uni-STC", "DS-STC", "RM-STC"}) {
@@ -79,12 +100,11 @@ sampleSweep()
                   Kernel::SpGEMM}) {
                 JobSpec spec;
                 spec.kernel = k;
-                spec.model = model;
-                spec.config = cfg;
+                spec.models = {sharedModel(model)};
                 spec.matrix = (a == banded) ? "banded" : "random";
                 spec.a = a;
-                // x stays null: SpMSpV synthesizes it from the
-                // per-job seed, exercising that path too.
+                if (k == Kernel::SpMSpV)
+                    spec.x = halfSparseX(*a, 99);
                 specs.push_back(std::move(spec));
             }
         }
@@ -140,70 +160,45 @@ TEST(JobSpec, RunIsAPureFunctionOfTheSpec)
 {
     JobSpec spec;
     spec.kernel = Kernel::SpGEMM;
-    spec.model = "Uni-STC";
+    spec.models = {sharedModel("Uni-STC")};
     spec.matrix = "banded";
     spec.a = sharedBbc(genBanded(128, 6, 0.6, 3));
-    spec.seed = 42;
-    const RunResult first = spec.run();
-    const RunResult second = spec.run();
-    EXPECT_GT(first.cycles, 0u);
-    expectSameResult(first, second);
+    const std::vector<RunResult> first = spec.run();
+    const std::vector<RunResult> second = spec.run();
+    ASSERT_EQ(first.size(), 1u);
+    ASSERT_EQ(second.size(), 1u);
+    EXPECT_GT(first[0].cycles, 0u);
+    expectSameResult(first[0], second[0]);
 }
 
-TEST(JobSpec, SpmspvVectorComesFromTheJobSeed)
+TEST(JobSpec, CloneMatchesItsModelForEveryArchitecture)
 {
-    JobSpec spec;
-    spec.kernel = Kernel::SpMSpV;
-    spec.model = "Uni-STC";
-    spec.matrix = "banded";
-    spec.a = sharedBbc(genBanded(256, 8, 0.5, 4));
-    spec.seed = 7;
-    const RunResult r7 = spec.run();
-    expectSameResult(r7, spec.run());
-
-    spec.seed = 8;
-    const RunResult r8 = spec.run();
-    // A different seed gives a different synthesized x, so the
-    // effective work changes.
-    EXPECT_NE(r7.products, r8.products);
-}
-
-TEST(JobSpec, ClonedModelMatchesRegistryModel)
-{
-    const MachineConfig cfg = MachineConfig::fp64();
-    JobSpec spec;
-    spec.kernel = Kernel::SpMV;
-    spec.model = "Uni-STC";
-    spec.config = cfg;
-    spec.matrix = "banded";
-    spec.a = sharedBbc(genBanded(128, 6, 0.6, 5));
-    spec.seed = 1;
-    const RunResult viaRegistry = spec.run();
-
-    const auto model = makeStcModel("Uni-STC", cfg);
-    spec.impl = std::shared_ptr<const StcModel>(model->clone());
-    expectSameResult(viaRegistry, spec.run());
-}
-
-TEST(SweepExecutor, AssignsDistinctPerJobSeeds)
-{
-    SweepExecutor::Options opt;
-    opt.jobs = 1;
-    opt.collectStats = false;
-    SweepExecutor exec(opt);
-    const auto a = sharedBbc(genBanded(96, 4, 0.7, 6));
-    for (int i = 0; i < 3; ++i) {
-        JobSpec spec;
-        spec.kernel = Kernel::SpMSpV;
-        spec.model = "Uni-STC";
-        spec.matrix = "banded";
-        spec.a = a;
-        exec.submit(std::move(spec));
+    // Every --jobs run simulates on clone()s: each registered model's
+    // clone must give exactly the original's results on every kernel.
+    const auto a = sharedBbc(genBanded(128, 6, 0.6, 5));
+    const auto x = halfSparseX(*a, 5);
+    for (const std::string &name : allModelNames()) {
+        SCOPED_TRACE(name);
+        const auto model = sharedModel(name);
+        const auto clone =
+            std::shared_ptr<const StcModel>(model->clone());
+        EXPECT_EQ(clone->name(), model->name());
+        for (const Kernel k : {Kernel::SpMV, Kernel::SpMSpV,
+                               Kernel::SpMM, Kernel::SpGEMM}) {
+            SCOPED_TRACE(toString(k));
+            JobSpec spec;
+            spec.kernel = k;
+            spec.matrix = "banded";
+            spec.a = a;
+            spec.x = x;
+            spec.models = {model};
+            const RunResult original = spec.run().front();
+            spec.models = {clone};
+            const RunResult cloned = spec.run().front();
+            EXPECT_GT(original.cycles, 0u);
+            expectSameResult(original, cloned);
+        }
     }
-    exec.wait();
-    EXPECT_NE(exec.spec(0).seed, exec.spec(1).seed);
-    EXPECT_NE(exec.spec(1).seed, exec.spec(2).seed);
-    EXPECT_NE(exec.spec(0).seed, 0u);
 }
 
 TEST(SweepExecutor, WorkerCountDoesNotChangeAnyOutput)
@@ -230,38 +225,18 @@ TEST(SweepExecutor, WorkerCountDoesNotChangeAnyOutput)
     EXPECT_EQ(parallel->workerCount(), 8);
 
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        EXPECT_EQ(serial->spec(i).seed, parallel->spec(i).seed);
-        expectSameResult(serial->result(i), parallel->result(i));
-        EXPECT_GT(serial->result(i).cycles, 0u);
+        expectSameResult(serial->resultOf(i, 0),
+                         parallel->resultOf(i, 0));
+        EXPECT_GT(serial->resultOf(i, 0).cycles, 0u);
     }
 
-    // The headline guarantee: the merged artifacts are byte-equal.
-    EXPECT_EQ(statsJson(serial->stats()), statsJson(parallel->stats()));
-
+    // The headline guarantee: the merged trace is byte-equal.
     ASSERT_NE(serial->trace(), nullptr);
     ASSERT_NE(parallel->trace(), nullptr);
     std::ostringstream t1, tn;
     serial->trace()->writeChromeTrace(t1);
     parallel->trace()->writeChromeTrace(tn);
     EXPECT_EQ(t1.str(), tn.str());
-}
-
-TEST(SweepExecutor, StatsCarrySweepKeys)
-{
-    SweepExecutor::Options opt;
-    opt.jobs = 2;
-    SweepExecutor exec(opt);
-    JobSpec spec;
-    spec.kernel = Kernel::SpMV;
-    spec.model = "Uni-STC";
-    spec.matrix = "banded";
-    spec.a = sharedBbc(genBanded(96, 4, 0.7, 9));
-    exec.submit(std::move(spec));
-    exec.wait();
-    EXPECT_EQ(exec.stats().counter("sweep.jobCount"), 1u);
-    EXPECT_TRUE(exec.stats().has(
-        "sweep.0.banded.Uni-STC.SpMV.cycles"));
-    EXPECT_GT(exec.stats().counter("sweep.totalCycles"), 0u);
 }
 
 TEST(SweepExecutor, WaitRaisesTheFirstFailureInSubmissionOrder)
@@ -277,12 +252,10 @@ TEST(SweepExecutor, WaitRaisesTheFirstFailureInSubmissionOrder)
         spec.kernel = Kernel::SpMV;
         spec.matrix = "m" + std::to_string(i);
         spec.a = a;
-        if (i % 2 == 1) {
-            spec.model = "Throwing-STC";
-            spec.impl = std::make_shared<const ThrowingModel>();
-        } else {
-            spec.model = "Uni-STC";
-        }
+        if (i % 2 == 1)
+            spec.models = {std::make_shared<const ThrowingModel>()};
+        else
+            spec.models = {sharedModel("Uni-STC")};
         exec.submit(std::move(spec));
     }
 

@@ -224,9 +224,6 @@ TEST_F(WarehouseTest, WriteFinalizeReadBack)
         writer->appendResult(r);
     writer->appendEngine(makeEngineRow(0));
     writer->appendEngine(makeEngineRow(1));
-    writer->noteCounter("test.rows_a", 3);
-    writer->noteCounter("test.rows_a", 4);
-    writer->noteCounter("test.rows_b", 2);
     ASSERT_TRUE(writer->finalize().ok());
     const std::string id = writer->runId();
     writer.reset();
@@ -242,9 +239,6 @@ TEST_F(WarehouseTest, WriteFinalizeReadBack)
     EXPECT_EQ(metas[0].bench, "bench_test");
     EXPECT_EQ(metas[0].label, "first");
     EXPECT_EQ(metas[0].gitSha, "deadbeef");
-    ASSERT_EQ(metas[0].counters.count("test.rows_a"), 1u);
-    EXPECT_EQ(metas[0].counters.at("test.rows_a"), 7u);
-    EXPECT_EQ(metas[0].counters.at("test.rows_b"), 2u);
     ASSERT_EQ(metas[0].env.size(), 1u);
     EXPECT_EQ(metas[0].env[0].first, "UNISTC_SMOKE");
 
