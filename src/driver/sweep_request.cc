@@ -163,7 +163,7 @@ parseSweepCli(int argc, char **argv,
                 return optError("option '--" + name +
                                 "' takes no value");
             }
-            value = "1";
+            value.assign(1, '1');
             ++i;
         } else if (valueInline) {
             ++i;

@@ -633,8 +633,9 @@ TEST(TraceSink, RingOverwritesOldestAndCountsDrops)
 {
     TraceSink sink(4);
     for (int i = 0; i < 10; ++i) {
-        sink.instant(TraceTrack::Dpg, "e" + std::to_string(i),
-                     static_cast<std::uint64_t>(i));
+        std::string name = "e";
+        name += std::to_string(i);
+        sink.instant(TraceTrack::Dpg, name, static_cast<std::uint64_t>(i));
     }
     EXPECT_EQ(sink.size(), 4u);
     EXPECT_EQ(sink.capacity(), 4u);

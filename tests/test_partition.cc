@@ -84,7 +84,7 @@ TEST(Partition, MoreWarpsThanBlocks)
 TEST(Partition, DefaultConstructedMatrixYieldsEmptyRanges)
 {
     const BbcMatrix empty;
-    for (const auto part : {partitionBlocks(empty, 4),
+    for (const auto &part : {partitionBlocks(empty, 4),
                             partitionRows(empty, 4)}) {
         EXPECT_EQ(part.totalBlocks(), 0);
         ASSERT_EQ(static_cast<int>(part.warps.size()), 4);

@@ -556,8 +556,9 @@ TEST(WarehouseQuery, CheckRegressionsDetects2xSlowdown)
             cyclesRegressed = c.verdict == Verdict::Regressed;
             EXPECT_NEAR(c.summary.geomean, 2.0, 1e-9);
         }
-        if (c.metric == "energy" && c.scope == "all")
+        if (c.metric == "energy" && c.scope == "all") {
             EXPECT_EQ(c.verdict, Verdict::Ok);
+        }
     }
     EXPECT_TRUE(cyclesRegressed);
 
