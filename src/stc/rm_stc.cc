@@ -25,9 +25,12 @@ void
 RmStc::runBlock(const BlockTask &task, RunResult &res,
                 TraceSink *trace) const
 {
-    const int t3m = cfg_.precision == Precision::FP64 ? 8 : 16;
-    runRowDataflow(task, cfg_, t3m, 4, 2, network().cNetUnits, res,
-                   /*gather_columns=*/true, trace);
+    if (cfg_.precision == Precision::FP64)
+        runRowDataflow<8, 4, 2, true>(task, cfg_, network().cNetUnits, res,
+                                      trace);
+    else
+        runRowDataflow<16, 4, 2, true>(task, cfg_, network().cNetUnits,
+                                       res, trace);
 }
 
 } // namespace unistc

@@ -15,6 +15,9 @@
 #ifndef UNISTC_STC_TRAPEZOID_HH
 #define UNISTC_STC_TRAPEZOID_HH
 
+#include <array>
+#include <cstdint>
+
 #include "stc/stc_model.hh"
 
 namespace unistc
@@ -34,6 +37,12 @@ class Trapezoid : public StcModel
     }
 
     NetworkConfig network() const override;
+
+    /**
+     * Cycles of @p task under TrIP, TrGT and TrGS at this precision,
+     * counted in one walk over A's rows without simulating any mode.
+     */
+    std::array<std::uint64_t, 3> modeCycles(const BlockTask &task) const;
 
     void runBlock(const BlockTask &task, RunResult &res,
                   TraceSink *trace = nullptr) const override;

@@ -26,19 +26,20 @@ namespace
 const MachineConfig kFp64 = MachineConfig::fp64();
 const MachineConfig kFp32 = MachineConfig::fp32();
 
+template <int M, int N, int K, bool Gather>
 RunResult
-runEngine(const BlockTask &t, int m, int n, int k, bool gather,
-          const MachineConfig &cfg = kFp64)
+runEngine(const BlockTask &t, const MachineConfig &cfg = kFp64)
 {
     RunResult r;
-    runRowDataflow(t, cfg, m, n, k, 8, r, gather);
+    runRowDataflow<M, N, K, Gather>(t, cfg, 8, r);
     return r;
 }
 
 // ---------------------------------------------------------------------
-// Reference: the engine as it was before the count-only pass. Every
-// row records its sub-steps as RowStep events, then the group merges
-// the rows in lock-step, one cycle per step index.
+// Reference: the engine with a run-time geometry, as it was before the
+// count-only pass. Every row records its sub-steps as RowStep events,
+// then the group merges the rows in lock-step, one cycle per step
+// index.
 // ---------------------------------------------------------------------
 
 struct RowStep
@@ -188,99 +189,100 @@ patternAt(Rng &rng, double density)
     return BlockPattern::random(rng, density);
 }
 
-TEST(RowDataflow, MatchesStepTraceReference)
+/**
+ * Run the M x N x K engine and the step-trace reference on MM and MV
+ * tasks over a density grid, each into a fresh result with traces and
+ * into one accumulator carried across every case.
+ */
+template <int M, int N, int K, bool Gather>
+void
+expectMatchesReference(const MachineConfig &cfg, const char *geometry,
+                       Rng &rng)
 {
-    const struct
-    {
-        int m, n, k;
-        const MachineConfig *cfg;
-        const char *what;
-    } geoms[] = {
-        {8, 4, 2, &kFp64, "RM-STC and TrGS fp64"},
-        {16, 4, 2, &kFp32, "RM-STC, TrIP and TrGT fp32"},
-        {16, 2, 2, &kFp64, "TrIP fp64"},
-        {16, 4, 1, &kFp64, "TrGT fp64"},
-        {8, 4, 4, &kFp32, "TrGS fp32"},
-        // 256 sub-steps per dense row: past the old inline capacity.
-        {1, 1, 1, &kFp64, "1x1x1"},
-    };
     const double densities[] = {0.0,  0.002, 0.01, 0.05,
                                 0.15, 0.3,   0.5,  1.0};
-    Rng rng(664);
-    for (const auto &g : geoms) {
-        for (bool gather : {true, false}) {
-            for (bool mv : {false, true}) {
-                // Accumulators carried across every case of this
-                // configuration: the engines must also agree when
-                // adding into a non-empty result.
-                RunResult want_acc, got_acc;
-                for (double da : densities) {
-                    for (double db : densities) {
-                        const BlockPattern a = patternAt(rng, da);
-                        const BlockPattern b = patternAt(rng, db);
-                        const BlockTask t = mv
-                            ? BlockTask::mv(a, b.rowBits(0))
-                            : BlockTask::mm(a, b);
-                        const std::string what =
-                            std::string(g.what) +
-                            (gather ? " gather" : " chunks") +
-                            (mv ? " MV" : " MM") + " dA=" +
-                            std::to_string(da) +
-                            " dB=" + std::to_string(db);
+    for (bool mv : {false, true}) {
+        // The engines must also agree when adding into a non-empty
+        // result.
+        RunResult want_acc, got_acc;
+        for (double da : densities) {
+            for (double db : densities) {
+                const BlockPattern a = patternAt(rng, da);
+                const BlockPattern b = patternAt(rng, db);
+                const BlockTask t = mv ? BlockTask::mv(a, b.rowBits(0))
+                                       : BlockTask::mm(a, b);
+                SCOPED_TRACE(testing::Message()
+                             << geometry << (Gather ? " gather" : " chunks")
+                             << (mv ? " MV" : " MM") << " dA=" << da
+                             << " dB=" << db);
 
-                        RunResult want, got;
-                        TraceSink want_trace(64), got_trace(64);
-                        referenceRowDataflow(t, *g.cfg, g.m, g.n, g.k,
-                                             32, want, gather,
-                                             &want_trace);
-                        runRowDataflow(t, *g.cfg, g.m, g.n, g.k, 32,
-                                       got, gather, &got_trace);
-                        SCOPED_TRACE(what);
-                        expectSameResult(want, got);
-                        expectSameTrace(want_trace, got_trace);
-                        EXPECT_EQ(rowDataflowCycles(t, g.m, g.n, g.k,
-                                                    gather),
-                                  got.cycles);
+                RunResult want, got;
+                TraceSink want_trace(64), got_trace(64);
+                referenceRowDataflow(t, cfg, M, N, K, 32, want, Gather,
+                                     &want_trace);
+                runRowDataflow<M, N, K, Gather>(t, cfg, 32, got,
+                                                &got_trace);
+                expectSameResult(want, got);
+                expectSameTrace(want_trace, got_trace);
 
-                        referenceRowDataflow(t, *g.cfg, g.m, g.n, g.k,
-                                             32, want_acc, gather,
-                                             nullptr);
-                        runRowDataflow(t, *g.cfg, g.m, g.n, g.k, 32,
-                                       got_acc, gather);
-                        SCOPED_TRACE("accumulated");
-                        expectSameResult(want_acc, got_acc);
-                    }
-                }
+                referenceRowDataflow(t, cfg, M, N, K, 32, want_acc, Gather,
+                                     nullptr);
+                runRowDataflow<M, N, K, Gather>(t, cfg, 32, got_acc);
+                SCOPED_TRACE("accumulated");
+                expectSameResult(want_acc, got_acc);
             }
         }
     }
 }
 
+template <int M, int N, int K>
+void
+expectMatchesReference(const MachineConfig &cfg, const char *geometry,
+                       Rng &rng)
+{
+    expectMatchesReference<M, N, K, true>(cfg, geometry, rng);
+    expectMatchesReference<M, N, K, false>(cfg, geometry, rng);
+}
+
+TEST(RowDataflow, MatchesStepTraceReference)
+{
+    // Every geometry the models instantiate, both sweeps each.
+    Rng rng(664);
+    expectMatchesReference<8, 4, 2>(kFp64, "RM-STC and TrGS fp64", rng);
+    expectMatchesReference<16, 4, 2>(kFp32, "RM-STC, TrIP and TrGT fp32",
+                                     rng);
+    expectMatchesReference<16, 2, 2>(kFp64, "TrIP fp64", rng);
+    expectMatchesReference<16, 4, 1>(kFp64, "TrGT fp64", rng);
+    expectMatchesReference<8, 4, 4>(kFp32, "TrGS fp32", rng);
+    // 256 sub-steps per dense row: the largest step bound.
+    expectMatchesReference<1, 1, 1>(kFp64, "1x1x1", rng);
+}
+
+/** Both sweeps of the M x N x K engine conserve @p expect products. */
+template <int M, int N, int K>
+void
+expectConserves(const BlockTask &t, std::uint64_t expect)
+{
+    // The 128-MAC geometries need the FP32 array.
+    const MachineConfig &cfg = M * N * K <= kFp64.macCount ? kFp64 : kFp32;
+    EXPECT_EQ((runEngine<M, N, K, true>(t, cfg).products), expect);
+    EXPECT_EQ((runEngine<M, N, K, false>(t, cfg).products), expect);
+}
+
 TEST(RowDataflow, ProductConservationAllGeometries)
 {
     Rng rng(661);
-    const struct
-    {
-        int m, n, k;
-    } geoms[] = {
-        {8, 4, 2}, {16, 4, 1}, {16, 2, 2}, {8, 4, 4}, {16, 4, 2},
-    };
     for (int trial = 0; trial < 10; ++trial) {
         const BlockPattern a = BlockPattern::random(rng, 0.2);
         const BlockPattern b = BlockPattern::random(rng, 0.2);
         const BlockTask t = BlockTask::mm(a, b);
-        const int expect = blockProductCount(a, b);
-        for (const auto &g : geoms) {
-            // The 128-MAC geometries need the FP32 array.
-            const MachineConfig &cfg =
-                g.m * g.n * g.k <= kFp64.macCount ? kFp64 : kFp32;
-            for (bool gather : {true, false}) {
-                const RunResult r =
-                    runEngine(t, g.m, g.n, g.k, gather, cfg);
-                EXPECT_EQ(r.products,
-                          static_cast<std::uint64_t>(expect));
-            }
-        }
+        const std::uint64_t expect =
+            static_cast<std::uint64_t>(blockProductCount(a, b));
+        expectConserves<8, 4, 2>(t, expect);
+        expectConserves<16, 4, 1>(t, expect);
+        expectConserves<16, 2, 2>(t, expect);
+        expectConserves<8, 4, 4>(t, expect);
+        expectConserves<16, 4, 2>(t, expect);
     }
 }
 
@@ -291,8 +293,8 @@ TEST(RowDataflow, NoGatherNeverFaster)
         const BlockPattern a = BlockPattern::random(rng, 0.15);
         const BlockPattern b = BlockPattern::random(rng, 0.15);
         const BlockTask t = BlockTask::mm(a, b);
-        const RunResult gathered = runEngine(t, 8, 4, 2, true);
-        const RunResult fixed = runEngine(t, 8, 4, 2, false);
+        const RunResult gathered = runEngine<8, 4, 2, true>(t);
+        const RunResult fixed = runEngine<8, 4, 2, false>(t);
         EXPECT_GE(fixed.cycles, gathered.cycles);
     }
 }
@@ -306,7 +308,7 @@ TEST(RowDataflow, NoGatherSkipsEmptyChunks)
     for (int c = 0; c < 4; ++c)
         b.set(0, c);
     const RunResult r =
-        runEngine(BlockTask::mm(a, b), 8, 4, 2, false);
+        runEngine<8, 4, 2, false>(BlockTask::mm(a, b));
     EXPECT_EQ(r.cycles, 1u);
     EXPECT_EQ(r.products, 4u);
 }
@@ -320,8 +322,8 @@ TEST(RowDataflow, NoGatherPaysInsideChunkSparsity)
     b.set(0, 0);
     b.set(0, 15);
     const BlockTask t = BlockTask::mm(a, b);
-    EXPECT_EQ(runEngine(t, 8, 4, 2, true).cycles, 1u);
-    const RunResult fixed = runEngine(t, 8, 4, 2, false);
+    EXPECT_EQ((runEngine<8, 4, 2, true>(t).cycles), 1u);
+    const RunResult fixed = runEngine<8, 4, 2, false>(t);
     EXPECT_EQ(fixed.cycles, 2u);
     EXPECT_EQ(fixed.products, 2u);
 }
@@ -336,7 +338,7 @@ TEST(RowDataflow, LockstepChargesSlowestRow)
     for (int k = 0; k < 8; ++k)
         b.set(k, 0);
     const RunResult r =
-        runEngine(BlockTask::mm(a, b), 8, 4, 2, true);
+        runEngine<8, 4, 2, true>(BlockTask::mm(a, b));
     // 4 scalar pairs, each with merged width 1: 4 sub-steps.
     EXPECT_EQ(r.cycles, 4u);
     EXPECT_EQ(r.products, 8u);
@@ -350,7 +352,7 @@ TEST(RowDataflow, MvRestrictsToColumnZero)
     const BlockPattern a = BlockPattern::random(rng, 0.3);
     const std::uint16_t x = 0b0011'1100'0011'1100;
     const BlockTask t = BlockTask::mv(a, x);
-    const RunResult r = runEngine(t, 8, 4, 2, true);
+    const RunResult r = runEngine<8, 4, 2, true>(t);
     EXPECT_EQ(r.products,
               static_cast<std::uint64_t>(blockMvProductCount(a, x)));
 }
@@ -363,7 +365,7 @@ TEST(RowDataflow, TasksT3CountsScalarGroups)
         b.set(k, 3);
     }
     RunResult r;
-    runRowDataflow(BlockTask::mm(a, b), kFp64, 8, 4, 2, 8, r);
+    runRowDataflow<8, 4, 2, true>(BlockTask::mm(a, b), kFp64, 8, r);
     EXPECT_EQ(r.tasksT1, 1u);
     EXPECT_EQ(r.tasksT3, 3u);
 }
