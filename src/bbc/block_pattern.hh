@@ -65,6 +65,16 @@ class BlockPattern
     /** 16-bit mask of column @p c. */
     std::uint16_t colBits(int c) const;
 
+    /** 16-bit mask of the columns that hold a nonzero in any row. */
+    std::uint16_t
+    nonzeroCols() const
+    {
+        std::uint16_t cols = 0;
+        for (const std::uint16_t row : rows_)
+            cols = static_cast<std::uint16_t>(cols | row);
+        return cols;
+    }
+
     /** Total nonzero elements in the block. */
     int nnz() const;
 

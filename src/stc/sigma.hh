@@ -2,11 +2,11 @@
  * @file
  * SIGMA (Qin et al., HPCA'20) — flexible-interconnect GEMM engine,
  * throughput-aligned per §VI-C. Table VI geometry: 1(M) x (8 or 4)(N)
- * x 16(K). The nonzeros of one A row are held stationary across the
- * 16 K lanes while B columns stream N at a time. SIGMA's modes are
- * either single-side sparse (B streamed dense — zeros of B burn
- * lanes) or pay heavy transmission overhead, which is what limits it
- * against dual-side designs (§VI-C-1).
+ * x 16(K). A's nonzeros, packed row-major across row boundaries, are
+ * held stationary in the 16 K lanes while B columns stream N at a
+ * time. SIGMA's modes are either single-side sparse (B streamed
+ * dense — zeros of B burn lanes) or pay heavy transmission overhead,
+ * which is what limits it against dual-side designs (§VI-C-1).
  */
 
 #ifndef UNISTC_STC_SIGMA_HH

@@ -23,6 +23,7 @@ TEST(BlockPattern, SetTestAndRowColBits)
 {
     BlockPattern p;
     EXPECT_TRUE(p.empty());
+    EXPECT_EQ(p.nonzeroCols(), 0u);
     p.set(3, 7);
     p.set(3, 0);
     p.set(12, 7);
@@ -31,6 +32,7 @@ TEST(BlockPattern, SetTestAndRowColBits)
     EXPECT_EQ(p.nnz(), 3);
     EXPECT_EQ(p.rowBits(3), (1u << 7) | 1u);
     EXPECT_EQ(p.colBits(7), (1u << 3) | (1u << 12));
+    EXPECT_EQ(p.nonzeroCols(), (1u << 7) | 1u);
     EXPECT_FALSE(p.empty());
 }
 
@@ -39,6 +41,7 @@ TEST(BlockPattern, DensePattern)
     const BlockPattern d = BlockPattern::dense();
     EXPECT_EQ(d.nnz(), 256);
     EXPECT_EQ(d.tileBitmap(), 0xFFFF);
+    EXPECT_EQ(d.nonzeroCols(), 0xFFFF);
     for (int ti = 0; ti < 4; ++ti) {
         for (int tj = 0; tj < 4; ++tj)
             EXPECT_EQ(d.tilePattern(ti, tj), 0xFFFF);
