@@ -47,7 +47,7 @@ main()
         std::printf("  T3[%zu]: C(%d,%d) += A(%d,%d) x B(%d,%d)  "
                     "products=%d segments=%d\n",
                     i, t.i, t.j, t.i, t.k, t.k, t.j, t.products,
-                    t.segments);
+                    t.segments());
     }
     if (tasks.size() > 6)
         std::printf("  ... (%zu more)\n", tasks.size() - 6);

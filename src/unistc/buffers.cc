@@ -61,7 +61,7 @@ accumBufferBytes(const BlockPattern &a, const BlockPattern &b,
         [&](const SdpuCycleView &cycle) {
             int segments = 0;
             for (const TileTask *t : cycle.executed)
-                segments += t->segments;
+                segments += t->segments();
             worst = std::max(worst, segments);
         });
     return worst * cfg.bytesPerValue();

@@ -20,13 +20,14 @@
 #ifndef UNISTC_UNISTC_SDPU_HH
 #define UNISTC_UNISTC_SDPU_HH
 
+#include <array>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
-#include "common/small_vector.hh"
 #include "unistc/tile_task.hh"
 
 namespace unistc
@@ -71,7 +72,9 @@ struct SdpuCycleView
 /**
  * Pack an ordered T3 task stream into SDPU cycles, invoking
  * @p fn(const SdpuCycleView &) once per cycle, in order. Performs no
- * heap allocation for typical task counts (<= 64 tasks per T1 task).
+ * heap allocation: the pending tasks are the set bits of one 64-bit
+ * mask, walked LSB first, so a span may hold at most kMaxTileTasks
+ * tasks (the T3 tasks of one T1 task).
  *
  * @param tasks TMS-ordered tasks (zero-product tasks are skipped by
  *        the TMS and must not appear here).
@@ -90,59 +93,54 @@ forEachSdpuCycle(std::span<const TileTask> tasks, int num_dpgs,
 {
     UNISTC_ASSERT(num_dpgs > 0 && mac_count > 0,
                   "bad SDPU configuration");
+    UNISTC_ASSERT(tasks.size() <= static_cast<std::size_t>(kMaxTileTasks),
+                  "SDPU span of ", tasks.size(), " T3 tasks exceeds ",
+                  kMaxTileTasks);
 
-    SmallVector<const TileTask *, 64> pending;
-    pending.reserve(tasks.size());
-    for (const TileTask &t : tasks)
-        pending.push_back(&t);
+    // Bit n is set while tasks[n] waits. A task leaves the mask when
+    // it executes, so the bits left keep their stream order.
+    std::uint64_t pending =
+        tasks.size() == static_cast<std::size_t>(kMaxTileTasks)
+        ? ~std::uint64_t{0}
+        : (std::uint64_t{1} << tasks.size()) - 1u;
+    std::array<const TileTask *, kMaxTileTasks> executed{};
 
-    SmallVector<const TileTask *, 16> executed;
-
-    while (!pending.empty()) {
-        executed.clear();
-
+    while (pending) {
         SdpuCycleView cycle;
+        std::size_t n_executed = 0;
         int used_slots = 0;
         int used_dpgs = 0;
         std::uint16_t c_tiles = 0;
 
-        // Tasks that stay pending are compacted in place, in order,
-        // to the front of the list.
-        std::size_t kept = 0;
-        std::size_t scan = 0;
-        for (; scan < pending.size() && used_dpgs < num_dpgs; ++scan) {
-            const TileTask *task = pending[scan];
-            UNISTC_ASSERT(task->products > 0 &&
-                          task->products <= mac_count,
+        for (std::uint64_t scan = pending;
+             scan && used_dpgs < num_dpgs; scan &= scan - 1u) {
+            const int n = std::countr_zero(scan);
+            const TileTask &task = tasks[n];
+            UNISTC_ASSERT(task.products > 0 &&
+                          task.products <= mac_count,
                           "T3 task products out of range");
-            if (check_conflicts && testBit(c_tiles, task->cTileId())) {
+            if (check_conflicts && testBit(c_tiles, task.cTileId())) {
                 // Write conflict: the task's DPG waits this cycle.
                 ++used_dpgs;
                 ++cycle.waitingDpgs;
                 cycle.hadConflict = true;
-                pending[kept++] = task;
                 continue;
             }
-            if (used_slots + task->products > mac_count)
+            if (used_slots + task.products > mac_count)
                 break; // In-order concatenation: the SDPU fill stops here.
-            used_slots += task->products;
+            used_slots += task.products;
             ++used_dpgs;
-            c_tiles = setBit(c_tiles, task->cTileId());
-            executed.push_back(task);
+            c_tiles = setBit(c_tiles, task.cTileId());
+            pending &= ~(std::uint64_t{1} << n);
+            executed[n_executed++] = &task;
         }
-        for (; scan < pending.size(); ++scan)
-            pending[kept++] = pending[scan];
-        pending.resize(kept);
 
-        UNISTC_ASSERT(!executed.empty() || cycle.waitingDpgs > 0,
-                      "SDPU cycle made no progress");
         // A cycle of pure conflict stalls cannot happen: the first
         // pending task always finds its C tile free.
-        UNISTC_ASSERT(!executed.empty(),
-                      "SDPU deadlock: no task executed");
+        UNISTC_ASSERT(n_executed > 0, "SDPU deadlock: no task executed");
 
-        cycle.executed = std::span<const TileTask *const>(
-            executed.data(), executed.size());
+        cycle.executed =
+            std::span<const TileTask *const>(executed.data(), n_executed);
         cycle.totalProducts = used_slots;
         fn(std::as_const(cycle));
     }

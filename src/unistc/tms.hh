@@ -22,10 +22,6 @@
 namespace unistc
 {
 
-/** A 16x16x16 T1 task expands to at most 4x4x4 = 64 T3 tasks. */
-constexpr int kMaxTileTasks =
-    kTilesPerEdge * kTilesPerEdge * kTilesPerEdge;
-
 /** Allocation-free T3 task list (64 tasks fit inline). */
 using TileTaskList = SmallVector<TileTask, kMaxTileTasks>;
 

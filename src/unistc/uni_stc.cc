@@ -80,16 +80,16 @@ UniStc::runBlock(const BlockTask &task, RunResult &res,
             const int a_id = t->i * kTilesPerEdge + t->k;
             if (!testBit(a_tiles_seen, a_id)) {
                 a_tiles_seen = setBit(a_tiles_seen, a_id);
-                res.traffic.readsA += t->aElems;
+                res.traffic.readsA += t->aElems();
             }
             const int b_id = t->k * kTilesPerEdge + t->j;
             if (!testBit(b_tiles_seen, b_id)) {
                 b_tiles_seen = setBit(b_tiles_seen, b_id);
-                res.traffic.readsB += t->bElems;
+                res.traffic.readsB += t->bElems();
             }
             // The SDPU pre-merges each T4 segment's products into a
             // single partial sum before write-back (§IV-B).
-            res.traffic.writesC += t->segments;
+            res.traffic.writesC += t->segments();
         }
         ++n_cycles;
     });

@@ -5,11 +5,13 @@
  * worked '49' example), broadcast-range bounds of the Z-shaped fill,
  * and SDPU packing with write-conflict arbitration. The TMS and the
  * SDPU packer are also checked against test-local copies of their
- * earlier slot-scan and copy-and-swap implementations.
+ * earlier slot-scan and copy-and-swap implementations, and the T3
+ * product word against its element-by-element definition.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
 #include <span>
 #include <tuple>
@@ -30,8 +32,8 @@ namespace
 // ---- Reference implementations -------------------------------------
 // A TMS that probes all 64 (i, j, k) slots and counts each tile pair
 // row by row, and an SDPU packer that rebuilds its pending list every
-// cycle. The live-tile walk, the single-word counts and the in-place
-// packer must reproduce them exactly.
+// cycle. The live-tile walk, the product-word counts and the
+// pending-mask packer must reproduce them exactly.
 
 std::uint16_t
 refRep4(std::uint16_t v)
@@ -98,6 +100,23 @@ refActiveOperands(std::uint16_t a_tile, std::uint16_t b_tile,
         static_cast<std::uint16_t>(b_masked & refLiveNibbleMask4(a_t)));
 }
 
+/** The product word by its definition, one (r, c, k) triple at a time. */
+std::uint64_t
+refProductBits(std::uint16_t a_tile, std::uint16_t b_tile, int n_cols)
+{
+    std::uint64_t bits = 0;
+    for (int r = 0; r < 4; ++r) {
+        for (int c = 0; c < n_cols; ++c) {
+            for (int k = 0; k < 4; ++k) {
+                if (testBit(a_tile, bit4x4(r, k)) &&
+                    testBit(b_tile, bit4x4(k, c)))
+                    bits |= std::uint64_t{1} << (16 * r + 4 * c + k);
+            }
+        }
+    }
+    return bits;
+}
+
 bool
 refMakeTask(const PatternMeta &a, const PatternMeta &b, int i, int j,
             int k, int n_cols, TileTask &out)
@@ -115,8 +134,6 @@ refMakeTask(const PatternMeta &a, const PatternMeta &b, int i, int j,
     out.aTile = a_tile;
     out.bTile = b_tile;
     out.products = products;
-    out.segments = refTileSegmentCount(a_tile, b_tile, n_cols);
-    refActiveOperands(a_tile, b_tile, n_cols, out.aElems, out.bElems);
     return true;
 }
 
@@ -296,7 +313,7 @@ TEST(Tms, DenseBlockGeneratesAll64Tasks)
     EXPECT_EQ(tasks.size(), 64u);
     for (const auto &t : tasks) {
         EXPECT_EQ(t.products, 64); // 4x4x4 dense tile triple
-        EXPECT_EQ(t.segments, 16);
+        EXPECT_EQ(t.segments(), 16);
     }
 }
 
@@ -355,7 +372,7 @@ TEST(Tms, MvRestrictsToTileColumnZero)
     for (const auto &t : tasks) {
         EXPECT_EQ(t.j, 0);
         EXPECT_EQ(t.products, 16); // 4 rows x 1 col x 4 k
-        EXPECT_EQ(t.segments, 4);
+        EXPECT_EQ(t.segments(), 4);
     }
 }
 
@@ -378,12 +395,28 @@ TEST(Tms, AdaptiveOrderSelectsColumnMajorForTallLayers)
         EXPECT_EQ(tasks[i].i, i);
 }
 
-/** Every TileTask field, with the coordinates widened for printing. */
+/**
+ * A task's coordinates, bitmaps and four counts, with the coordinates
+ * widened for printing.
+ */
 auto
 taskFields(const TileTask &t)
 {
     return std::tuple(int{t.i}, int{t.j}, int{t.k}, t.aTile, t.bTile,
-                      t.products, t.segments, t.aElems, t.bElems);
+                      t.products, t.segments(), t.aElems(), t.bElems());
+}
+
+/** The same fields of a slot-scan task, counted tile row by row. */
+auto
+refTaskFields(const TileTask &t, int n_cols)
+{
+    int a_elems = 0;
+    int b_elems = 0;
+    refActiveOperands(t.aTile, t.bTile, n_cols, a_elems, b_elems);
+    return std::tuple(int{t.i}, int{t.j}, int{t.k}, t.aTile, t.bTile,
+                      t.products,
+                      refTileSegmentCount(t.aTile, t.bTile, n_cols),
+                      a_elems, b_elems);
 }
 
 TEST(Tms, LiveTileWalkMatchesSlotScan)
@@ -419,19 +452,20 @@ TEST(Tms, LiveTileWalkMatchesSlotScan)
                     a, b, n_tile_cols, cfg.ordering, cfg.adaptive);
                 ASSERT_EQ(got.size(), want.size())
                     << toString(cfg.ordering) << " " << n_tile_cols;
+                const int n_cols = n_tile_cols == 1 ? 1 : 4;
                 for (std::size_t n = 0; n < got.size(); ++n) {
-                    ASSERT_EQ(taskFields(got[n]), taskFields(want[n]))
+                    ASSERT_EQ(taskFields(got[n]),
+                              refTaskFields(want[n], n_cols))
                         << toString(cfg.ordering) << " adaptive "
                         << cfg.adaptive << " cols " << n_tile_cols
                         << " task " << n;
-                    const int n_cols = n_tile_cols == 1 ? 1 : 4;
                     const auto t4 = expandTileTask(got[n].aTile,
                                                    got[n].bTile, n_cols);
                     int products = 0;
                     for (const auto &x : t4)
                         products += x.len();
                     ASSERT_EQ(got[n].products, products);
-                    ASSERT_EQ(got[n].segments,
+                    ASSERT_EQ(got[n].segments(),
                               static_cast<int>(t4.size()));
                 }
                 checked += got.size();
@@ -449,6 +483,43 @@ TEST(Tms, LiveTileWalkMatchesSlotScan)
             return;
     }
     EXPECT_GT(checked, 0u);
+}
+
+TEST(Tms, ProductWordMatchesDefinition)
+{
+    // Bit 16r+4c+k of a task's product word is set iff A(r, k) x B(k, c)
+    // is a product, for c < n_cols, and the product count is its
+    // popcount: every single-bit tile pair, then 10,000 random pairs
+    // at densities from sparse to dense, MM and MV.
+    std::vector<std::pair<std::uint16_t, std::uint16_t>> pairs;
+    for (int x = 0; x < 16; ++x) {
+        for (int y = 0; y < 16; ++y)
+            pairs.emplace_back(setBit(0, x), setBit(0, y));
+    }
+    Rng rng(95);
+    const double densities[] = {0.1, 0.3, 0.5, 0.7, 0.9};
+    for (int n = 0; n < 10000; ++n) {
+        const double d = densities[n % 5];
+        std::uint16_t at = 0;
+        std::uint16_t bt = 0;
+        for (int bit = 0; bit < 16; ++bit) {
+            if (rng.nextBool(d))
+                at = setBit(at, bit);
+            if (rng.nextBool(d))
+                bt = setBit(bt, bit);
+        }
+        pairs.emplace_back(at, bt);
+    }
+    for (const auto &[at, bt] : pairs) {
+        for (const int n_cols : {1, 4}) {
+            const TileTask t = countTileTask(at, bt, n_cols);
+            const std::uint64_t want = refProductBits(at, bt, n_cols);
+            ASSERT_EQ(t.productBits, want)
+                << at << " " << bt << " " << n_cols;
+            ASSERT_EQ(t.products, std::popcount(want))
+                << at << " " << bt << " " << n_cols;
+        }
+    }
 }
 
 TEST(Dpg, PaperFig9TaskCodeExample)
@@ -514,14 +585,14 @@ TEST(Dpg, SegmentsAndProductsConsistent)
                     products += x.len();
                 ASSERT_EQ(t.products, products)
                     << at << " " << bt << " " << n_cols;
-                ASSERT_EQ(t.segments, static_cast<int>(t4.size()))
+                ASSERT_EQ(t.segments(), static_cast<int>(t4.size()))
                     << at << " " << bt << " " << n_cols;
                 int a_elems = 0;
                 int b_elems = 0;
                 refActiveOperands(at, bt, n_cols, a_elems, b_elems);
-                ASSERT_EQ(t.aElems, a_elems)
+                ASSERT_EQ(t.aElems(), a_elems)
                     << at << " " << bt << " " << n_cols;
-                ASSERT_EQ(t.bElems, b_elems)
+                ASSERT_EQ(t.bElems(), b_elems)
                     << at << " " << bt << " " << n_cols;
                 ASSERT_EQ(t.aTile, at);
                 ASSERT_EQ(t.bTile, bt);
@@ -559,13 +630,13 @@ TEST(Dpg, ActiveOperandsSkipDeadElements)
     b_tile = setBit(b_tile, bit4x4(0, 1)); // used: A col 0 live
     b_tile = setBit(b_tile, bit4x4(3, 1)); // dead: A col 3 empty
     const TileTask t = countTileTask(a_tile, b_tile, 4);
-    EXPECT_EQ(t.aElems, 1);
-    EXPECT_EQ(t.bElems, 1);
+    EXPECT_EQ(t.aElems(), 1);
+    EXPECT_EQ(t.bElems(), 1);
     // MV keeps only output column 0, where B has no element: nothing
     // is fetched.
     const TileTask mv = countTileTask(a_tile, b_tile, 1);
-    EXPECT_EQ(mv.aElems, 0);
-    EXPECT_EQ(mv.bElems, 0);
+    EXPECT_EQ(mv.aElems(), 0);
+    EXPECT_EQ(mv.bElems(), 0);
 }
 
 TEST(Sdpu, PacksUpToMacBudget)
@@ -579,7 +650,6 @@ TEST(Sdpu, PacksUpToMacBudget)
         t.j = static_cast<std::int8_t>(i / 4);
         t.k = 0;
         t.products = 16;
-        t.segments = 4;
         tasks.push_back(t);
     }
     const auto cycles = scheduleSdpu(tasks, 8, 64);
@@ -598,7 +668,6 @@ TEST(Sdpu, DpgCountLimitsParallelTasks)
         t.j = static_cast<std::int8_t>(i / 4);
         t.k = 0;
         t.products = 4;
-        t.segments = 1;
         tasks.push_back(t);
     }
     const auto cycles = scheduleSdpu(tasks, 2, 64);
@@ -616,7 +685,6 @@ TEST(Sdpu, WriteConflictStallsSecondTask)
     tasks[0].k = 0;
     tasks[1].k = 1;
     tasks[0].products = tasks[1].products = 8;
-    tasks[0].segments = tasks[1].segments = 2;
     const auto cycles = scheduleSdpu(tasks, 8, 64);
     ASSERT_EQ(cycles.size(), 2u);
     EXPECT_EQ(cycles[0].executed.size(), 1u);
@@ -636,10 +704,8 @@ TEST(Sdpu, ConflictDoesNotBlockLaterTasks)
     tasks[1].k = 1;
     tasks[2].i = 3;
     tasks[2].j = 3;
-    for (auto &t : tasks) {
+    for (auto &t : tasks)
         t.products = 8;
-        t.segments = 2;
-    }
     const auto cycles = scheduleSdpu(tasks, 8, 64);
     ASSERT_EQ(cycles.size(), 2u);
     EXPECT_EQ(cycles[0].executed.size(), 2u);
@@ -650,22 +716,22 @@ TEST(Sdpu, FullTaskOccupiesWholeCycle)
 {
     std::vector<TileTask> tasks(2);
     tasks[0].products = 64;
-    tasks[0].segments = 16;
     tasks[1].i = 1;
     tasks[1].products = 64;
-    tasks[1].segments = 16;
     const auto cycles = scheduleSdpu(tasks, 8, 64);
     ASSERT_EQ(cycles.size(), 2u);
     EXPECT_EQ(cycles[0].products(), 64);
     EXPECT_EQ(cycles[1].products(), 64);
 }
 
-TEST(Sdpu, InPlacePackingMatchesCopyAndSwap)
+TEST(Sdpu, MaskPackingMatchesCopyAndSwap)
 {
-    // The in-place packer must visit the same cycles as the
+    // The pending-mask packer must visit the same cycles as the
     // copy-and-swap one: the same executed tasks in the same order,
     // waiting DPGs, conflict flag and products, on TMS task lists of
     // every ordering (dot-product order stresses write conflicts).
+    // Dense x dense lists are the only ones that fill all 64 mask
+    // bits; MV lists pair A with an embedded x segment.
     Rng rng(94);
     std::vector<TileTaskList> lists;
     for (const double d : {0.05, 0.2, 0.5, 0.9}) {
@@ -684,9 +750,20 @@ TEST(Sdpu, InPlacePackingMatchesCopyAndSwap)
         }
     }
     const PatternMeta dense = computePatternMeta(BlockPattern::dense());
+    const PatternMeta half =
+        computePatternMeta(BlockPattern::random(rng, 0.5));
     for (const TaskOrdering ordering :
-         {TaskOrdering::OuterProduct, TaskOrdering::DotProduct})
+         {TaskOrdering::OuterProduct, TaskOrdering::DotProduct,
+          TaskOrdering::RowRow}) {
         lists.push_back(generateTileTasks(dense, dense, 4, ordering));
+        ASSERT_EQ(lists.back().size(),
+                  static_cast<std::size_t>(kMaxTileTasks));
+        for (const std::uint16_t x : {0x8421, 0xFFFF}) {
+            const PatternMeta xv = computePatternMeta(vectorAsBlock(x));
+            lists.push_back(generateTileTasks(dense, xv, 1, ordering));
+            lists.push_back(generateTileTasks(half, xv, 1, ordering));
+        }
+    }
     for (const TileTaskList &list : lists) {
         const std::span<const TileTask> tasks(list.data(), list.size());
         for (const int dpgs : {1, 2, 4, 8, 16}) {
@@ -711,6 +788,23 @@ TEST(Sdpu, InPlacePackingMatchesCopyAndSwap)
             }
         }
     }
+}
+
+TEST(Sdpu, RefusesSpanLongerThanMask)
+{
+    // One mask bit per pending task: a span of 65 tasks must stop the
+    // run, even where fatals throw, instead of being read past the
+    // mask.
+    std::vector<TileTask> tasks(kMaxTileTasks + 1);
+    for (TileTask &t : tasks)
+        t.products = 1;
+    EXPECT_DEATH(
+        {
+            ScopedFatalThrow guard;
+            forEachSdpuCycle(tasks, 8, 64, /*check_conflicts=*/false,
+                             [](const SdpuCycleView &) {});
+        },
+        "SDPU span of 65 T3 tasks exceeds 64");
 }
 
 TEST(OrderingStudy, OuterProductBeatsAlternativesOnReuse)
