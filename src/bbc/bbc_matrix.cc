@@ -130,17 +130,19 @@ BlockPattern
 BbcMatrix::blockPattern(std::int64_t blk) const
 {
     BlockPattern p;
-    const std::int64_t base = tileBase_[blk];
-    int tile_i = 0;
+    const std::uint16_t *lv2 = lv2_.data() + tileBase_[blk];
     forEachSetBit(lv1_[blk], [&](int tile_bit) {
-        const int ti = tile_bit / kTilesPerEdge;
-        const int tj = tile_bit % kTilesPerEdge;
-        const std::uint16_t lv2 = lv2_[base + tile_i];
-        forEachSetBit(lv2, [&](int elem_bit) {
-            p.set(ti * kTileSize + elem_bit / kTileSize,
-                  tj * kTileSize + elem_bit % kTileSize);
-        });
-        ++tile_i;
+        // Row lr of the tile is nibble lr of its Lv2 word; it lands in
+        // nibble tj of block row ti*4+lr.
+        const int row0 = tile_bit / kTilesPerEdge * kTileSize;
+        const int shift = tile_bit % kTilesPerEdge * kTileSize;
+        const std::uint16_t tile = *lv2++;
+        for (int lr = 0; lr < kTileSize; ++lr) {
+            p.setRowBits(row0 + lr,
+                         static_cast<std::uint16_t>(
+                             p.rowBits(row0 + lr) |
+                             row4(tile, lr) << shift));
+        }
     });
     return p;
 }

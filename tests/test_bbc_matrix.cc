@@ -61,17 +61,26 @@ TEST(BbcMatrix, SingleElement)
 
 TEST(BbcMatrix, BlockPatternMatchesCsrStructure)
 {
-    const CsrMatrix m = genRandomUniform(64, 64, 0.08, 32);
-    const BbcMatrix bbc = BbcMatrix::fromCsr(m);
-    for (std::int64_t blk = 0; blk < bbc.numBlocks(); ++blk) {
-        const BbcBlockView view = bbc.blockView(blk);
-        for (int lr = 0; lr < kBlockSize; ++lr) {
-            for (int lc = 0; lc < kBlockSize; ++lc) {
-                const int r = view.blockRow * kBlockSize + lr;
-                const int c = view.blockCol * kBlockSize + lc;
-                const bool nz = r < m.rows() && c < m.cols() &&
-                    m.at(r, c) != 0.0;
-                EXPECT_EQ(view.pattern.test(lr, lc), nz);
+    // From one-element tiles to full ones, on a square matrix and on
+    // the edge-block shapes of NonMultipleOf16Shapes.
+    for (const auto &[rows, cols] :
+         {std::pair{64, 64}, {17, 31}, {15, 16}, {33, 7}, {100, 3}}) {
+        for (const double density : {0.001, 0.01, 0.08, 0.3, 0.7, 1.0}) {
+            const CsrMatrix m = genRandomUniform(rows, cols, density, 32);
+            const BbcMatrix bbc = BbcMatrix::fromCsr(m);
+            for (std::int64_t blk = 0; blk < bbc.numBlocks(); ++blk) {
+                const BbcBlockView view = bbc.blockView(blk);
+                for (int lr = 0; lr < kBlockSize; ++lr) {
+                    for (int lc = 0; lc < kBlockSize; ++lc) {
+                        const int r = view.blockRow * kBlockSize + lr;
+                        const int c = view.blockCol * kBlockSize + lc;
+                        const bool nz = r < m.rows() && c < m.cols() &&
+                            m.at(r, c) != 0.0;
+                        ASSERT_EQ(view.pattern.test(lr, lc), nz)
+                            << rows << "x" << cols << " at " << density
+                            << ": (" << r << ", " << c << ")";
+                    }
+                }
             }
         }
     }
