@@ -2,8 +2,8 @@
  * @file
  * Fixed-inline-capacity vector for task-lifetime data. The simulator's
  * hot loops build many tiny sequences per T1 task (T3 tasks, T4
- * segments, SDPU pending lists, UWMMA instruction bundles) whose sizes
- * are bounded by the 4x4x4 block geometry; SmallVector keeps them in
+ * segments, per-warp scheduler state) whose sizes are bounded by the
+ * 4x4x4 block geometry or the SM shape; SmallVector keeps them in
  * the object itself (usually on the stack) and only touches the heap
  * when a sequence outgrows its inline capacity. The idiom follows
  * cdec's SmallVector (see SNIPPETS.md): trivially relocatable element

@@ -46,10 +46,9 @@ buildTaskBundleFromMeta(const PatternMeta &a_meta,
     TaskBundle bundle;
 
     // Synchronous loads: meta (1 cycle) + A values (2 cycles).
-    bundle.instrs.push_back({is_mv ? UwmmaOp::LoadMetaMv
-                                   : UwmmaOp::LoadMetaMm,
-                             1});
-    bundle.instrs.push_back({UwmmaOp::LoadA, 2});
+    bundle.instrs[0] = {is_mv ? UwmmaOp::LoadMetaMv : UwmmaOp::LoadMetaMm,
+                        1};
+    bundle.instrs[1] = {UwmmaOp::LoadA, 2};
     bundle.loadCycles = 3;
 
     // Task generation: the TMS emits up to numDpgs T3 tasks per
@@ -64,9 +63,8 @@ buildTaskBundleFromMeta(const PatternMeta &a_meta,
                                   std::max(1, cfg.numDpgs))));
     gen = std::clamp(gen, 1, gen_max);
     bundle.taskGenCycles = gen;
-    bundle.instrs.push_back({is_mv ? UwmmaOp::TaskGenMv
-                                   : UwmmaOp::TaskGenMm,
-                             gen});
+    bundle.instrs[2] = {is_mv ? UwmmaOp::TaskGenMv : UwmmaOp::TaskGenMm,
+                        gen};
 
     // Numeric: the SDPU packing determines the cycle count. Table V
     // bounds: MV 1-8, MM 1-64.
@@ -81,9 +79,8 @@ buildTaskBundleFromMeta(const PatternMeta &a_meta,
     }
     numeric = std::clamp(numeric, 1, is_mv ? 8 : 64);
     bundle.numericCycles = numeric;
-    bundle.instrs.push_back({is_mv ? UwmmaOp::NumericMv
-                                   : UwmmaOp::NumericMm,
-                             numeric});
+    bundle.instrs[3] = {is_mv ? UwmmaOp::NumericMv : UwmmaOp::NumericMm,
+                        numeric};
     return bundle;
 }
 

@@ -21,12 +21,13 @@
 #ifndef UNISTC_ISA_UWMMA_HH
 #define UNISTC_ISA_UWMMA_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bbc/bbc_matrix.hh"
-#include "common/small_vector.hh"
 #include "sim/config.hh"
 
 namespace unistc
@@ -53,7 +54,7 @@ const char *mnemonic(UwmmaOp op);
 /** One issued instruction with its resolved cycle cost. */
 struct UwmmaInstr
 {
-    UwmmaOp op;
+    UwmmaOp op = UwmmaOp::LoadMetaMv;
     int cycles = 0;
 };
 
@@ -63,9 +64,15 @@ struct TaskBundle
     int loadCycles = 0;    ///< Synchronous meta + value loads.
     int taskGenCycles = 0; ///< Asynchronous TMS+DPG work.
     int numericCycles = 0; ///< SDPU execution.
-    /** The issued sequence — always the 4-instruction Table V shape. */
-    SmallVector<UwmmaInstr, 4> instrs;
+    /**
+     * The issued sequence, in the Table V shape: load.meta, load.a,
+     * task_gen, numeric.
+     */
+    std::array<UwmmaInstr, 4> instrs{};
 };
+
+// Streams replicate bundles per activation tile: keep that a memmove.
+static_assert(std::is_trivially_copyable_v<TaskBundle>);
 
 /**
  * Build the instruction bundle of one T1 task on Uni-STC.
