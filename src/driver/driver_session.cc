@@ -14,7 +14,6 @@
 #endif
 
 #include "common/logging.hh"
-#include "warehouse/sink.hh"
 
 namespace unistc
 {
@@ -93,10 +92,6 @@ DriverSession::run(const SweepRequest &req, int argc, char **argv,
     if (req.smoke)
         ::setenv("UNISTC_CORPUS_CLAMP", "2", 0);
 #endif
-
-    // Warehouse sink (off unless UNISTC_WAREHOUSE_DIR): opened before
-    // the body so rows stream out as they are recorded.
-    warehouse::BenchSink::instance().configure(argc, argv);
 
 #if !UNISTC_DRIVER_POSIX
     if (req.jobs > 1)

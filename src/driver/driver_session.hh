@@ -11,11 +11,11 @@
  *               splices the precomputed results in
  *               (docs/PARALLELISM.md).
  *
- * In both shapes the reporting output — stdout, UNISTC_BENCH_JSON,
- * warehouse rows — is produced by exactly one serial traversal of
- * the body, so it is byte-identical across worker counts. A job
- * that throws fails the run in both shapes: serially the exception
- * leaves the body, under --jobs the barrier raises it.
+ * In both shapes the reporting output — stdout and UNISTC_BENCH_JSON
+ * — is produced by exactly one serial traversal of the body, so it
+ * is byte-identical across worker counts. A job that throws fails
+ * the run in both shapes: serially the exception leaves the body,
+ * under --jobs the barrier raises it.
  */
 
 #ifndef UNISTC_DRIVER_DRIVER_SESSION_HH

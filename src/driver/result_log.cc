@@ -4,7 +4,6 @@
 #include <fstream>
 
 #include "common/logging.hh"
-#include "warehouse/sink.hh"
 
 namespace unistc
 {
@@ -40,24 +39,16 @@ void
 ResultLog::record(Kernel kernel, const std::string &model,
                   const std::string &matrix, const RunResult &result)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        entries_.push_back({toString(kernel), model, matrix, result});
-    }
-    warehouse::BenchSink::instance().record(toString(kernel), model,
-                                            matrix, result);
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.push_back({toString(kernel), model, matrix, result});
 }
 
 void
 ResultLog::recordEngine(Kernel kernel, const std::string &matrix,
                         const PipelineCounters &counters)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        engineEntries_.push_back({toString(kernel), matrix, counters});
-    }
-    warehouse::BenchSink::instance().recordEngine(toString(kernel),
-                                                  matrix, counters);
+    std::lock_guard<std::mutex> lock(mu_);
+    engineEntries_.push_back({toString(kernel), matrix, counters});
 }
 
 void

@@ -6,10 +6,7 @@
  * the src/driver/ library). Set UNISTC_BENCH_JSON=out.json to get an
  * automatic dump at exit from the process-default log. record() is
  * mutex-guarded so sweep workers may append concurrently; entries()
- * / dumpJson() are for after the run settles. Every record is
- * additionally mirrored into the results warehouse when
- * UNISTC_WAREHOUSE_DIR is set (warehouse/sink.hh) — same rows, same
- * order, incrementally flushed so a crashed run keeps its prefix.
+ * / dumpJson() are for after the run settles.
  */
 
 #ifndef UNISTC_DRIVER_RESULT_LOG_HH
@@ -29,7 +26,7 @@ namespace unistc
 namespace driver
 {
 
-/** Run-results accumulator + UNISTC_BENCH_JSON / warehouse bridge. */
+/** Run-results accumulator and its UNISTC_BENCH_JSON dump. */
 class ResultLog
 {
   public:
@@ -69,9 +66,8 @@ class ResultLog
     }
 
     /**
-     * Write all recorded entries as schema-versioned JSON, through
-     * the shared serializer (obs/bench_json.hh) so this dump and
-     * `unistc_query export-bench` agree byte for byte.
+     * Write all recorded entries as schema-versioned JSON through
+     * obs/bench_json.hh.
      */
     void dumpJson(const std::string &path) const;
 

@@ -7,9 +7,8 @@
 namespace unistc
 {
 
-// Moved verbatim from ResultLog::dumpJson (bench_common.hh) — any
-// byte of drift here breaks both the committed baselines and the
-// warehouse-vs-direct differential tests.
+// Any byte of drift here breaks the bench JSON goldens under
+// bench/golden/.
 void
 writeBenchJson(std::ostream &os,
                const std::vector<BenchJsonEntry> &entries,

@@ -1,15 +1,8 @@
 /**
  * @file
- * The canonical bench JSON serialisation (schema "unistc-bench",
- * version 2), factored out of bench_common.hh's ResultLog so two
- * producers share one byte-identical writer:
- *
- *   - ResultLog::dumpJson() (the UNISTC_BENCH_JSON dump at bench
- *     exit), and
- *   - unistc_query export-bench, which reconstructs the same
- *     document from warehouse rows (docs/WAREHOUSE.md) — this is
- *     what makes committed BENCH_*.json baselines reproducible from
- *     the longitudinal store.
+ * The bench JSON serialisation (schema "unistc-bench", version 2).
+ * Its one producer is ResultLog::dumpJson(), the UNISTC_BENCH_JSON
+ * dump at bench exit; the goldens under bench/golden/ pin its bytes.
  */
 
 #ifndef UNISTC_OBS_BENCH_JSON_HH

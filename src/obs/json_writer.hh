@@ -36,8 +36,6 @@ namespace unistc
  *    null encoding conflated all three irrecoverably. This mirrors
  *    the Histogram convention of an explicit "nan" record instead
  *    of silently losing the information (docs/OBSERVABILITY.md).
- *
- * JsonReader::doubleValue() decodes both forms back losslessly.
  */
 class JsonWriter
 {

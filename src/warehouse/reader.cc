@@ -181,7 +181,6 @@ readRunMeta(const std::string &runDir, const std::string &runId)
         return Result<RunMeta>(text.status());
     RunMeta meta;
     meta.id = runId;
-    meta.dir = runDir;
     for (const std::string &line : completeLines(text.value())) {
         const std::size_t eq = line.find('=');
         if (eq == std::string::npos)
@@ -204,18 +203,6 @@ readRunMeta(const std::string &runDir, const std::string &runId)
             meta.schema = static_cast<int>(u);
         } else if (key == "bench") {
             meta.bench = v;
-        } else if (key == "label") {
-            meta.label = v;
-        } else if (key == "git_sha") {
-            meta.gitSha = v;
-        } else if (key == "time") {
-            meta.time = v;
-        } else if (key == "argv") {
-            meta.argvLine = v;
-        } else if (key.rfind("env.", 0) == 0) {
-            auto envKey = unescapeField(key.substr(4));
-            if (envKey.ok())
-                meta.env.emplace_back(envKey.value(), v);
         } else if (key == "rows.results" && parseU64(v, &u)) {
             meta.declaredResultRows = u;
             meta.hasDeclaredRows = true;
@@ -266,37 +253,6 @@ WarehouseReader::runs() const
                   return a.id < b.id;
               });
     return out;
-}
-
-Result<std::string>
-WarehouseReader::resolve(const std::string &selector,
-                         const std::string &bench) const
-{
-    using R = Result<std::string>;
-    if (isRunId(selector)) {
-        std::error_code ec;
-        if (!fs::exists(fs::path(dir_) / selector / "META", ec)) {
-            return R(invalidArgument("no run '" + selector +
-                                     "' in warehouse '" + dir_ +
-                                     "'"));
-        }
-        return R(selector);
-    }
-    const std::vector<RunMeta> all = runs();
-    const bool wantLatest = selector == "latest";
-    for (auto it = all.rbegin(); it != all.rend(); ++it) {
-        if (!bench.empty() && it->bench != bench)
-            continue;
-        if (wantLatest || it->label == selector)
-            return R(it->id);
-    }
-    if (wantLatest) {
-        return R(invalidArgument(
-            "warehouse '" + dir_ + "' has no runs" +
-            (bench.empty() ? "" : " from bench '" + bench + "'")));
-    }
-    return R(invalidArgument("no run labelled '" + selector +
-                             "' in warehouse '" + dir_ + "'"));
 }
 
 Result<RunData>

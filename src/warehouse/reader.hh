@@ -1,8 +1,9 @@
 /**
  * @file
- * Read side of the results warehouse: enumerate runs, resolve
- * selectors ("latest", a run id, a label) and load rows back into
- * the in-memory types the writer started from (schema.hh).
+ * Read side of the results warehouse: enumerate runs and load rows
+ * back into the in-memory types the writer started from (schema.hh).
+ * It is the read-back oracle of the writer's tests; no binary reads
+ * a warehouse.
  *
  * Recovery contract: a run that crashed mid-append — no COMMIT
  * marker, possibly torn column files — still loads. The reader takes
@@ -12,8 +13,8 @@
  * Runs written by a NEWER schema are rejected with a typed error.
  */
 
-#ifndef UNISTC_WAREHOUSE_READER_HH
-#define UNISTC_WAREHOUSE_READER_HH
+#ifndef UNISTC_WH_READER_HH
+#define UNISTC_WH_READER_HH
 
 #include <cstdint>
 #include <string>
@@ -32,14 +33,8 @@ namespace warehouse
 struct RunMeta
 {
     std::string id;     ///< "000042".
-    std::string dir;    ///< Absolute-ish run directory path.
     int schema = 0;     ///< Writer's schema version.
-    std::string bench;  ///< Producing harness name.
-    std::string label;  ///< Optional user tag ("" when untagged).
-    std::string gitSha;
-    std::string time;   ///< ISO-8601 UTC start time ("" if unknown).
-    std::string argvLine;
-    std::vector<std::pair<std::string, std::string>> env;
+    std::string bench;  ///< Producer name.
     /** Row totals recorded at finalize (absent on crashed runs). */
     std::uint64_t declaredResultRows = 0;
     std::uint64_t declaredEngineRows = 0;
@@ -72,19 +67,8 @@ class WarehouseReader
      */
     std::vector<RunMeta> runs() const;
 
-    /**
-     * Resolve a run selector to a loadable run id:
-     *   "latest"        -> newest run (of @p bench when non-empty),
-     *   "000042"        -> that run id verbatim,
-     *   anything else   -> newest run whose META label matches.
-     */
-    Result<std::string> resolve(const std::string &selector,
-                                const std::string &bench = "") const;
-
     /** Load one run's rows; see the file header for recovery. */
     Result<RunData> load(const std::string &runId) const;
-
-    const std::string &dir() const { return dir_; }
 
   private:
     std::string dir_;
@@ -97,4 +81,4 @@ Result<RunMeta> readRunMeta(const std::string &runDir,
 } // namespace warehouse
 } // namespace unistc
 
-#endif // UNISTC_WAREHOUSE_READER_HH
+#endif // UNISTC_WH_READER_HH

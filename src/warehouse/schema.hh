@@ -1,6 +1,6 @@
 /**
  * @file
- * On-disk schema of the results warehouse (docs/WAREHOUSE.md).
+ * On-disk schema of the results warehouse (warehouse.hh).
  *
  * A warehouse is a directory of runs; one bench run = one commit:
  *
@@ -20,8 +20,8 @@
  * row prefix instead of failing.
  */
 
-#ifndef UNISTC_WAREHOUSE_SCHEMA_HH
-#define UNISTC_WAREHOUSE_SCHEMA_HH
+#ifndef UNISTC_WH_SCHEMA_HH
+#define UNISTC_WH_SCHEMA_HH
 
 #include <cstdint>
 #include <string>
@@ -131,4 +131,4 @@ Result<std::string> unescapeField(const std::string &s);
 } // namespace warehouse
 } // namespace unistc
 
-#endif // UNISTC_WAREHOUSE_SCHEMA_HH
+#endif // UNISTC_WH_SCHEMA_HH

@@ -7,11 +7,11 @@
 #include "common/logging.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
-#define UNISTC_WAREHOUSE_POSIX 1
+#define UNISTC_WH_POSIX 1
 #include <fcntl.h>
 #include <unistd.h>
 #else
-#define UNISTC_WAREHOUSE_POSIX 0
+#define UNISTC_WH_POSIX 0
 #endif
 
 namespace unistc
@@ -28,7 +28,7 @@ namespace
 void
 syncFile(std::FILE *f)
 {
-#if UNISTC_WAREHOUSE_POSIX
+#if UNISTC_WH_POSIX
     if (f != nullptr)
         ::fsync(fileno(f));
 #else
@@ -132,28 +132,12 @@ RunWriter::open(const RunWriterOptions &opt)
         return Result<Ptr>(ioError("cannot open '" + metaPath +
                                    "': " + std::strerror(errno)));
     }
-    // The open-time commit record. Counters and row totals are
-    // appended by finalize(); a crashed run keeps this prefix.
+    // The open-time commit record. The row totals are appended by
+    // finalize(); a crashed run keeps this prefix.
     std::string head;
     head += "schema=" + std::to_string(kSchemaVersion) + "\n";
     head += "run=" + w->runId_ + "\n";
     head += "bench=" + escapeField(opt.bench) + "\n";
-    if (!opt.label.empty())
-        head += "label=" + escapeField(opt.label) + "\n";
-    if (!opt.gitSha.empty())
-        head += "git_sha=" + escapeField(opt.gitSha) + "\n";
-    if (!opt.timeIso.empty())
-        head += "time=" + escapeField(opt.timeIso) + "\n";
-    std::string argvLine;
-    for (const std::string &a : opt.argv) {
-        if (!argvLine.empty())
-            argvLine += ' ';
-        argvLine += a;
-    }
-    if (!argvLine.empty())
-        head += "argv=" + escapeField(argvLine) + "\n";
-    for (const auto &[k, v] : opt.env)
-        head += "env." + escapeField(k) + "=" + escapeField(v) + "\n";
     if (std::fwrite(head.data(), 1, head.size(), w->meta_) !=
         head.size()) {
         return Result<Ptr>(ioError("short write on '" + metaPath +
@@ -403,7 +387,7 @@ RunWriter::finalize()
     std::fclose(commit);
     if (!wrote)
         return ioError("short write on '" + commitPath + "'");
-#if UNISTC_WAREHOUSE_POSIX
+#if UNISTC_WH_POSIX
     // Make the COMMIT directory entry itself durable.
     const int dfd = ::open(runDir_.c_str(), O_RDONLY);
     if (dfd >= 0) {

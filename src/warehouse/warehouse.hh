@@ -1,26 +1,25 @@
 /**
  * @file
- * Write side of the results warehouse: RunWriter appends one bench
- * run — a commit record plus per-(kernel, model, matrix) metric rows
- * — to a warehouse directory (schema.hh, docs/WAREHOUSE.md).
+ * Write side of the results warehouse: RunWriter appends one run — a
+ * commit record plus per-(kernel, model, matrix) metric rows — to a
+ * warehouse directory (schema.hh). Its one producer is perfbench's
+ * suite_lineup workload, which times the write as its
+ * report.warehouse layer; reader.hh reads runs back for the tests.
  *
- * Durability contract (the crash-resilience satellite of PR 6):
- * every append is written through to the OS immediately (fflush) and
- * fsync'd in small batches, so a crashed or killed bench
- * leaves a run that is queryable up to the failure point — atexit
- * alone would lose everything. finalize() seals the run: counters
- * are appended to META, everything is fsync'd, and a COMMIT marker
- * is written last; a run without COMMIT reads back as partial but
- * valid.
+ * Durability: every append is written through to the OS immediately
+ * (fflush) and fsync'd in small batches, so a killed writer leaves a
+ * run that reads back up to the failure point. finalize() seals the
+ * run: the row totals are appended to META, everything is fsync'd,
+ * and a COMMIT marker is written last; a run without COMMIT reads
+ * back as partial but valid.
  *
- * Concurrency: appends are mutex-serialised (sweep replay is serial,
- * but tests hammer this concurrently); run-directory allocation uses
- * mkdir() atomicity so concurrent benches sharing one warehouse
- * (ctest -j) always get distinct run ids.
+ * Concurrency: appends are mutex-serialised; run-directory
+ * allocation uses mkdir() atomicity so concurrent writers sharing
+ * one warehouse always get distinct run ids.
  */
 
-#ifndef UNISTC_WAREHOUSE_WAREHOUSE_HH
-#define UNISTC_WAREHOUSE_WAREHOUSE_HH
+#ifndef UNISTC_WH_WAREHOUSE_HH
+#define UNISTC_WH_WAREHOUSE_HH
 
 #include <cstdint>
 #include <cstdio>
@@ -28,7 +27,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "robust/status.hh"
@@ -39,17 +37,11 @@ namespace unistc
 namespace warehouse
 {
 
-/** Everything a commit record (META) captures at open time. */
+/** Where a run goes and what its commit record (META) names. */
 struct RunWriterOptions
 {
-    std::string dir;    ///< Warehouse root (created when absent).
-    std::string bench;  ///< Producing harness ("bench_tab08_...").
-    std::string label;  ///< Optional user tag (baseline lookup key).
-    std::string gitSha; ///< Source revision ("" when unknown).
-    std::string timeIso; ///< Wall-clock start, ISO-8601 UTC.
-    std::vector<std::string> argv; ///< Full command line.
-    /** Captured environment (UNISTC_* by convention). */
-    std::vector<std::pair<std::string, std::string>> env;
+    std::string dir;   ///< Warehouse root (created when absent).
+    std::string bench; ///< Producer ("perfbench_suite_lineup").
     /** Rows per fsync batch; <= 0 fsyncs only at finalize(). */
     int fsyncEvery = 16;
 };
@@ -130,4 +122,4 @@ bool isRunId(const std::string &s);
 } // namespace warehouse
 } // namespace unistc
 
-#endif // UNISTC_WAREHOUSE_WAREHOUSE_HH
+#endif // UNISTC_WH_WAREHOUSE_HH

@@ -13,7 +13,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -21,7 +20,6 @@
 #include "bbc/bbc_matrix.hh"
 #include "common/logging.hh"
 #include "corpus/generators.hh"
-#include "obs/json_reader.hh"
 #include "obs/json_writer.hh"
 #include "obs/metrics_export.hh"
 #include "obs/stat_registry.hh"
@@ -303,107 +301,6 @@ TEST(JsonWriter, FormatDoubleRoundTripsBitExact)
               "-inf");
     // -0.0 keeps its sign bit through the round trip.
     EXPECT_EQ(JsonWriter::formatDouble(-0.0), "-0");
-}
-
-TEST(JsonReader, ParsesWriterOutputWithValues)
-{
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginObject();
-    w.key("n");
-    w.value(std::uint64_t{42});
-    w.key("x");
-    w.value(0.1);
-    w.key("name");
-    w.value("Uni-STC \"quoted\"\n");
-    w.key("flags");
-    w.beginArray();
-    w.value(true);
-    w.null();
-    w.endArray();
-    w.endObject();
-
-    auto doc = parseJson(os.str(), "test");
-    ASSERT_TRUE(doc.ok()) << doc.status().message();
-    std::uint64_t n = 0;
-    ASSERT_NE(doc.value().find("n"), nullptr);
-    EXPECT_TRUE(doc.value().find("n")->counterValue(&n));
-    EXPECT_EQ(n, 42u);
-    double x = 0.0;
-    EXPECT_TRUE(doc.value().find("x")->doubleValue(&x));
-    EXPECT_EQ(x, 0.1);
-    EXPECT_EQ(doc.value().find("name")->string(),
-              "Uni-STC \"quoted\"\n");
-    const auto &flags = doc.value().find("flags")->array();
-    ASSERT_EQ(flags.size(), 2u);
-    EXPECT_TRUE(flags[0].boolean());
-    EXPECT_TRUE(flags[1].isNull());
-}
-
-TEST(JsonReader, DecodesNonFiniteSentinels)
-{
-    auto doc =
-        parseJson("[\"nan\", \"inf\", \"-inf\", 2.5]", "test");
-    ASSERT_TRUE(doc.ok()) << doc.status().message();
-    const auto &a = doc.value().array();
-    ASSERT_EQ(a.size(), 4u);
-    double v = 0.0;
-    EXPECT_TRUE(a[0].doubleValue(&v));
-    EXPECT_TRUE(std::isnan(v));
-    EXPECT_TRUE(a[1].doubleValue(&v));
-    EXPECT_TRUE(std::isinf(v) && v > 0);
-    EXPECT_TRUE(a[2].doubleValue(&v));
-    EXPECT_TRUE(std::isinf(v) && v < 0);
-    EXPECT_TRUE(a[3].doubleValue(&v));
-    EXPECT_EQ(v, 2.5);
-    // An arbitrary string is NOT silently a number.
-    auto s = parseJson("\"hello\"", "test");
-    ASSERT_TRUE(s.ok());
-    EXPECT_FALSE(s.value().doubleValue(&v));
-}
-
-TEST(JsonReader, DoubleSerializationRoundTripsThroughDocument)
-{
-    // Writer -> reader round trip at the document level: the
-    // regression test locking in the serialisation audit.
-    const double cases[] = {
-        0.1, 1.0 / 3.0, 1e-308, 1.0000000000000002,
-        std::numeric_limits<double>::max(),
-        -std::numeric_limits<double>::infinity(),
-    };
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginArray();
-    for (const double v : cases)
-        w.value(v);
-    w.endArray();
-    auto doc = parseJson(os.str(), "roundtrip");
-    ASSERT_TRUE(doc.ok()) << doc.status().message();
-    const auto &a = doc.value().array();
-    ASSERT_EQ(a.size(), std::size(cases));
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        double back = 0.0;
-        ASSERT_TRUE(a[i].doubleValue(&back));
-        EXPECT_EQ(std::memcmp(&back, &cases[i], sizeof back), 0)
-            << "case " << i << " lost bits";
-    }
-}
-
-TEST(JsonReader, RejectsMalformedDocuments)
-{
-    EXPECT_FALSE(parseJson("{", "t").ok());
-    EXPECT_FALSE(parseJson("[1,]", "t").ok());
-    EXPECT_FALSE(parseJson("{\"a\" 1}", "t").ok());
-    EXPECT_FALSE(parseJson("[1] trailing", "t").ok());
-    EXPECT_FALSE(parseJson("", "t").ok());
-    // Counter narrowing rejects lossy and negative values.
-    auto big = parseJson("1e300", "t");
-    ASSERT_TRUE(big.ok());
-    std::uint64_t u = 0;
-    EXPECT_FALSE(big.value().counterValue(&u));
-    auto neg = parseJson("-4", "t");
-    ASSERT_TRUE(neg.ok());
-    EXPECT_FALSE(neg.value().counterValue(&u));
 }
 
 // ---------------------------------------------------------------- //
