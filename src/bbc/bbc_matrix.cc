@@ -20,80 +20,77 @@ BbcMatrix::fromCsr(const CsrMatrix &csr)
     out.blockCols_ =
         static_cast<int>(ceilDiv(csr.cols(), kBlockSize));
 
-    // One block row at a time: patterns and dense value scratch live
-    // in per-block-column slots that are reset via the touched list,
-    // so no per-row map (or its node churn) is needed. The value
-    // scratch is never cleared: a position is only read back when its
-    // pattern bit is set, and that bit is only set after the slot was
-    // written in this block row.
-    std::vector<BlockPattern> pattern(out.blockCols_);
-    std::vector<std::int32_t> slot(out.blockCols_, -1);
-    std::vector<std::array<double, kBlockSize * kBlockSize>> scratch;
+    // Two passes per block row. The first ORs each nonzero into its
+    // tile's Lv2 word; emitting the block metadata then sets a value
+    // cursor per stored tile; the second writes each value at its
+    // tile's cursor. CsrMatrix guarantees sorted, distinct columns,
+    // so a tile's values arrive row by row and left to right within a
+    // row: the row-major order ValPtr_Lv2 indexes. Tile words and
+    // cursors live in per-block-column slots; a slot's Lv1 word is
+    // nonzero exactly while its block column is on the touched list.
+    std::vector<TileWords> words(out.blockCols_);
+    std::vector<std::array<std::int64_t, kBlockSize>> cursor(
+        out.blockCols_);
     std::vector<int> touched;
+    out.vals_.resize(static_cast<std::size_t>(csr.nnz()));
+    std::int64_t next_val = 0;
 
     out.rowPtr_.assign(out.blockRows_ + 1, 0);
     for (int br = 0; br < out.blockRows_; ++br) {
         touched.clear();
-        const int r_end =
-            std::min((br + 1) * kBlockSize, csr.rows());
-        for (int r = br * kBlockSize; r < r_end; ++r) {
-            const int lr = r % kBlockSize;
+        const int r_begin = br * kBlockSize;
+        const int r_end = std::min(r_begin + kBlockSize, csr.rows());
+        for (int r = r_begin; r < r_end; ++r) {
+            const int lr = r - r_begin;
             for (std::int64_t i = csr.rowPtr()[r];
                  i < csr.rowPtr()[r + 1]; ++i) {
-                const int c = csr.colIdx()[i];
-                const int bc = c / kBlockSize;
-                const int lc = c % kBlockSize;
-                if (slot[bc] < 0) {
-                    slot[bc] = static_cast<std::int32_t>(
-                        touched.size());
+                const int bc = csr.colIdx()[i] / kBlockSize;
+                const int lc = csr.colIdx()[i] % kBlockSize;
+                const int tile = bit4x4(lr / kTileSize, lc / kTileSize);
+                TileWords &w = words[bc];
+                if (w.tileBits == 0)
                     touched.push_back(bc);
-                    if (scratch.size() < touched.size())
-                        scratch.emplace_back();
-                }
-                pattern[bc].set(lr, lc);
-                scratch[slot[bc]][lr * kBlockSize + lc] =
-                    csr.vals()[i];
+                w.tileBits = setBit(w.tileBits, tile);
+                w.tiles[tile] = setBit(
+                    w.tiles[tile],
+                    bit4x4(lr % kTileSize, lc % kTileSize));
             }
         }
         std::sort(touched.begin(), touched.end());
 
-        // Emit the BBC arrays in block-column order. Values go
-        // tile-by-tile (row-major tile order) and row-major inside
-        // each tile, matching ValPtr_Lv2.
+        // Emit the block metadata in block-column order. Values go
+        // tile-by-tile (row-major tile order), so each stored tile's
+        // cursor starts at the block base plus its ValPtr_Lv2.
         out.rowPtr_[br + 1] = out.rowPtr_[br] +
             static_cast<std::int64_t>(touched.size());
         for (const int bc : touched) {
-            const BlockPattern &pat = pattern[bc];
-            const std::array<double, kBlockSize * kBlockSize> &dense =
-                scratch[slot[bc]];
+            TileWords &w = words[bc];
             out.colIdx_.push_back(bc);
-            const std::uint16_t lv1 = pat.tileBitmap();
-            out.lv1_.push_back(lv1);
+            out.lv1_.push_back(w.tileBits);
             out.tileBase_.push_back(
                 static_cast<std::int64_t>(out.lv2_.size()));
-            out.valPtrLv1_.push_back(
-                static_cast<std::int64_t>(out.vals_.size()));
-
+            out.valPtrLv1_.push_back(next_val);
             int block_offset = 0;
-            forEachSetBit(lv1, [&](int tile_bit) {
-                const int ti = tile_bit / kTilesPerEdge;
-                const int tj = tile_bit % kTilesPerEdge;
-                const std::uint16_t lv2 = pat.tilePattern(ti, tj);
-                out.lv2_.push_back(lv2);
+            forEachSetBit(w.tileBits, [&](int tile) {
+                out.lv2_.push_back(w.tiles[tile]);
                 out.valPtrLv2_.push_back(
                     static_cast<std::uint8_t>(block_offset));
-                forEachSetBit(lv2, [&](int elem_bit) {
-                    const int lr = ti * kTileSize +
-                        elem_bit / kTileSize;
-                    const int lc = tj * kTileSize +
-                        elem_bit % kTileSize;
-                    out.vals_.push_back(dense[lr * kBlockSize + lc]);
-                });
-                block_offset += popcount16(lv2);
+                cursor[bc][tile] = next_val + block_offset;
+                block_offset += popcount16(w.tiles[tile]);
             });
+            next_val += block_offset;
+            w = TileWords();
+        }
 
-            pattern[bc] = BlockPattern();
-            slot[bc] = -1;
+        for (int r = r_begin; r < r_end; ++r) {
+            const int lr = r - r_begin;
+            for (std::int64_t i = csr.rowPtr()[r];
+                 i < csr.rowPtr()[r + 1]; ++i) {
+                const int bc = csr.colIdx()[i] / kBlockSize;
+                const int lc = csr.colIdx()[i] % kBlockSize;
+                const int tile = bit4x4(lr / kTileSize, lc / kTileSize);
+                out.vals_[cursor[bc][tile]++] = csr.vals()[i];
+            }
         }
     }
     out.validate();
@@ -145,6 +142,16 @@ BbcMatrix::blockPattern(std::int64_t blk) const
         }
     });
     return p;
+}
+
+TileWords
+BbcMatrix::tileWords(std::int64_t blk) const
+{
+    TileWords w;
+    w.tileBits = lv1_[blk];
+    const std::uint16_t *lv2 = lv2_.data() + tileBase_[blk];
+    forEachSetBit(w.tileBits, [&](int tile) { w.tiles[tile] = *lv2++; });
+    return w;
 }
 
 BbcBlockView

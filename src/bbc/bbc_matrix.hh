@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bbc/block_pattern.hh"
+#include "bbc/pattern_meta.hh"
 #include "sparse/csr.hh"
 
 namespace unistc
@@ -94,6 +95,12 @@ class BbcMatrix
 
     /** Reconstruct the full structural pattern of block @p blk. */
     BlockPattern blockPattern(std::int64_t blk) const;
+
+    /**
+     * Block @p blk's stored Lv1 word and its Lv2 words placed at
+     * their tile positions: the TMS input, with no pattern unpacked.
+     */
+    TileWords tileWords(std::int64_t blk) const;
 
     /** Structured view of block @p blk (pattern + coordinates). */
     BbcBlockView blockView(std::int64_t blk) const;

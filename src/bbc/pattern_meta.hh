@@ -20,26 +20,36 @@
 namespace unistc
 {
 
-/** Derived summaries of one 16x16 block pattern. */
-struct PatternMeta
+/**
+ * The tile words of one 16x16 block: its Lv1 tile bitmap and the Lv2
+ * element bitmap at each of its 16 tile positions, 0 where a tile is
+ * empty. They are what stc.load.meta puts in the Meta Buffer and all
+ * the TMS reads (§IV-A-1). BbcMatrix::tileWords() reads them from a
+ * stored block; computePatternMeta() derives them from a pattern.
+ */
+struct TileWords
 {
-    /** cols[c] = 16-bit mask of column c (== pattern.colBits(c)). */
-    std::array<std::uint16_t, kBlockSize> cols{};
-
     /**
      * tiles[ti*4+tj] = Lv2 element bitmap of tile (ti, tj)
      * (== pattern.tilePattern(ti, tj)).
      */
     std::array<std::uint16_t, kBlockSize> tiles{};
 
+    /** Lv1 tile bitmap (== pattern.tileBitmap()). */
+    std::uint16_t tileBits = 0;
+};
+
+/** Derived summaries of one 16x16 block pattern. */
+struct PatternMeta : TileWords
+{
+    /** cols[c] = 16-bit mask of column c (== pattern.colBits(c)). */
+    std::array<std::uint16_t, kBlockSize> cols{};
+
     /** colCnt[c] = nonzeros in column c. */
     std::array<std::uint8_t, kBlockSize> colCnt{};
 
     /** rowCnt[r] = nonzeros in row r. */
     std::array<std::uint8_t, kBlockSize> rowCnt{};
-
-    /** Lv1 tile bitmap (== pattern.tileBitmap()). */
-    std::uint16_t tileBits = 0;
 
     /** Total nonzeros (== pattern.nnz()). */
     std::uint16_t nnz = 0;

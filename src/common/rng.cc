@@ -22,12 +22,6 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -38,28 +32,16 @@ Rng::Rng(std::uint64_t seed)
 }
 
 std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-std::uint64_t
 Rng::nextBelow(std::uint64_t bound)
 {
     UNISTC_ASSERT(bound > 0, "nextBelow bound must be positive");
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t threshold = (0 - bound) % bound;
+    // Rejection sampling to avoid modulo bias: a draw below
+    // 2^64 mod bound is rejected. That threshold is below bound, so
+    // only a draw below bound needs it, and the division that
+    // computes it is skipped on almost every call.
     for (;;) {
         const std::uint64_t r = next();
-        if (r >= threshold)
+        if (r >= bound || r >= (0 - bound) % bound)
             return r % bound;
     }
 }
@@ -74,22 +56,9 @@ Rng::nextInRange(std::int64_t lo, std::int64_t hi)
 }
 
 double
-Rng::nextDouble()
-{
-    // 53 high-quality bits into [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double
 Rng::nextDouble(double lo, double hi)
 {
     return lo + (hi - lo) * nextDouble();
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
 }
 
 double

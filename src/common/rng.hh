@@ -12,6 +12,7 @@
 #ifndef UNISTC_COMMON_RNG_HH
 #define UNISTC_COMMON_RNG_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -30,7 +31,19 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound) using rejection sampling. */
     std::uint64_t nextBelow(std::uint64_t bound);
@@ -38,14 +51,18 @@ class Rng
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t nextInRange(std::int64_t lo, std::int64_t hi);
 
-    /** Uniform double in [0, 1). */
-    double nextDouble();
+    /** Uniform double in [0, 1): 53 high-quality bits. */
+    double
+    nextDouble()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double nextDouble(double lo, double hi);
 
     /** Bernoulli trial with probability @p p. */
-    bool nextBool(double p);
+    bool nextBool(double p) { return nextDouble() < p; }
 
     /** Standard normal variate (Box-Muller, no caching). */
     double nextGaussian();

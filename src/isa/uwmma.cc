@@ -39,9 +39,8 @@ namespace
 {
 
 TaskBundle
-buildTaskBundleFromMeta(const PatternMeta &a_meta,
-                        const PatternMeta &b_meta, bool is_mv,
-                        const MachineConfig &cfg)
+buildTaskBundleFromWords(const TileWords &a, const TileWords &b,
+                         bool is_mv, const MachineConfig &cfg)
 {
     TaskBundle bundle;
 
@@ -54,9 +53,8 @@ buildTaskBundleFromMeta(const PatternMeta &a_meta,
     // Task generation: the TMS emits up to numDpgs T3 tasks per
     // cycle into the Tile queue. Table V bounds: MV 1-4, MM 1-8.
     const int n_tile_cols = is_mv ? 1 : kTilesPerEdge;
-    const TileTaskList tasks =
-        generateTileTasks(a_meta, b_meta, n_tile_cols,
-                          TaskOrdering::OuterProduct);
+    const TileTaskList tasks = generateTileTasks(
+        a, b, n_tile_cols, TaskOrdering::OuterProduct);
     const int gen_max = is_mv ? 4 : 8;
     int gen = static_cast<int>(
         ceilDiv(tasks.size(), static_cast<std::uint64_t>(
@@ -90,15 +88,15 @@ TaskBundle
 buildTaskBundle(const BlockPattern &a, const BlockPattern &b,
                 bool is_mv, const MachineConfig &cfg)
 {
-    return buildTaskBundleFromMeta(computePatternMeta(a),
-                                   computePatternMeta(b), is_mv, cfg);
+    return buildTaskBundleFromWords(computePatternMeta(a),
+                                    computePatternMeta(b), is_mv, cfg);
 }
 
 TaskBundle
 buildTaskBundle(const BlockTask &task, const MachineConfig &cfg)
 {
-    return buildTaskBundleFromMeta(task.aInfo(), task.bInfo(),
-                                   task.isMv, cfg);
+    return buildTaskBundleFromWords(task.aInfo(), task.bInfo(),
+                                    task.isMv, cfg);
 }
 
 LifecycleStats
@@ -179,7 +177,7 @@ traceSpmm(const BbcMatrix &a, int b_cols, const MachineConfig &cfg)
     UNISTC_ASSERT(b_cols > 0, "SpMM needs a B width");
     // The B block columns SpmmPlan's stream visits per A block:
     // full_cols dense ones, then a partial-width last one when
-    // b_cols % 16 != 0. Their summaries are the same for every block.
+    // b_cols % 16 != 0. Their tile words are the same for every block.
     const int full_cols = b_cols / kBlockSize;
     const int tail_width = b_cols % kBlockSize;
     const PatternMeta full_b = computePatternMeta(BlockPattern::dense());
@@ -189,18 +187,19 @@ traceSpmm(const BbcMatrix &a, int b_cols, const MachineConfig &cfg)
     std::vector<TaskBundle> out;
     out.reserve(a.numBlocks() * ceilDiv(b_cols, kBlockSize));
     for (std::int64_t blk = 0; blk < a.numBlocks(); ++blk) {
-        const PatternMeta a_meta =
-            computePatternMeta(a.blockPattern(blk));
+        // The TMS reads the block's stored Lv1/Lv2 words, as
+        // stc.load.meta hands them over; no pattern is unpacked.
+        const TileWords a_words = a.tileWords(blk);
         // Every full-width column induces the identical bundle.
         if (full_cols > 0) {
-            const TaskBundle bundle = buildTaskBundleFromMeta(
-                a_meta, full_b, /*is_mv=*/false, cfg);
+            const TaskBundle bundle = buildTaskBundleFromWords(
+                a_words, full_b, /*is_mv=*/false, cfg);
             for (int bj = 0; bj < full_cols; ++bj)
                 out.push_back(bundle);
         }
         if (tail_width > 0) {
-            out.push_back(buildTaskBundleFromMeta(
-                a_meta, tail_b, /*is_mv=*/false, cfg));
+            out.push_back(buildTaskBundleFromWords(
+                a_words, tail_b, /*is_mv=*/false, cfg));
         }
     }
     return out;

@@ -1,5 +1,7 @@
 #include "runner/spmspv_runner.hh"
 
+#include <utility>
+
 #include "common/bitops.hh"
 #include "common/logging.hh"
 #include "engine/kernel_pipeline.hh"
@@ -26,14 +28,15 @@ namespace
 
 /**
  * Row-ordered walk over stored A blocks, gated by the x-segment
- * bitmap of each block column. Masks live in the owning plan.
+ * bitmap of each block column. The stream keeps its own copy of the
+ * masks: like every plan's stream it borrows only the operands, so
+ * it may outlive the plan that opened it.
  */
 class SpmspvStream final : public TaskStream
 {
   public:
-    SpmspvStream(const BbcMatrix &a,
-                 const std::vector<std::uint16_t> &masks)
-        : a_(&a), masks_(&masks), cursor_(a)
+    SpmspvStream(const BbcMatrix &a, std::vector<std::uint16_t> masks)
+        : a_(&a), masks_(std::move(masks)), cursor_(a)
     {
     }
 
@@ -43,8 +46,7 @@ class SpmspvStream final : public TaskStream
         while (cursor_.next()) {
             const std::int64_t blk = cursor_.blockIndex();
             const std::uint16_t mask =
-                (*masks_)[static_cast<std::size_t>(
-                    a_->colIdx()[blk])];
+                masks_[static_cast<std::size_t>(a_->colIdx()[blk])];
             if (!mask)
                 continue;
             const BlockPattern pattern = a_->blockPattern(blk);
@@ -65,7 +67,7 @@ class SpmspvStream final : public TaskStream
 
   private:
     const BbcMatrix *a_;
-    const std::vector<std::uint16_t> *masks_;
+    std::vector<std::uint16_t> masks_;
     BlockRowCursor cursor_;
 };
 

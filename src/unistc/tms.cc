@@ -14,8 +14,8 @@ namespace
 
 /** Build the task for (i, j, k) if it produces any work. */
 bool
-makeTask(const PatternMeta &a, const PatternMeta &b, int i, int j,
-         int k, int n_cols, TileTask &out)
+makeTask(const TileWords &a, const TileWords &b, int i, int j, int k,
+         int n_cols, TileTask &out)
 {
     const std::uint16_t a_tile = a.tiles[i * kTilesPerEdge + k];
     const std::uint16_t b_tile = b.tiles[k * kTilesPerEdge + j];
@@ -67,7 +67,7 @@ toString(TaskOrdering ordering)
 }
 
 TileTaskList
-generateTileTasks(const PatternMeta &a_meta, const PatternMeta &b_meta,
+generateTileTasks(const TileWords &a, const TileWords &b,
                   int n_tile_cols, TaskOrdering ordering, bool adaptive)
 {
     UNISTC_ASSERT(n_tile_cols == 1 || n_tile_cols == kTilesPerEdge,
@@ -80,12 +80,12 @@ generateTileTasks(const PatternMeta &a_meta, const PatternMeta &b_meta,
         // Four-layer intermediate-product bitmap: one layer per K.
         // Layer k pairs the live Lv1 tiles of A's tile column k with
         // those of B's tile row k, in row-major (i, j) order.
-        const std::uint16_t a_tile_cols = transpose4x4(a_meta.tileBits);
+        const std::uint16_t a_tile_cols = transpose4x4(a.tileBits);
         const std::uint16_t j_mask =
             static_cast<std::uint16_t>((1u << n_tile_cols) - 1u);
         for (int k = 0; k < kTilesPerEdge; ++k) {
             const std::uint16_t b_live =
-                static_cast<std::uint16_t>(row4(b_meta.tileBits, k) &
+                static_cast<std::uint16_t>(row4(b.tileBits, k) &
                                            j_mask);
             // Collect the layer first so the adaptive intra-layer
             // order can inspect its shape.
@@ -95,7 +95,7 @@ generateTileTasks(const PatternMeta &a_meta, const PatternMeta &b_meta,
             forEachSetBit(row4(a_tile_cols, k), [&](int i) {
                 forEachSetBit(b_live, [&](int j) {
                     TileTask t;
-                    if (makeTask(a_meta, b_meta, i, j, k, n_cols, t)) {
+                    if (makeTask(a, b, i, j, k, n_cols, t)) {
                         tasks.push_back(t);
                         live_rows = setBit(live_rows, i);
                         live_cols = setBit(live_cols, j);
@@ -119,7 +119,7 @@ generateTileTasks(const PatternMeta &a_meta, const PatternMeta &b_meta,
             for (int j = 0; j < n_tile_cols; ++j) {
                 for (int k = 0; k < kTilesPerEdge; ++k) {
                     TileTask t;
-                    if (makeTask(a_meta, b_meta, i, j, k, n_cols, t))
+                    if (makeTask(a, b, i, j, k, n_cols, t))
                         tasks.push_back(t);
                 }
             }
@@ -131,7 +131,7 @@ generateTileTasks(const PatternMeta &a_meta, const PatternMeta &b_meta,
             for (int k = 0; k < kTilesPerEdge; ++k) {
                 for (int j = 0; j < n_tile_cols; ++j) {
                     TileTask t;
-                    if (makeTask(a_meta, b_meta, i, j, k, n_cols, t))
+                    if (makeTask(a, b, i, j, k, n_cols, t))
                         tasks.push_back(t);
                 }
             }

@@ -53,12 +53,13 @@ std::vector<TileTask> generateTileTasks(const BlockPattern &a,
                                         bool adaptive = true);
 
 /**
- * Allocation-free variant over precomputed pattern summaries — the
- * simulation hot path. Emits exactly the same tasks in the same order
- * as the BlockPattern overload.
+ * Allocation-free variant over the two blocks' tile words — the
+ * simulation hot path, and the TMS's one input: a PatternMeta passes
+ * as its TileWords, and a stored BBC block passes its own Lv1/Lv2
+ * words (BbcMatrix::tileWords). Emits exactly the same tasks in the
+ * same order as the BlockPattern overload.
  */
-TileTaskList generateTileTasks(const PatternMeta &a_meta,
-                               const PatternMeta &b_meta,
+TileTaskList generateTileTasks(const TileWords &a, const TileWords &b,
                                int n_tile_cols, TaskOrdering ordering,
                                bool adaptive = true);
 

@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 #include "bbc/bbc_io.hh"
 #include "bbc/bbc_matrix.hh"
 #include "common/bitops.hh"
+#include "corpus/dlmc.hh"
 #include "corpus/generators.hh"
+#include "corpus/representative.hh"
 #include "sparse/convert.hh"
 
 namespace unistc
@@ -70,6 +75,15 @@ TEST(BbcMatrix, BlockPatternMatchesCsrStructure)
             const BbcMatrix bbc = BbcMatrix::fromCsr(m);
             for (std::int64_t blk = 0; blk < bbc.numBlocks(); ++blk) {
                 const BbcBlockView view = bbc.blockView(blk);
+                // The stored tile words are the pattern's tile words.
+                const PatternMeta meta = computePatternMeta(view.pattern);
+                const TileWords words = bbc.tileWords(blk);
+                ASSERT_EQ(words.tileBits, meta.tileBits)
+                    << rows << "x" << cols << " at " << density
+                    << ": block " << blk;
+                ASSERT_EQ(words.tiles, meta.tiles)
+                    << rows << "x" << cols << " at " << density
+                    << ": block " << blk;
                 for (int lr = 0; lr < kBlockSize; ++lr) {
                     for (int lc = 0; lc < kBlockSize; ++lc) {
                         const int r = view.blockRow * kBlockSize + lr;
@@ -175,6 +189,132 @@ TEST(BbcMatrix, NonMultipleOf16Shapes)
         const BbcMatrix bbc = BbcMatrix::fromCsr(m);
         EXPECT_TRUE(bbc.toCsr().approxEquals(m, 0.0))
             << r << "x" << c;
+    }
+}
+
+/** The eight BBC arrays, as referenceFromCsr() emits them. */
+struct BbcArrays
+{
+    std::vector<std::int64_t> rowPtr;
+    std::vector<int> colIdx;
+    std::vector<std::uint16_t> lv1;
+    std::vector<std::int64_t> tileBase;
+    std::vector<std::uint16_t> lv2;
+    std::vector<std::int64_t> valPtrLv1;
+    std::vector<std::uint8_t> valPtrLv2;
+    std::vector<double> vals;
+};
+
+// The one-pass conversion fromCsr used before its per-tile value
+// cursors: each block row copies its values into a dense 16x16
+// scratch block per block column, then reads them back tile by tile.
+BbcArrays
+referenceFromCsr(const CsrMatrix &csr)
+{
+    const int block_rows = static_cast<int>(ceilDiv(csr.rows(), kBlockSize));
+    const int block_cols = static_cast<int>(ceilDiv(csr.cols(), kBlockSize));
+    BbcArrays out;
+    out.rowPtr.assign(block_rows + 1, 0);
+    std::vector<BlockPattern> pattern(block_cols);
+    std::vector<std::array<double, kBlockSize * kBlockSize>> dense(
+        block_cols);
+    std::vector<int> touched;
+    for (int br = 0; br < block_rows; ++br) {
+        touched.clear();
+        const int r_end = std::min((br + 1) * kBlockSize, csr.rows());
+        for (int r = br * kBlockSize; r < r_end; ++r) {
+            for (std::int64_t i = csr.rowPtr()[r];
+                 i < csr.rowPtr()[r + 1]; ++i) {
+                const int c = csr.colIdx()[i];
+                const int bc = c / kBlockSize;
+                if (pattern[bc].empty())
+                    touched.push_back(bc);
+                pattern[bc].set(r % kBlockSize, c % kBlockSize);
+                dense[bc][r % kBlockSize * kBlockSize + c % kBlockSize] =
+                    csr.vals()[i];
+            }
+        }
+        std::sort(touched.begin(), touched.end());
+        out.rowPtr[br + 1] = out.rowPtr[br] +
+            static_cast<std::int64_t>(touched.size());
+        for (const int bc : touched) {
+            const BlockPattern &pat = pattern[bc];
+            out.colIdx.push_back(bc);
+            out.lv1.push_back(pat.tileBitmap());
+            out.tileBase.push_back(
+                static_cast<std::int64_t>(out.lv2.size()));
+            out.valPtrLv1.push_back(
+                static_cast<std::int64_t>(out.vals.size()));
+            int block_offset = 0;
+            forEachSetBit(pat.tileBitmap(), [&](int tile) {
+                const int ti = tile / kTilesPerEdge;
+                const int tj = tile % kTilesPerEdge;
+                const std::uint16_t lv2 = pat.tilePattern(ti, tj);
+                out.lv2.push_back(lv2);
+                out.valPtrLv2.push_back(
+                    static_cast<std::uint8_t>(block_offset));
+                forEachSetBit(lv2, [&](int elem) {
+                    const int lr = ti * kTileSize + elem / kTileSize;
+                    const int lc = tj * kTileSize + elem % kTileSize;
+                    out.vals.push_back(dense[bc][lr * kBlockSize + lc]);
+                });
+                block_offset += popcount16(lv2);
+            });
+            pattern[bc] = BlockPattern();
+        }
+    }
+    return out;
+}
+
+/** fromCsr(@p m) equals the reference conversion, array by array. */
+void
+expectMatchesReference(const CsrMatrix &m)
+{
+    const BbcMatrix got = BbcMatrix::fromCsr(m);
+    const BbcArrays want = referenceFromCsr(m);
+    std::vector<std::int64_t> tile_base;
+    for (std::int64_t blk = 0; blk < got.numBlocks(); ++blk)
+        tile_base.push_back(got.tileBase(blk));
+    EXPECT_EQ(got.rowPtr(), want.rowPtr);
+    EXPECT_EQ(got.colIdx(), want.colIdx);
+    EXPECT_EQ(got.lv1(), want.lv1);
+    EXPECT_EQ(tile_base, want.tileBase);
+    EXPECT_EQ(got.lv2(), want.lv2);
+    EXPECT_EQ(got.valPtrLv1(), want.valPtrLv1);
+    EXPECT_EQ(got.valPtrLv2(), want.valPtrLv2);
+    EXPECT_EQ(got.vals(), want.vals);
+}
+
+TEST(BbcMatrix, FromCsrMatchesScratchReference)
+{
+    std::vector<NamedMatrix> inputs;
+    inputs.push_back({"empty", CsrMatrix(40, 40)});
+    // Block row 0 and rows 32-40 hold nothing.
+    CooMatrix sparse_rows(41, 37);
+    for (const int r : {16, 20, 31}) {
+        for (const int c : {0, 5, 17, 36})
+            sparse_rows.add(r, c, r + c * 0.25);
+    }
+    inputs.push_back({"empty rows", cooToCsr(std::move(sparse_rows))});
+    for (const auto &[r, c] : {std::pair{17, 31}, {15, 16},
+                               {33, 7}, {100, 3}}) {
+        inputs.push_back({std::to_string(r) + "x" + std::to_string(c),
+                          genRandomUniform(r, c, 0.2, 38 + r)});
+    }
+    CooMatrix full(kBlockSize, kBlockSize);
+    for (int r = 0; r < kBlockSize; ++r) {
+        for (int c = 0; c < kBlockSize; ++c)
+            full.add(r, c, 1.0 + r * kBlockSize + c);
+    }
+    inputs.push_back({"full block", cooToCsr(std::move(full))});
+    inputs.push_back(
+        {"70% pruned", genPrunedWeights(100, 200, 0.7, 41)});
+    for (NamedMatrix &nm : representativeMatrices())
+        inputs.push_back(std::move(nm));
+
+    for (const NamedMatrix &nm : inputs) {
+        SCOPED_TRACE(nm.name);
+        expectMatchesReference(nm.matrix);
     }
 }
 

@@ -231,6 +231,29 @@ TEST(TaskStream, MaterializeMatchesPullAndGroupsAreMonotone)
     }
 }
 
+// A stream borrows only the plan's operands, so it may outlive the
+// plan: an SpMSpV stream opened from a temporary plan still sees the
+// x-segment masks and yields the tasks of a named plan's stream.
+TEST(TaskStream, SpmspvStreamOutlivesItsPlan)
+{
+    for (const NamedInput &in : smokeCorpus()) {
+        SCOPED_TRACE(in.name);
+        const KernelPlanPtr plan = planFor(Kernel::SpMSpV, in);
+        const std::vector<StreamedTask> want =
+            plan->stream()->materialize();
+        const auto stream = planFor(Kernel::SpMSpV, in)->stream();
+        StreamedTask item;
+        std::size_t n = 0;
+        while (stream->next(item)) {
+            ASSERT_LT(n, want.size());
+            EXPECT_EQ(item.group, want[n].group);
+            EXPECT_EQ(item.task.b, want[n].task.b);
+            ++n;
+        }
+        EXPECT_EQ(n, want.size());
+    }
+}
+
 // StcModel::runStream (the stream-consuming default) equals the
 // per-task runBlock loop.
 TEST(TaskStream, RunStreamDefaultMatchesBlockLoop)

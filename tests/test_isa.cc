@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "corpus/dlmc.hh"
 #include "corpus/generators.hh"
 #include "engine/task_stream.hh"
 #include "isa/uwmma.hh"
@@ -108,9 +109,10 @@ TEST(Trace, SpgemmSkipsNonMatchingPairs)
     EXPECT_EQ(trace.size(), 4u);
 }
 
-// traceSpmm builds its bundles per A block without the stream; it
-// must still produce exactly the bundles of SpmmPlan's stream, including
-// the partial-width last B block column when b_cols % 16 != 0.
+// traceSpmm builds its bundles per A block from the stored tile
+// words, without the stream; it must still produce exactly the
+// bundles of SpmmPlan's stream, including the partial-width last B
+// block column when b_cols % 16 != 0 and A's partial edge blocks.
 TEST(Trace, SpmmMatchesPlanStream)
 {
     CooMatrix dense(48, 48);
@@ -122,6 +124,7 @@ TEST(Trace, SpmmMatchesPlanStream)
         {"empty", cooToCsr(CooMatrix(64, 64))},
         {"random", genRandomUniform(128, 128, 0.3, 7)},
         {"dense", cooToCsr(std::move(dense))},
+        {"pruned70", genPrunedWeights(100, 200, 0.7, 5)},
     };
     for (const MachineConfig &cfg :
          {MachineConfig::fp32(), MachineConfig::fp64()}) {

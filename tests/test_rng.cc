@@ -158,5 +158,42 @@ TEST(Rng, SampleDistinctMatchesLinearFloyd)
     }
 }
 
+// nextBelow as it was before its rejection threshold became lazy:
+// the threshold 2^64 mod bound computed up front on every call.
+std::uint64_t
+referenceNextBelow(Rng &rng, std::uint64_t bound)
+{
+    const std::uint64_t threshold = (0 - bound) % bound;
+    for (;;) {
+        const std::uint64_t r = rng.next();
+        if (r >= threshold)
+            return r % bound;
+    }
+}
+
+TEST(Rng, NextBelowMatchesEagerThreshold)
+{
+    // Bounds above 2^63 reject about half their draws (2^63 + 1) or a
+    // quarter (3 * 2^62 + 1), so the path that computes the threshold
+    // and rejects runs as well as the one that skips it.
+    for (const std::uint64_t bound :
+         {1ull, 2ull, 3ull, 13ull, (1ull << 31) - 1, (1ull << 32) + 1,
+          (1ull << 63) + 1, 3 * (1ull << 62) + 1, ~0ull}) {
+        for (const std::uint64_t seed : {3u, 29u, 4040u}) {
+            Rng lazy(seed);
+            Rng ref(seed);
+            for (int i = 0; i < 256; ++i) {
+                ASSERT_EQ(lazy.nextBelow(bound),
+                          referenceNextBelow(ref, bound))
+                    << "bound=" << bound << " seed=" << seed
+                    << " draw " << i;
+            }
+            // Same stream position: both rejected the same draws.
+            EXPECT_EQ(lazy.next(), ref.next())
+                << "bound=" << bound << " seed=" << seed;
+        }
+    }
+}
+
 } // namespace
 } // namespace unistc
