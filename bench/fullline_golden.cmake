@@ -11,7 +11,11 @@
 # and Trapezoid picks between its fp32 modes (16x4x2 and 8x4x4). One
 # more case runs an --arch lineup at fp32 with 16 DPGs and also pins
 # its --stats-json file: the engine.* counters of the shared task
-# stream and the machine-config stats.
+# stream and the machine-config stats. The SpMM case runs once more
+# with --trace: a traced model simulates every repeat of an SpMM task
+# that an untraced one counts without simulating, so its bench JSON
+# must equal the untraced golden. Its stdout gains a "Trace:" line,
+# so only the JSON is compared.
 # Driven by ctest (see CMakeLists.txt):
 #
 #   cmake -DCLI=<simulate_cli> -DGOLDEN_DIR=<bench/golden/fullline_smoke> \
@@ -75,6 +79,28 @@ run_case(spmspv_random256_d5 spmspv random:256,0.05)
 run_case(spgemm_random256_d50_fp32 spgemm random:256,0.5 --precision fp32)
 run_case(spgemm_random256_d2_fp32 spgemm random:256,0.02 --precision fp32)
 run_case(spmv_random256_d5_fp32 spmv random:256,0.05 --precision fp32)
+# The traced SpMM run: bench JSON only, against the untraced golden.
+set(ENV{UNISTC_BENCH_JSON} ${WORKDIR}/spmm_random256_d5_traced.json)
+execute_process(
+    COMMAND ${CLI} --kernel spmm --gen random:256,0.05 --model all
+            --trace spmm_random256_d5.trace.json
+    WORKING_DIRECTORY ${WORKDIR}
+    OUTPUT_FILE ${WORKDIR}/spmm_random256_d5_traced.txt
+    ERROR_FILE ${WORKDIR}/spmm_random256_d5_traced.err
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "traced SpMM run exited with ${rc}")
+endif()
+execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${WORKDIR}/spmm_random256_d5_traced.json
+            ${GOLDEN_DIR}/spmm_random256_d5.json
+    RESULT_VARIABLE differ)
+if(NOT differ EQUAL 0)
+    message(FATAL_ERROR "the traced SpMM run's bench JSON differs from "
+                        "spmm_random256_d5.json in ${GOLDEN_DIR}")
+endif()
+
 run_cli(spgemm_banded512_lineup --kernel spgemm
         --arch DS-STC,RM-STC,Uni-STC --gen banded:512,8,0.4
         --precision fp32 --dpgs 16

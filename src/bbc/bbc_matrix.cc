@@ -101,15 +101,18 @@ CsrMatrix
 BbcMatrix::toCsr() const
 {
     CooMatrix coo(rows_, cols_);
-    for (std::int64_t blk = 0; blk < numBlocks(); ++blk) {
-        const BbcBlockView view = blockView(blk);
-        const auto dense = blockDense(blk);
-        for (int lr = 0; lr < kBlockSize; ++lr) {
-            for (int lc = 0; lc < kBlockSize; ++lc) {
-                if (view.pattern.test(lr, lc)) {
-                    coo.add(view.blockRow * kBlockSize + lr,
-                            view.blockCol * kBlockSize + lc,
-                            dense[lr * kBlockSize + lc]);
+    for (int br = 0; br < blockRows_; ++br) {
+        for (std::int64_t blk = rowPtr_[br]; blk < rowPtr_[br + 1];
+             ++blk) {
+            const BlockPattern pattern = blockPattern(blk);
+            const auto dense = blockDense(blk);
+            for (int lr = 0; lr < kBlockSize; ++lr) {
+                for (int lc = 0; lc < kBlockSize; ++lc) {
+                    if (pattern.test(lr, lc)) {
+                        coo.add(br * kBlockSize + lr,
+                                colIdx_[blk] * kBlockSize + lc,
+                                dense[lr * kBlockSize + lc]);
+                    }
                 }
             }
         }
@@ -152,23 +155,6 @@ BbcMatrix::tileWords(std::int64_t blk) const
     const std::uint16_t *lv2 = lv2_.data() + tileBase_[blk];
     forEachSetBit(w.tileBits, [&](int tile) { w.tiles[tile] = *lv2++; });
     return w;
-}
-
-BbcBlockView
-BbcMatrix::blockView(std::int64_t blk) const
-{
-    BbcBlockView view;
-    // Find the block row by scanning rowPtr (blocks are dense enough
-    // that callers iterate rows anyway; this is for random access).
-    int br = 0;
-    while (rowPtr_[br + 1] <= blk)
-        ++br;
-    view.blockRow = br;
-    view.blockCol = colIdx_[blk];
-    view.lv1 = lv1_[blk];
-    view.pattern = blockPattern(blk);
-    view.valBase = valPtrLv1_[blk];
-    return view;
 }
 
 std::array<double, kBlockSize * kBlockSize>

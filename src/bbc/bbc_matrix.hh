@@ -35,16 +35,6 @@ namespace detail
 class BbcIoAccess;
 } // namespace detail
 
-/** Per-block view handed to the simulator and the numeric executor. */
-struct BbcBlockView
-{
-    int blockRow = 0;          ///< Block-row coordinate.
-    int blockCol = 0;          ///< Block-column coordinate.
-    std::uint16_t lv1 = 0;     ///< Tile bitmap.
-    BlockPattern pattern;      ///< Full 16x16 structural pattern.
-    std::int64_t valBase = 0;  ///< Offset of first value in value array.
-};
-
 /** Sparse matrix in BBC format. */
 class BbcMatrix
 {
@@ -101,9 +91,6 @@ class BbcMatrix
      * their tile positions: the TMS input, with no pattern unpacked.
      */
     TileWords tileWords(std::int64_t blk) const;
-
-    /** Structured view of block @p blk (pattern + coordinates). */
-    BbcBlockView blockView(std::int64_t blk) const;
 
     /** Dense 16x16 values of block @p blk, row-major. */
     std::array<double, kBlockSize * kBlockSize>

@@ -75,6 +75,16 @@ class BlockPattern
         return cols;
     }
 
+    /** 16-bit mask of the rows that hold a nonzero. */
+    std::uint16_t
+    nonzeroRows() const
+    {
+        unsigned rows = 0;
+        for (int r = 0; r < kBlockSize; ++r)
+            rows |= static_cast<unsigned>(rows_[r] != 0) << r;
+        return static_cast<std::uint16_t>(rows);
+    }
+
     /** Total nonzero elements in the block. */
     int nnz() const;
 

@@ -87,6 +87,14 @@ class Histogram
         addRatioSlow(num, den, weight);
     }
 
+    /** Add @p weight samples straight to bucket @p b. */
+    void
+    addToBucket(int b, std::uint64_t weight)
+    {
+        counts_.at(static_cast<std::size_t>(b)) += weight;
+        total_ += weight;
+    }
+
     /** Merge a same-shaped histogram. */
     void merge(const Histogram &other);
 

@@ -8,6 +8,12 @@
  * bit-identical to what a sequential one-model-at-a-time run of the
  * same plan produces (the models are pure per-task functions).
  *
+ * For the same reason a task that the stream marks as repeated
+ * (StreamedTask::repeats: SpMM's full-width dense B block columns)
+ * is simulated once per untraced model, and its counters are added
+ * again for each repeat. A model with a trace sink simulates every
+ * copy, so its trace is the same as without the reuse.
+ *
  * Layering (docs/ARCHITECTURE.md):
  *
  *   plan (runner/)  ->  stream (engine/)  ->  pipeline (engine/)

@@ -13,7 +13,9 @@
  * SpMV/SpMM, one C block row for SpGEMM). The pipeline uses groups
  * to emit the same runner-track trace spans the eager runners used
  * to; groupLabel() is only consulted when a trace sink is attached,
- * so the untraced hot path never builds label strings.
+ * so the untraced hot path never builds label strings. A stream still
+ * yields every task, repeats included; StreamedTask::repeats only
+ * tells the consumer which ones it may count without simulating.
  */
 
 #ifndef UNISTC_ENGINE_TASK_STREAM_HH
@@ -38,6 +40,15 @@ struct StreamedTask
      * sharing a group id are covered by one runner-track span.
      */
     std::int64_t group = 0;
+
+    /**
+     * How many of the items right after this one carry the same task
+     * (equal a, b and isMv), so a consumer may simulate it once and
+     * count it repeats + 1 times. The repeating items carry 0. Only
+     * SpMM marks repeats: the full-width dense B block columns of one
+     * A block.
+     */
+    std::uint32_t repeats = 0;
 };
 
 /**

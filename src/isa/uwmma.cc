@@ -85,14 +85,6 @@ buildTaskBundleFromWords(const TileWords &a, const TileWords &b,
 } // namespace
 
 TaskBundle
-buildTaskBundle(const BlockPattern &a, const BlockPattern &b,
-                bool is_mv, const MachineConfig &cfg)
-{
-    return buildTaskBundleFromWords(computePatternMeta(a),
-                                    computePatternMeta(b), is_mv, cfg);
-}
-
-TaskBundle
 buildTaskBundle(const BlockTask &task, const MachineConfig &cfg)
 {
     return buildTaskBundleFromWords(task.aInfo(), task.bInfo(),

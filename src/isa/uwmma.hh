@@ -75,20 +75,10 @@ struct TaskBundle
 static_assert(std::is_trivially_copyable_v<TaskBundle>);
 
 /**
- * Build the instruction bundle of one T1 task on Uni-STC.
- *
- * @param a A block pattern.
- * @param b B block (or embedded vector) pattern.
- * @param is_mv MV-variant instructions and cycle bounds.
- * @param cfg machine configuration (DPG count bounds task_gen).
- */
-TaskBundle buildTaskBundle(const BlockPattern &a, const BlockPattern &b,
-                           bool is_mv, const MachineConfig &cfg);
-
-/**
- * Allocation-free variant over a T1 block task: reuses the task's
+ * Build the instruction bundle of one T1 task on Uni-STC: MV-variant
+ * instructions and cycle bounds when task.isMv. Reuses the task's
  * (possibly primed) pattern summaries and counts SDPU cycles without
- * materialising the schedule. Produces the identical bundle.
+ * materialising the schedule; cfg's DPG count bounds task_gen.
  */
 TaskBundle buildTaskBundle(const BlockTask &task,
                            const MachineConfig &cfg);

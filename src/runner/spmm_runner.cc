@@ -15,7 +15,10 @@ namespace
 
 /**
  * ceil(bCols/16) MM tasks per stored A block, in storage order; one
- * trace group per A block.
+ * trace group per A block. The floor(bCols/16) full-width B block
+ * columns of one A block make the same task, so the first of them is
+ * marked with the count of the rest; the partial last column is a
+ * different task.
  */
 class SpmmStream final : public TaskStream
 {
@@ -23,6 +26,8 @@ class SpmmStream final : public TaskStream
     SpmmStream(const BbcMatrix &a, int b_cols)
         : a_(&a), bCols_(b_cols),
           bBlockCols_(static_cast<int>(ceilDiv(b_cols, kBlockSize))),
+          repeats_(static_cast<std::uint32_t>(
+              std::max(b_cols / kBlockSize - 1, 0))),
           cursor_(a), bj_(bBlockCols_)
     {
         // The dense B blocks (and their summaries) repeat across all A
@@ -51,6 +56,7 @@ class SpmmStream final : public TaskStream
             pattern_, bBlocks_[static_cast<std::size_t>(bj_)],
             &aMeta_, &bMetas_[static_cast<std::size_t>(bj_)]);
         out.group = cursor_.blockIndex();
+        out.repeats = bj_ == 0 ? repeats_ : 0;
         ++bj_;
         return true;
     }
@@ -65,6 +71,7 @@ class SpmmStream final : public TaskStream
     const BbcMatrix *a_;
     int bCols_;
     int bBlockCols_;
+    std::uint32_t repeats_; ///< Full-width B block columns, less one.
     BlockRowCursor cursor_;
     BlockPattern pattern_;
     PatternMeta aMeta_;

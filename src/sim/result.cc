@@ -23,7 +23,7 @@ EnergyBreakdown::merge(const EnergyBreakdown &o)
     compute += o.compute;
 }
 
-RunResult::RunResult() : utilHist(4, 0.0, 1.0 + 1e-12)
+RunResult::RunResult() : utilHist(kUtilBuckets, 0.0, 1.0 + 1e-12)
 {
 }
 

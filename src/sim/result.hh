@@ -68,6 +68,9 @@ struct RunResult
      */
     std::uint64_t cNetScaleAccum = 0;
 
+    /** Buckets of utilHist. */
+    static constexpr int kUtilBuckets = 4;
+
     /** Per-cycle MAC utilisation in 4 buckets: 0-25/25-50/50-75/75-100. */
     Histogram utilHist;
 

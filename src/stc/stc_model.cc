@@ -1,18 +1,7 @@
 #include "stc/stc_model.hh"
 
-#include "engine/task_stream.hh"
-
 namespace unistc
 {
-
-void
-StcModel::runStream(TaskStream &stream, RunResult &res,
-                    TraceSink *trace) const
-{
-    StreamedTask item;
-    while (stream.next(item))
-        runBlock(item.task, res, trace);
-}
 
 BlockTask
 BlockTask::mm(const BlockPattern &a, const BlockPattern &b)

@@ -22,7 +22,6 @@
 namespace unistc
 {
 
-class TaskStream;
 class TraceSink;
 
 /**
@@ -132,17 +131,6 @@ class StcModel
      */
     virtual void runBlock(const BlockTask &task, RunResult &res,
                           TraceSink *trace = nullptr) const = 0;
-
-    /**
-     * Drain a T1 task stream through runBlock(), accumulating into
-     * @p res — the single-model way to consume a kernel plan's
-     * stream (engine/task_stream.hh). Virtual so future
-     * architectures can overlap task generation with execution; the
-     * default pulls one task at a time and never materialises the
-     * stream.
-     */
-    virtual void runStream(TaskStream &stream, RunResult &res,
-                           TraceSink *trace = nullptr) const;
 
     const MachineConfig &config() const { return cfg_; }
 

@@ -73,26 +73,31 @@ TEST(BbcMatrix, BlockPatternMatchesCsrStructure)
         for (const double density : {0.001, 0.01, 0.08, 0.3, 0.7, 1.0}) {
             const CsrMatrix m = genRandomUniform(rows, cols, density, 32);
             const BbcMatrix bbc = BbcMatrix::fromCsr(m);
-            for (std::int64_t blk = 0; blk < bbc.numBlocks(); ++blk) {
-                const BbcBlockView view = bbc.blockView(blk);
-                // The stored tile words are the pattern's tile words.
-                const PatternMeta meta = computePatternMeta(view.pattern);
-                const TileWords words = bbc.tileWords(blk);
-                ASSERT_EQ(words.tileBits, meta.tileBits)
-                    << rows << "x" << cols << " at " << density
-                    << ": block " << blk;
-                ASSERT_EQ(words.tiles, meta.tiles)
-                    << rows << "x" << cols << " at " << density
-                    << ": block " << blk;
-                for (int lr = 0; lr < kBlockSize; ++lr) {
-                    for (int lc = 0; lc < kBlockSize; ++lc) {
-                        const int r = view.blockRow * kBlockSize + lr;
-                        const int c = view.blockCol * kBlockSize + lc;
-                        const bool nz = r < m.rows() && c < m.cols() &&
-                            m.at(r, c) != 0.0;
-                        ASSERT_EQ(view.pattern.test(lr, lc), nz)
-                            << rows << "x" << cols << " at " << density
-                            << ": (" << r << ", " << c << ")";
+            for (int br = 0; br < bbc.blockRows(); ++br) {
+                for (std::int64_t blk = bbc.rowPtr()[br];
+                     blk < bbc.rowPtr()[br + 1]; ++blk) {
+                    const BlockPattern pattern = bbc.blockPattern(blk);
+                    // The stored tile words are the pattern's.
+                    const PatternMeta meta = computePatternMeta(pattern);
+                    const TileWords words = bbc.tileWords(blk);
+                    ASSERT_EQ(words.tileBits, meta.tileBits)
+                        << rows << "x" << cols << " at " << density
+                        << ": block " << blk;
+                    ASSERT_EQ(words.tiles, meta.tiles)
+                        << rows << "x" << cols << " at " << density
+                        << ": block " << blk;
+                    for (int lr = 0; lr < kBlockSize; ++lr) {
+                        for (int lc = 0; lc < kBlockSize; ++lc) {
+                            const int r = br * kBlockSize + lr;
+                            const int c =
+                                bbc.colIdx()[blk] * kBlockSize + lc;
+                            const bool nz = r < m.rows() &&
+                                c < m.cols() && m.at(r, c) != 0.0;
+                            ASSERT_EQ(pattern.test(lr, lc), nz)
+                                << rows << "x" << cols << " at "
+                                << density << ": (" << r << ", " << c
+                                << ")";
+                        }
                     }
                 }
             }
@@ -178,6 +183,22 @@ TEST(BbcIo, SaveLoadRoundTrip)
     EXPECT_EQ(back.lv2(), bbc.lv2());
     EXPECT_EQ(back.valPtrLv2(), bbc.valPtrLv2());
     EXPECT_TRUE(back.toCsr().approxEquals(m, 0.0));
+}
+
+// toCsr walks the block rows itself: empty block rows before, between
+// and after the stored ones round-trip exactly.
+TEST(BbcMatrix, RoundTripAcrossEmptyBlockRows)
+{
+    CooMatrix coo(100, 40);
+    coo.add(20, 3, 1.5);    // block row 1
+    coo.add(21, 35, -2.0);  // block row 1, another block column
+    coo.add(70, 17, 4.25);  // block row 4
+    const CsrMatrix m = cooToCsr(std::move(coo));
+    const BbcMatrix bbc = BbcMatrix::fromCsr(m);
+    ASSERT_EQ(bbc.blockRows(), 7);
+    EXPECT_EQ(bbc.rowPtr(),
+              (std::vector<std::int64_t>{0, 0, 2, 2, 2, 3, 3, 3}));
+    EXPECT_TRUE(bbc.toCsr().approxEquals(m, 0.0));
 }
 
 TEST(BbcMatrix, NonMultipleOf16Shapes)

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bbc/bbc_matrix.hh"
+#include "common/bitops.hh"
 #include "common/rng.hh"
 #include "corpus/generators.hh"
 #include "engine/kernel_pipeline.hh"
@@ -23,6 +24,7 @@
 #include "exec/job_spec.hh"
 #include "exec/sweep_executor.hh"
 #include "isa/uwmma.hh"
+#include "obs/trace.hh"
 #include "runner/block_driver.hh"
 #include "runner/report.hh"
 #include "runner/spgemm_runner.hh"
@@ -108,14 +110,29 @@ smokeCorpus()
 
 /** Build the kernel's plan over one corpus input. */
 KernelPlanPtr
-planFor(Kernel kernel, const NamedInput &in)
+planFor(Kernel kernel, const NamedInput &in, int b_cols = 64)
 {
     PlanInputs pi;
     pi.a = &in.a;
     pi.b = &in.a; // SpGEMM: C = A * A.
     pi.x = &in.x;
-    pi.bCols = 64;
+    pi.bCols = b_cols;
     return makeKernelPlan(kernel, pi);
+}
+
+/**
+ * SpMM widths around the 16-column B block: none, one and four
+ * full-width columns, each with and without a partial last column.
+ */
+const std::vector<int> kSpmmWidths = {1, 15, 16, 17, 64, 70};
+
+/** The seven registry models plus the NV-STC-2:4 extension. */
+std::vector<std::string>
+everyModelName()
+{
+    std::vector<std::string> names = allModelNames();
+    names.push_back("NV-STC-2:4");
+    return names;
 }
 
 /**
@@ -137,45 +154,96 @@ legacyRun(const KernelPlan &plan, const StcModel &model,
 
 } // namespace
 
-// Satellite acceptance test: every kernel x every registered
-// architecture, the streamed single-pass multi-model results are
-// byte-identical to the legacy one-model-at-a-time path, and the
-// stream is enumerated exactly once for the whole lineup.
+// Every kernel x every model, at FP64 and FP32, and SpMM at widths
+// with and without repeated B block columns: the streamed
+// single-pass multi-model results are byte-identical to the legacy
+// one-model-at-a-time path, which simulates every task, repeats
+// included. The stream is enumerated exactly once for the whole
+// lineup.
 TEST(EngineDifferential, AllKernelsAllModelsSinglePassMatchesLegacy)
 {
-    const MachineConfig cfg = MachineConfig::fp64();
-    const auto names = allModelNames();
-    std::vector<StcModelPtr> owned;
-    std::vector<KernelPipeline::ModelSlot> slots;
-    for (const auto &name : names) {
-        owned.push_back(makeStcModel(name, cfg));
-        slots.push_back({owned.back().get(), nullptr});
-    }
+    const auto names = everyModelName();
+    for (const MachineConfig &cfg :
+         {MachineConfig::fp64(), MachineConfig::fp32()}) {
+        std::vector<StcModelPtr> owned;
+        std::vector<KernelPipeline::ModelSlot> slots;
+        for (const auto &name : names) {
+            owned.push_back(makeStcModel(name, cfg));
+            slots.push_back({owned.back().get(), nullptr});
+        }
 
-    for (const NamedInput &in : smokeCorpus()) {
-        for (const Kernel kernel : allKernels()) {
-            SCOPED_TRACE(in.name + " / " + toString(kernel));
-            const KernelPlanPtr plan = planFor(kernel, in);
-            const std::uint64_t single_count =
-                plan->stream()->materialize().size();
+        for (const NamedInput &in : smokeCorpus()) {
+            for (const Kernel kernel : allKernels()) {
+                for (const int b_cols :
+                     kernel == Kernel::SpMM ? kSpmmWidths
+                                            : std::vector<int>{64}) {
+                    SCOPED_TRACE(in.name + " / " + toString(kernel) +
+                                 " / bCols " + std::to_string(b_cols) +
+                                 " / " + toString(cfg.precision));
+                    const KernelPlanPtr plan =
+                        planFor(kernel, in, b_cols);
+                    const std::uint64_t single_count =
+                        plan->stream()->materialize().size();
 
-            PipelineCounters counters;
-            const std::vector<RunResult> multi = KernelPipeline::run(
-                *plan, slots, EnergyModel(), &counters);
+                    PipelineCounters counters;
+                    const std::vector<RunResult> multi =
+                        KernelPipeline::run(*plan, slots, EnergyModel(),
+                                            &counters);
 
-            // One enumeration for the whole lineup: the generated
-            // task count equals the single-model count even though
-            // N models consumed the stream.
-            EXPECT_EQ(counters.tasksGenerated, single_count);
-            EXPECT_EQ(counters.modelsFanout, names.size());
-            EXPECT_LE(counters.peakLiveTasks, 1u);
+                    // One enumeration for the whole lineup: the
+                    // generated task count equals the single-model
+                    // count even though N models consumed the stream.
+                    EXPECT_EQ(counters.tasksGenerated, single_count);
+                    EXPECT_EQ(counters.modelsFanout, names.size());
+                    EXPECT_LE(counters.peakLiveTasks, 1u);
 
-            ASSERT_EQ(multi.size(), names.size());
-            for (std::size_t m = 0; m < names.size(); ++m) {
-                SCOPED_TRACE("model " + names[m]);
-                expectSameResult(multi[m],
-                                 legacyRun(*plan, *owned[m]));
+                    ASSERT_EQ(multi.size(), names.size());
+                    for (std::size_t m = 0; m < names.size(); ++m) {
+                        SCOPED_TRACE("model " + names[m]);
+                        expectSameResult(multi[m],
+                                         legacyRun(*plan, *owned[m]));
+                    }
+                }
             }
+        }
+    }
+}
+
+// A traced slot simulates every repeat of a marked SpMM task and an
+// untraced slot adds the marked task's counters again: one pass that
+// runs both for every model gives each pair equal results. The traced
+// slot's sink holds the events of a per-task traced loop, plus the
+// runner track's kernel span and one span per A block.
+TEST(EngineDifferential, TracedAndUntracedSlotsAgree)
+{
+    const MachineConfig cfg = MachineConfig::fp64();
+    const auto names = everyModelName();
+    std::vector<StcModelPtr> owned;
+    for (const auto &name : names)
+        owned.push_back(makeStcModel(name, cfg));
+    for (const NamedInput &in : smokeCorpus()) {
+        SCOPED_TRACE(in.name);
+        const SpmmPlan plan(in.a, 70);
+        std::vector<std::unique_ptr<TraceSink>> sinks;
+        std::vector<KernelPipeline::ModelSlot> slots;
+        for (const StcModelPtr &model : owned) {
+            sinks.push_back(std::make_unique<TraceSink>(64));
+            slots.push_back({model.get(), sinks.back().get()});
+            slots.push_back({model.get(), nullptr});
+        }
+        const std::vector<RunResult> rs = KernelPipeline::run(plan, slots);
+        ASSERT_EQ(rs.size(), 2 * names.size());
+        for (std::size_t m = 0; m < names.size(); ++m) {
+            SCOPED_TRACE("model " + names[m]);
+            expectSameResult(rs[2 * m], rs[2 * m + 1]);
+
+            TraceSink loop(64);
+            RunResult unused;
+            for (const StreamedTask &st : plan.stream()->materialize())
+                owned[m]->runBlock(st.task, unused, &loop);
+            EXPECT_EQ(sinks[m]->recorded(),
+                      loop.recorded() + 1 +
+                          static_cast<std::uint64_t>(in.a.numBlocks()));
         }
     }
 }
@@ -254,28 +322,129 @@ TEST(TaskStream, SpmspvStreamOutlivesItsPlan)
     }
 }
 
-// StcModel::runStream (the stream-consuming default) equals the
-// per-task runBlock loop.
-TEST(TaskStream, RunStreamDefaultMatchesBlockLoop)
+// SpMM marks the first full-width B block column of each A block
+// with the number of full-width columns after it, and nothing else:
+// each mark is followed by exactly that many items of the same task
+// in the same A block, never the partial last column or the next A
+// block's first task.
+TEST(TaskStream, SpmmMarksTheFullWidthRepeatsOfEachABlock)
 {
-    const MachineConfig cfg = MachineConfig::fp64();
-    const auto rm = makeStcModel("RM-STC", cfg);
-    const NamedInput &in = smokeCorpus()[1];
-    const KernelPlanPtr plan = planFor(Kernel::SpGEMM, in);
+    for (const NamedInput &in : smokeCorpus()) {
+        for (const int b_cols : kSpmmWidths) {
+            SCOPED_TRACE(in.name + " / bCols " + std::to_string(b_cols));
+            const std::vector<StreamedTask> items =
+                SpmmPlan(in.a, b_cols).stream()->materialize();
+            const auto per_block =
+                static_cast<std::size_t>(ceilDiv(b_cols, kBlockSize));
+            const auto full =
+                static_cast<std::uint32_t>(b_cols / kBlockSize);
+            ASSERT_EQ(items.size(),
+                      static_cast<std::size_t>(in.a.numBlocks()) *
+                          per_block);
+            for (std::size_t i = 0; i < items.size(); ++i) {
+                const StreamedTask &it = items[i];
+                EXPECT_EQ(it.repeats,
+                          i % per_block == 0 && full > 1 ? full - 1 : 0u);
+                for (std::size_t r = 1; r <= it.repeats; ++r) {
+                    ASSERT_LT(i + r, items.size());
+                    EXPECT_EQ(items[i + r].group, it.group);
+                    EXPECT_EQ(items[i + r].task.a, it.task.a);
+                    EXPECT_EQ(items[i + r].task.b, it.task.b);
+                    EXPECT_EQ(items[i + r].task.isMv, it.task.isMv);
+                }
+                const std::size_t after = i + it.repeats + 1;
+                if (it.repeats > 0 && after < items.size()) {
+                    EXPECT_TRUE(items[after].group != it.group ||
+                                items[after].task.b != it.task.b);
+                }
+            }
+        }
+    }
+}
 
-    RunResult streamed;
-    const auto stream = plan->stream();
-    rm->runStream(*stream, streamed);
+namespace
+{
 
-    RunResult looped;
-    for (const StreamedTask &st : plan->stream()->materialize())
-        rm->runBlock(st.task, looped, nullptr);
+/** Field-by-field PatternMeta equality. */
+void
+expectSameMeta(const PatternMeta &a, const PatternMeta &b)
+{
+    EXPECT_EQ(a.tiles, b.tiles);
+    EXPECT_EQ(a.tileBits, b.tileBits);
+    EXPECT_EQ(a.cols, b.cols);
+    EXPECT_EQ(a.colCnt, b.colCnt);
+    EXPECT_EQ(a.rowCnt, b.rowCnt);
+    EXPECT_EQ(a.nnz, b.nnz);
+}
 
-    // Neither path finalizes energy; compare the raw counters.
-    EXPECT_EQ(streamed.cycles, looped.cycles);
-    EXPECT_EQ(streamed.products, looped.products);
-    EXPECT_EQ(streamed.tasksT1, looped.tasksT1);
-    EXPECT_EQ(streamed.traffic.writesC, looped.traffic.writesC);
+/**
+ * Algorithm 2 by brute force: every (A block, B block) pair in C
+ * block-row order whose blockProductCount is positive.
+ */
+std::vector<StreamedTask>
+bruteForceSpgemm(const BbcMatrix &a, const BbcMatrix &b)
+{
+    std::vector<StreamedTask> tasks;
+    for (int bi = 0; bi < a.blockRows(); ++bi) {
+        for (std::int64_t ai = a.rowPtr()[bi]; ai < a.rowPtr()[bi + 1];
+             ++ai) {
+            const int bk = a.colIdx()[ai];
+            for (std::int64_t bj = b.rowPtr()[bk];
+                 bj < b.rowPtr()[bk + 1]; ++bj) {
+                const BlockPattern pa = a.blockPattern(ai);
+                const BlockPattern pb = b.blockPattern(bj);
+                if (blockProductCount(pa, pb) > 0)
+                    tasks.push_back({BlockTask::mm(pa, pb), bi});
+            }
+        }
+    }
+    return tasks;
+}
+
+/** @p got equals @p want task for task, summaries included. */
+void
+expectSameTasks(const std::vector<StreamedTask> &got,
+                const std::vector<StreamedTask> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE("task " + std::to_string(i));
+        EXPECT_EQ(got[i].group, want[i].group);
+        EXPECT_EQ(got[i].repeats, 0u);
+        EXPECT_EQ(got[i].task.a, want[i].task.a);
+        EXPECT_EQ(got[i].task.b, want[i].task.b);
+        EXPECT_FALSE(got[i].task.isMv);
+        expectSameMeta(got[i].task.aInfo(),
+                       computePatternMeta(want[i].task.a));
+        expectSameMeta(got[i].task.bInfo(),
+                       computePatternMeta(want[i].task.b));
+    }
+}
+
+} // namespace
+
+// SpGEMM builds one set of block summaries for C = A·A and tests each
+// candidate pair with one AND of the A block's nonzero-column mask
+// and the B block's nonzero-row mask. The stream over (A, A), over
+// (A, a copy of A) and over (A, another B) each equal a brute-force
+// walk that keeps the pairs with a positive product count.
+TEST(TaskStream, SpgemmKeepsExactlyThePairsWithProducts)
+{
+    for (const NamedInput &in : smokeCorpus()) {
+        SCOPED_TRACE(in.name);
+        const std::vector<StreamedTask> want = bruteForceSpgemm(in.a, in.a);
+        const std::vector<StreamedTask> self =
+            SpgemmPlan(in.a, in.a).stream()->materialize();
+        expectSameTasks(self, want);
+        const BbcMatrix copy = in.a;
+        expectSameTasks(SpgemmPlan(in.a, copy).stream()->materialize(),
+                        want);
+
+        const BbcMatrix b = BbcMatrix::fromCsr(
+            genRandomUniform(in.a.cols(), 70, 0.04, 21));
+        expectSameTasks(SpgemmPlan(in.a, b).stream()->materialize(),
+                        bruteForceSpgemm(in.a, b));
+    }
 }
 
 // A JobSpec lineup (one job, N models) returns exactly what N

@@ -20,6 +20,15 @@ namespace
 
 const MachineConfig kFp64 = MachineConfig::fp64();
 
+/** The FP64 bundle of the MM (or, with @p is_mv, MV) task a x b. */
+TaskBundle
+bundleOf(const BlockPattern &a, const BlockPattern &b, bool is_mv)
+{
+    BlockTask task = BlockTask::mm(a, b);
+    task.isMv = is_mv;
+    return buildTaskBundle(task, kFp64);
+}
+
 TEST(Uwmma, Mnemonics)
 {
     EXPECT_STREQ(mnemonic(UwmmaOp::LoadMetaMv), "stc.load.meta_mv");
@@ -34,7 +43,7 @@ TEST(Uwmma, BundleRespectsTableVBounds)
         const BlockPattern a = BlockPattern::random(rng, 0.2);
         const BlockPattern b = BlockPattern::random(rng, 0.2);
 
-        const TaskBundle mm = buildTaskBundle(a, b, false, kFp64);
+        const TaskBundle mm = bundleOf(a, b, false);
         EXPECT_EQ(mm.loadCycles, 3); // meta (1) + A values (2)
         EXPECT_GE(mm.taskGenCycles, 1);
         EXPECT_LE(mm.taskGenCycles, 8);
@@ -44,8 +53,7 @@ TEST(Uwmma, BundleRespectsTableVBounds)
         EXPECT_EQ(mm.instrs[0].op, UwmmaOp::LoadMetaMm);
         EXPECT_EQ(mm.instrs[3].op, UwmmaOp::NumericMm);
 
-        const TaskBundle mv = buildTaskBundle(
-            a, vectorAsBlock(0xFFFF), true, kFp64);
+        const TaskBundle mv = bundleOf(a, vectorAsBlock(0xFFFF), true);
         EXPECT_LE(mv.taskGenCycles, 4);
         EXPECT_LE(mv.numericCycles, 8);
         EXPECT_EQ(mv.instrs[0].op, UwmmaOp::LoadMetaMv);
@@ -54,9 +62,8 @@ TEST(Uwmma, BundleRespectsTableVBounds)
 
 TEST(Uwmma, DenseMmBundleHitsUpperNumericBound)
 {
-    const TaskBundle b = buildTaskBundle(BlockPattern::dense(),
-                                         BlockPattern::dense(),
-                                         false, kFp64);
+    const TaskBundle b =
+        bundleOf(BlockPattern::dense(), BlockPattern::dense(), false);
     EXPECT_EQ(b.numericCycles, 64);
     EXPECT_EQ(b.taskGenCycles, 8);
 }
