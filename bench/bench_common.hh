@@ -2,12 +2,11 @@
  * @file
  * Thin adapter between the benchmark harnesses and the execution
  * driver library (src/driver/). The sweep engine that used to live
- * here — result log, sweep session, the kernel-run mode dispatch
- * and the orchestrating main() — is now the compiled
- * driver library; this header only re-exports the names bench bodies
- * use (Prepared, runKernel, runKernelLineup), adds quickMode() over
- * the run's parsed request, and generates the standard main() on top
- * of DriverSession.
+ * here — result log, the kernel-run path and the orchestrating
+ * main() — is now the compiled driver library; this header only
+ * re-exports the names bench bodies use (Prepared, runKernel,
+ * runKernelLineup), adds quickMode() over the run's parsed request,
+ * and generates the standard main() on top of DriverSession.
  *
  * Every harness that includes this header accepts the full standard
  * execution family with no per-bench code (one parser, one --help,
@@ -15,25 +14,9 @@
  *
  *   --quick    shrink workloads (also UNISTC_BENCH_QUICK)
  *   --smoke    tiny corpus for ctest smoke runs (implies --quick)
- *   --jobs N   fan runKernel() simulations across N worker threads
- *              (also UNISTC_JOBS; N = 0 or "auto" uses every core)
  *
- * How --jobs works (docs/PARALLELISM.md): the bench body runs twice.
- * The *plan* pass runs with stdout silenced and the log level raised;
- * every runKernel() / runKernelLineup() call records a JobSpec — a
- * lineup of model clones, shared BBC operands, energy parameters —
- * submits it to the thread pool (which starts simulating
- * immediately) and returns sentinel RunResults.
- * After a barrier, the *replay* pass re-runs the body serially; each
- * runKernel() call now returns the precomputed result for its
- * submission index. Because replay is the serial program with the
- * deterministic per-job results spliced in, stdout, tables and the
- * UNISTC_BENCH_JSON dump are byte-identical to a --jobs 1 run.
- *
- * The contract this buys is narrow and checked: the *sequence* of
- * runKernel() calls must not depend on simulation results (values
- * may — comparisons and roll-ups only affect printing). A diverging
- * bench fails fast with a clear fatal() in the replay pass.
+ * The body runs once, serially. To use several cores, run several
+ * harnesses as separate processes (README.md).
  */
 
 #ifndef UNISTC_BENCH_BENCH_COMMON_HH
@@ -95,7 +78,7 @@ quickMode()
 /**
  * The bench's own main() (renamed below, SDL-style) — every harness
  * defines `int main(int, char **)`, which the macro turns into the
- * body a DriverSession drives through the sweep phases.
+ * body a DriverSession runs.
  */
 int unistc_bench_body(int argc, char **argv);
 

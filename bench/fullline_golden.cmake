@@ -15,7 +15,13 @@
 # with --trace: a traced model simulates every repeat of an SpMM task
 # that an untraced one counts without simulating, so its bench JSON
 # must equal the untraced golden. Its stdout gains a "Trace:" line,
-# so only the JSON is compared.
+# so only the JSON is compared. Two more traced runs on a 64x64
+# matrix pin the Chrome trace itself, with a 64-event ring per model,
+# small enough that rings wrap: SpMV over all seven models (one trace
+# process per model) and an SpGEMM --arch lineup with its
+# --stats-json. Together they pin the pids, the process names, the
+# order in which the per-model rings are merged, and the held,
+# dropped and capacity counters.
 # Driven by ctest (see CMakeLists.txt):
 #
 #   cmake -DCLI=<simulate_cli> -DGOLDEN_DIR=<bench/golden/fullline_smoke> \
@@ -106,6 +112,18 @@ run_cli(spgemm_banded512_lineup --kernel spgemm
         --precision fp32 --dpgs 16
         --stats-json spgemm_banded512_lineup.stats.json)
 expect_golden(spgemm_banded512_lineup.stats.json)
+
+run_cli(spmv_random64_d10_traced --kernel spmv --gen random:64,0.1
+        --model all --trace spmv_random64_d10_traced.trace.json
+        --trace-events 64)
+expect_golden(spmv_random64_d10_traced.trace.json)
+run_cli(spgemm_random64_lineup_traced --kernel spgemm
+        --arch DS-STC,Uni-STC --gen random:64,0.1
+        --trace spgemm_random64_lineup_traced.trace.json
+        --trace-events 64
+        --stats-json spgemm_random64_lineup_traced.stats.json)
+expect_golden(spgemm_random64_lineup_traced.trace.json)
+expect_golden(spgemm_random64_lineup_traced.stats.json)
 
 message(STATUS "all seven models reproduce the fullline_smoke goldens "
                "byte for byte")

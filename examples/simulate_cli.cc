@@ -10,9 +10,8 @@
  *
  * Built on the execution driver (src/driver/): the experiment is a
  * plain serial body handed to a DriverSession, which supplies the
- * whole standard execution family — --jobs plan/replay sweeps
- * (docs/PARALLELISM.md), --log-level, --help and --version — with
- * byte-identical output across worker counts.
+ * whole standard execution family — --quick/--smoke, --log-level,
+ * --help and --version.
  *
  * This file holds the experiment parser and body: the front-end flag
  * family (--matrix/--gen/--kernel/--model/--arch/--precision/--dpgs/
@@ -34,7 +33,6 @@
 #include "common/table.hh"
 #include "corpus/generators.hh"
 #include "driver/driver_session.hh"
-#include "driver/execution_context.hh"
 #include "driver/kernel_run.hh"
 #include "driver/sweep_request.hh"
 #include "driver/version.hh"
@@ -58,9 +56,11 @@ struct Experiment
     Kernel kernel = Kernel::SpMV;
     std::string kernelName;
     std::vector<std::string> names; ///< Models (lineup order).
-    bool multi = false;             ///< --arch: one lineup job.
+    bool multi = false;             ///< --arch: one lineup pass.
     MachineConfig cfg = MachineConfig::fp64();
     int bCols = 64;
+    /** --trace: per-model trace ring capacity; 0 when not tracing. */
+    std::size_t traceEvents = 0;
 
     /** Value of front-end flag @p key, "" when it was not given. */
     std::string
@@ -165,11 +165,10 @@ simulateCliFlags()
 
 /**
  * Resolve and validate every front-end flag of @p cli into an
- * Experiment, adjusting cli.request's trace ring capacity on the
- * way. UNISTC_FATALs on invalid input.
+ * Experiment. UNISTC_FATALs on invalid input.
  */
 Experiment
-makeExperiment(driver::ParsedCli &cli)
+makeExperiment(const driver::ParsedCli &cli)
 {
     Experiment ex;
     ex.opts = cli.extra;
@@ -213,12 +212,9 @@ makeExperiment(driver::ParsedCli &cli)
         ex.names.push_back(model_name);
 
     if (ex.opts.count("trace")) {
-        // A --trace run goes through the executor's plan/replay path
-        // even at --jobs 1, so the trace has the same structure for
-        // any worker count.
-        cli.request.traceJobCapacity = TraceSink::kDefaultCapacity;
+        ex.traceEvents = TraceSink::kDefaultCapacity;
         if (ex.opts.count("trace-events")) {
-            cli.request.traceJobCapacity = static_cast<std::size_t>(
+            ex.traceEvents = static_cast<std::size_t>(
                 parseCountOpt("trace-events", ex.opts["trace-events"]));
         }
     }
@@ -267,17 +263,30 @@ buildPrepared(const Experiment &ex)
 }
 
 /**
- * The simulation body a DriverSession drives: with --jobs it runs
- * twice (silenced plan pass, then the reporting replay pass), so any
- * side effect beyond runKernel() calls and stdout must be guarded on
- * ExecutionContext::reportingPass().
+ * --trace: one ring of @p ex.traceEvents events per lineup model,
+ * each its own Chrome trace process (pid = lineup index) named
+ * "<model> | <matrix>". Empty when the run is not traced.
  */
+std::vector<std::unique_ptr<TraceSink>>
+makeTraceSinks(const Experiment &ex,
+               const std::vector<std::unique_ptr<const StcModel>> &models,
+               const std::string &matrix)
+{
+    std::vector<std::unique_ptr<TraceSink>> sinks;
+    if (ex.traceEvents == 0)
+        return sinks;
+    for (std::size_t n = 0; n < models.size(); ++n) {
+        sinks.push_back(std::make_unique<TraceSink>(ex.traceEvents));
+        sinks.back()->setProcess(static_cast<int>(n),
+                                 models[n]->name() + " | " + matrix);
+    }
+    return sinks;
+}
+
+/** The simulation body a DriverSession drives. */
 int
 simulateBody(const Experiment &ex)
 {
-    driver::ExecutionContext &ctx =
-        driver::ExecutionContext::active();
-
     const driver::Prepared prep = buildPrepared(ex);
     if (ex.kernel == Kernel::SpGEMM && prep.csr.rows() !=
         prep.csr.cols())
@@ -292,8 +301,7 @@ simulateBody(const Experiment &ex)
                 fmtBytes(prep.bbc.storageBytes(
                              ex.cfg.bytesPerValue())).c_str());
     if (ex.opts.count("save-bbc")) {
-        if (ctx.reportingPass())
-            saveBbcFile(ex.opt("save-bbc"), prep.bbc);
+        saveBbcFile(ex.opt("save-bbc"), prep.bbc);
         std::printf("Saved BBC image to %s\n\n",
                     ex.opt("save-bbc").c_str());
     }
@@ -316,6 +324,11 @@ simulateBody(const Experiment &ex)
     owned.reserve(ex.names.size());
     for (const std::string &name : ex.names)
         owned.emplace_back(makeStcModel(name, ex.cfg));
+    const std::vector<std::unique_ptr<TraceSink>> sinks =
+        makeTraceSinks(ex, owned, prep.name);
+    std::vector<TraceSink *> traces;
+    for (const auto &s : sinks)
+        traces.push_back(s.get());
 
     // --arch runs its whole lineup as ONE unit: the engine enumerates
     // the task stream once and fans every task out to all listed
@@ -329,11 +342,13 @@ simulateBody(const Experiment &ex)
             models.push_back(m.get());
         results = driver::runKernelLineup(
             ex.kernel, models, prep, EnergyModel(),
-            /*record_timing=*/false, &engine_counters, ex.bCols);
+            /*record_timing=*/false, &engine_counters, ex.bCols,
+            traces);
     } else {
         for (std::size_t n = 0; n < ex.names.size(); ++n) {
-            results[n] = driver::runKernel(ex.kernel, *owned[n], prep,
-                                           EnergyModel(), ex.bCols);
+            results[n] = driver::runKernel(
+                ex.kernel, *owned[n], prep, EnergyModel(), ex.bCols,
+                traces.empty() ? nullptr : traces[n]);
         }
     }
 
@@ -360,27 +375,27 @@ simulateBody(const Experiment &ex)
         engine_counters.registerStats(stats);
     }
 
-    // Reporting artifacts (trace, stats JSON) are written exactly
-    // once, by the reporting pass — never by the silenced plan pass.
-    if (ctx.reportingPass()) {
-        const TraceSink *trace = ctx.runTrace();
-        const bool wrote_trace =
-            trace != nullptr && ex.opts.count("trace") != 0;
-        if (wrote_trace) {
-            trace->writeChromeTraceFile(ex.opt("trace"));
-            registerTraceSinkStats(stats, *trace);
-            std::printf("\nTrace: %s (%llu events, %llu dropped)\n",
-                        ex.opt("trace").c_str(),
-                        static_cast<unsigned long long>(
-                            trace->size()),
-                        static_cast<unsigned long long>(
-                            trace->dropped()));
-        }
-        if (ex.opts.count("stats-json")) {
-            writeStatsJsonFile(stats, ex.opt("stats-json"));
-            std::printf("%sStats: %s\n", wrote_trace ? "" : "\n",
-                        ex.opt("stats-json").c_str());
-        }
+    // The per-model rings merge in lineup order into one trace sized
+    // to the events they hold.
+    const bool wrote_trace = !sinks.empty();
+    if (wrote_trace) {
+        std::size_t held = 0;
+        for (const auto &s : sinks)
+            held += s->size();
+        TraceSink trace(std::max<std::size_t>(held, 1));
+        for (const auto &s : sinks)
+            trace.mergeFrom(*s);
+        trace.writeChromeTraceFile(ex.opt("trace"));
+        registerTraceSinkStats(stats, trace);
+        std::printf("\nTrace: %s (%llu events, %llu dropped)\n",
+                    ex.opt("trace").c_str(),
+                    static_cast<unsigned long long>(trace.size()),
+                    static_cast<unsigned long long>(trace.dropped()));
+    }
+    if (ex.opts.count("stats-json")) {
+        writeStatsJsonFile(stats, ex.opt("stats-json"));
+        std::printf("%sStats: %s\n", wrote_trace ? "" : "\n",
+                    ex.opt("stats-json").c_str());
     }
     return 0;
 }
@@ -395,7 +410,7 @@ main(int argc, char **argv)
         driver::parseSweepCli(argc, argv, extra);
     if (!parsed.ok())
         raise(parsed.status());
-    driver::ParsedCli cli = std::move(parsed).value();
+    const driver::ParsedCli cli = std::move(parsed).value();
     if (cli.helpRequested) {
         std::fputs(driver::sweepCliHelp(argv[0], extra).c_str(),
                    stdout);
@@ -407,8 +422,7 @@ main(int argc, char **argv)
     }
 
     // Resolve and validate every front-end flag BEFORE the driver
-    // runs, so a typo'd experiment fails fast instead of after a
-    // silenced plan pass.
+    // runs, so a typo'd experiment fails before any simulation.
     const Experiment ex = makeExperiment(cli);
 
     driver::DriverSession session;

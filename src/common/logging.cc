@@ -29,8 +29,7 @@ initialLevel()
 }
 
 /**
- * The filter is read from simulation worker threads and written by
- * the main thread (--log-level, sweep plan-phase quieting), so it is
+ * The filter may be read and written from any thread, so it is
  * atomic; relaxed ordering suffices for a monotonic filter check.
  */
 std::atomic<LogLevel> &
@@ -48,9 +47,9 @@ levelRef()
     levelRef().load(std::memory_order_relaxed);
 
 /**
- * Like the level filter, the fatal behavior may be flipped by the
- * main thread while worker jobs run; relaxed atomicity is enough —
- * callers sequence behavior changes against the work they guard.
+ * Like the level filter, the fatal behavior may be flipped from any
+ * thread; relaxed atomicity is enough — callers sequence behavior
+ * changes against the work they guard.
  */
 std::atomic<FatalBehavior> &
 fatalBehaviorRef()

@@ -2,20 +2,10 @@
  * @file
  * DriverSession: runs a front-end body under a SweepRequest —
  * the orchestration that used to live in bench_common.hh's generated
- * main() and (duplicated) in examples/simulate_cli.cc. One call,
- * two possible shapes, both in one process:
- *
- *   serial      body runs once, results simulate inline.
- *   --jobs      plan pass (stdout silenced, jobs fan out over a
- *               thread pool) → barrier → serial replay pass that
- *               splices the precomputed results in
- *               (docs/PARALLELISM.md).
- *
- * In both shapes the reporting output — stdout and UNISTC_BENCH_JSON
- * — is produced by exactly one serial traversal of the body, so it
- * is byte-identical across worker counts. A job that throws fails
- * the run in both shapes: serially the exception leaves the body,
- * under --jobs the barrier raises it.
+ * main() and (duplicated) in examples/simulate_cli.cc. The body runs
+ * once, serially, in one process; a model that throws fails the run
+ * by leaving the body. To use several cores, run several binaries as
+ * separate processes (README.md).
  */
 
 #ifndef UNISTC_DRIVER_DRIVER_SESSION_HH
@@ -30,27 +20,6 @@ namespace unistc
 {
 namespace driver
 {
-
-/**
- * Scoped plan-pass silence: stdout redirected to /dev/null and the
- * log level raised, so a recording traversal of the body prints
- * nothing; fatal()/panic() still reach stderr. Restores both on
- * destruction. Exposed for tests; DriverSession applies it around
- * the plan pass.
- */
-class ScopedPlanQuiet
-{
-  public:
-    ScopedPlanQuiet();
-    ~ScopedPlanQuiet();
-
-    ScopedPlanQuiet(const ScopedPlanQuiet &) = delete;
-    ScopedPlanQuiet &operator=(const ScopedPlanQuiet &) = delete;
-
-  private:
-    LogLevel savedLevel_;
-    int savedFd_ = -1;
-};
 
 /** Orchestrates one request over one ExecutionContext. */
 class DriverSession

@@ -46,13 +46,5 @@ ExecutionContext::active()
     return ctx != nullptr ? *ctx : global();
 }
 
-void
-ExecutionContext::beginRun(const SweepRequest &req)
-{
-    request_ = req;
-    sweep_.reset();
-    reportingPass_ = true;
-}
-
 } // namespace driver
 } // namespace unistc

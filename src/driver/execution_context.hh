@@ -1,14 +1,13 @@
 /**
  * @file
- * ExecutionContext: everything one sweep run needs to execute —
- * the run's request, the sweep session and the result log — owned
- * by one object instead of per-process singletons (the
- * bench_common.hh arrangement this library replaced). A process
- * gets a default context (global()) whose ResultLog still arms the
- * UNISTC_BENCH_JSON dump-at-exit, so existing binaries behave
- * identically; embedders (tests) construct their own contexts and
- * run several sweeps back to back in one process without state
- * leaking between them (beginRun()).
+ * ExecutionContext: everything one run needs to execute — the run's
+ * request and the result log — owned by one object instead of
+ * per-process singletons (the bench_common.hh arrangement this
+ * library replaced). A process gets a default context (global())
+ * whose ResultLog still arms the UNISTC_BENCH_JSON dump-at-exit, so
+ * existing binaries behave identically; embedders (tests) construct
+ * their own contexts and run several requests back to back in one
+ * process without state leaking between them (beginRun()).
  *
  * runKernel()/runKernelLineup() route through active(): current()
  * when a DriverSession (or a test) installed one, the process
@@ -20,15 +19,13 @@
 
 #include "driver/result_log.hh"
 #include "driver/sweep_request.hh"
-#include "driver/sweep_session.hh"
-#include "obs/trace.hh"
 
 namespace unistc
 {
 namespace driver
 {
 
-/** One run's execution state: sweep session + result log. */
+/** One run's execution state: request + result log. */
 class ExecutionContext
 {
   public:
@@ -58,18 +55,7 @@ class ExecutionContext
     /** current() when installed, the process default otherwise. */
     static ExecutionContext &active();
 
-    SweepSession &sweep() { return sweep_; }
     ResultLog &results() { return results_; }
-
-    /**
-     * False while the body's output is being discarded — the --jobs
-     * plan pass, where stdout goes to /dev/null and results are
-     * sentinels. Front-ends guard artifact writes (traces, stats
-     * JSON, saved BBC containers) on it so files are written exactly
-     * once, by the reporting run.
-     */
-    bool reportingPass() const { return reportingPass_; }
-    void setReportingPass(bool on) { reportingPass_ = on; }
 
     /**
      * The request of the current run (defaults outside a
@@ -78,17 +64,10 @@ class ExecutionContext
     const SweepRequest &request() const { return request_; }
 
     /**
-     * The run's trace: the sweep executor's merged per-job trace
-     * during replay, null otherwise.
+     * Start serving @p req. Recorded results are kept: the log spans
+     * the process.
      */
-    const TraceSink *runTrace() const { return sweep_.trace(); }
-
-    /**
-     * Start serving @p req: reset per-run session state (sweep mode,
-     * cursor) so a long-lived context can serve another request.
-     * Recorded results are kept: the log spans the process.
-     */
-    void beginRun(const SweepRequest &req);
+    void beginRun(const SweepRequest &req) { request_ = req; }
 
   private:
     explicit ExecutionContext(bool processDefault)
@@ -97,9 +76,7 @@ class ExecutionContext
     }
 
     SweepRequest request_;
-    SweepSession sweep_;
     ResultLog results_;
-    bool reportingPass_ = true;
 };
 
 } // namespace driver

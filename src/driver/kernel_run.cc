@@ -2,7 +2,7 @@
 
 #include "common/logging.hh"
 #include "driver/execution_context.hh"
-#include "exec/job_spec.hh"
+#include "runner/block_driver.hh"
 
 namespace unistc
 {
@@ -13,39 +13,37 @@ namespace
 {
 
 /**
- * The one kernel-run path: plan, replay or serial by the active
- * context's sweep mode. The serial branch runs the caller's own
- * models on the Prepared's own operands. @p recordEngine adds the
- * pass's "engine" ResultLog entry.
+ * The one kernel-run path: plan @p kernel over the Prepared's own
+ * operands and run the caller's own models through one pipeline
+ * pass, model m traced into @p traces[m] when that entry exists and
+ * is non-null. Records the results in the active context;
+ * @p recordEngine adds the pass's "engine" ResultLog entry.
  */
 std::vector<RunResult>
 runOnContext(Kernel kernel, const std::vector<const StcModel *> &models,
              const Prepared &p, const EnergyModel &energy, int bCols,
-             bool recordEngine, PipelineCounters *counters_out)
+             const std::vector<TraceSink *> &traces, bool recordEngine,
+             PipelineCounters *counters_out)
 {
-    ExecutionContext &ctx = ExecutionContext::active();
-    SweepSession &session = ctx.sweep();
     UNISTC_ASSERT(!models.empty(),
                   "a kernel run needs at least one model");
-
-    if (session.mode() == SweepSession::Mode::Plan) {
-        if (counters_out != nullptr)
-            *counters_out = PipelineCounters{};
-        return session.plan(kernel, models, p, energy, bCols);
+    PlanInputs in;
+    in.a = &p.bbc;
+    in.b = &p.bbc; // SpGEMM: C = A * A.
+    in.x = &p.x50;
+    in.bCols = bCols;
+    const KernelPlanPtr plan = makeKernelPlan(kernel, in);
+    std::vector<KernelPipeline::ModelSlot> slots;
+    slots.reserve(models.size());
+    for (std::size_t m = 0; m < models.size(); ++m) {
+        slots.push_back(
+            {models[m], m < traces.size() ? traces[m] : nullptr});
     }
-
     PipelineCounters counters;
-    std::vector<RunResult> results;
-    if (session.mode() == SweepSession::Mode::Replay) {
-        results = session.replay(kernel, models, p, counters);
-    } else {
-        PlanInputs in;
-        in.a = &p.bbc;
-        in.b = &p.bbc; // SpGEMM: C = A * A.
-        in.x = &p.x50;
-        in.bCols = bCols;
-        results = runLineup(kernel, in, models, energy, {}, &counters);
-    }
+    std::vector<RunResult> results =
+        KernelPipeline::run(*plan, slots, energy, &counters);
+
+    ExecutionContext &ctx = ExecutionContext::active();
     if (recordEngine)
         ctx.results().recordEngine(kernel, p.name, counters);
     if (counters_out != nullptr)
@@ -61,10 +59,10 @@ runOnContext(Kernel kernel, const std::vector<const StcModel *> &models,
 
 RunResult
 runKernel(Kernel kernel, const StcModel &model, const Prepared &p,
-          const EnergyModel &energy, int bCols)
+          const EnergyModel &energy, int bCols, TraceSink *trace)
 {
     std::vector<RunResult> results =
-        runOnContext(kernel, {&model}, p, energy, bCols,
+        runOnContext(kernel, {&model}, p, energy, bCols, {trace},
                      /*recordEngine=*/false, nullptr);
     return std::move(results.front());
 }
@@ -74,9 +72,9 @@ runKernelLineup(Kernel kernel,
                 const std::vector<const StcModel *> &models,
                 const Prepared &p, const EnergyModel &energy,
                 bool /*record_timing*/, PipelineCounters *counters_out,
-                int bCols)
+                int bCols, const std::vector<TraceSink *> &traces)
 {
-    return runOnContext(kernel, models, p, energy, bCols,
+    return runOnContext(kernel, models, p, energy, bCols, traces,
                         /*recordEngine=*/true, counters_out);
 }
 

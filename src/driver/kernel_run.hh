@@ -3,12 +3,10 @@
  * The kernel-run surface of the execution driver: a matrix prepared
  * once (Prepared), and runKernelLineup() — the one call every
  * front-end body makes per simulation — with runKernel(), its
- * one-model form. Both take one path: serially the caller's own
- * models run through runLineup() (exec/job_spec.hh) on the
- * Prepared's own operands; under the ExecutionContext's sweep
- * plan/replay machinery (driver/execution_context.hh) the lineup
- * rides as one job of model clones. A body written against these
- * calls transparently gains --jobs with byte-identical output.
+ * one-model form. Both plan the kernel over the Prepared's own
+ * operands and run the caller's own models through one
+ * KernelPipeline pass, recording the results in the active
+ * ExecutionContext's result log (driver/execution_context.hh).
  *
  * Bench harnesses reach them through the unistc::bench aliases in
  * bench/bench_common.hh.
@@ -63,14 +61,15 @@ struct Prepared
 
 /**
  * Run one of the four kernels on a prepared matrix through the
- * current ExecutionContext (sweep aware): a one-model
- * runKernelLineup() that records no "engine" entry.
- * @p bCols is the dense-B width for SpMM (the paper fixes 64).
+ * current ExecutionContext: a one-model runKernelLineup() that
+ * records no "engine" entry. @p bCols is the dense-B width for SpMM
+ * (the paper fixes 64); @p trace, when non-null, records the model's
+ * spans.
  */
 RunResult runKernel(Kernel kernel, const StcModel &model,
                     const Prepared &p,
                     const EnergyModel &energy = EnergyModel(),
-                    int bCols = 64);
+                    int bCols = 64, TraceSink *trace = nullptr);
 
 /**
  * Run one kernel on a prepared matrix across a whole architecture
@@ -78,19 +77,20 @@ RunResult runKernel(Kernel kernel, const StcModel &model,
  * fan-out, docs/ARCHITECTURE.md): the stream is enumerated once per
  * (kernel, matrix) no matter how many models run, and each returned
  * RunResult (lineup order) is bit-identical to a one-model
- * runKernel() call. Under --jobs (or a trace) the whole lineup
- * rides as one job. Records per-model ResultLog entries plus one
- * "engine" entry with the pass's counters, the same at any --jobs.
+ * runKernel() call. Records per-model ResultLog entries plus one
+ * "engine" entry with the pass's counters.
  * @p record_timing is ignored: the pipeline reads no clock, and the
  * parameter stays only so existing positional callers compile.
- * @p counters_out, when non-null, receives the pass's counters (all
- * zero in a --jobs plan pass).
+ * @p counters_out, when non-null, receives the pass's counters.
+ * Model m is traced into @p traces[m] when that entry exists and is
+ * non-null.
  */
 std::vector<RunResult> runKernelLineup(
     Kernel kernel, const std::vector<const StcModel *> &models,
     const Prepared &p, const EnergyModel &energy = EnergyModel(),
     bool record_timing = false,
-    PipelineCounters *counters_out = nullptr, int bCols = 64);
+    PipelineCounters *counters_out = nullptr, int bCols = 64,
+    const std::vector<TraceSink *> &traces = {});
 
 } // namespace driver
 } // namespace unistc

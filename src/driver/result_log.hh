@@ -5,8 +5,8 @@
  * (moved out of bench/bench_common.hh when the sweep engine became
  * the src/driver/ library). Set UNISTC_BENCH_JSON=out.json to get an
  * automatic dump at exit from the process-default log. record() is
- * mutex-guarded so sweep workers may append concurrently; entries()
- * / dumpJson() are for after the run settles.
+ * mutex-guarded so several threads may append concurrently;
+ * entries() / dumpJson() are for after the run settles.
  */
 
 #ifndef UNISTC_DRIVER_RESULT_LOG_HH
@@ -37,7 +37,7 @@ class ResultLog
      * counters of a single-pass multi-architecture run. The JSON
      * dump gains an "engine" array when any were recorded. The
      * counters are deterministic, so the dump stays byte-identical
-     * across --jobs worker counts.
+     * across runs.
      */
     using EngineEntry = BenchJsonEngineEntry;
 

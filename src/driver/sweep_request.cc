@@ -2,9 +2,6 @@
 
 #include <cstdlib>
 
-#include "exec/sweep_executor.hh"
-#include "exec/thread_pool.hh"
-
 namespace unistc
 {
 namespace driver
@@ -17,20 +14,6 @@ Status
 optError(const std::string &message)
 {
     return invalidArgument(message);
-}
-
-/** Strict non-negative integer; "auto" is handled by the caller. */
-bool
-parseNonNegInt(const std::string &text, long &out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    const long v = std::strtol(text.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v < 0)
-        return false;
-    out = v;
-    return true;
 }
 
 struct StdFlag
@@ -47,8 +30,6 @@ const StdFlag kStdFlags[] = {
      "shrink workloads (also UNISTC_BENCH_QUICK)"},
     {"smoke", false, "",
      "tiny corpus for ctest smoke runs (implies --quick)"},
-    {"jobs", true, "N",
-     "worker threads, 0/'auto' = all cores (also UNISTC_JOBS)"},
     {"log-level", true, "LEVEL",
      "debug|info|warn|error|silent (or 0-4)"},
 };
@@ -77,30 +58,13 @@ findExtraFlag(const std::vector<CliFlag> &extra,
 /** Apply one standard flag value onto the request being built. */
 Status
 applyStdFlag(SweepRequest &req, const std::string &name,
-             const std::string &value, int &requestedJobs)
+             const std::string &value)
 {
-    long n = 0;
     if (name == "quick") {
         req.quick = true;
     } else if (name == "smoke") {
         req.smoke = true;
         req.quick = true;
-    } else if (name == "jobs") {
-        if (value == "auto") {
-            requestedJobs = ThreadPool::hardwareThreads();
-        } else if (parseNonNegInt(value, n)) {
-            if (n > SweepExecutor::kMaxJobs) {
-                return optError("--jobs is capped at " +
-                                std::to_string(SweepExecutor::kMaxJobs) +
-                                " workers, got '" + value + "'");
-            }
-            requestedJobs =
-                n == 0 ? ThreadPool::hardwareThreads()
-                       : static_cast<int>(n);
-        } else {
-            return optError("--jobs needs a non-negative integer or "
-                            "'auto', got '" + value + "'");
-        }
     } else if (name == "log-level") {
         LogLevel level = LogLevel::Info;
         if (!parseLogLevel(value, level)) {
@@ -120,7 +84,6 @@ parseSweepCli(int argc, char **argv,
               const std::vector<CliFlag> &extraFlags)
 {
     ParsedCli out;
-    int requestedJobs = 0; // 0: fall back to UNISTC_JOBS / serial.
     for (int i = 1; i < argc;) {
         const std::string arg(argv[i]);
         // --help / --version short-circuit: the rest of the line is
@@ -176,8 +139,7 @@ parseSweepCli(int argc, char **argv,
             i += 2;
         }
         if (std_flag != nullptr) {
-            if (Status s = applyStdFlag(out.request, name, value,
-                                        requestedJobs);
+            if (Status s = applyStdFlag(out.request, name, value);
                 !s.ok()) {
                 return s;
             }
@@ -186,7 +148,6 @@ parseSweepCli(int argc, char **argv,
         }
     }
 
-    out.request.jobs = SweepExecutor::resolveJobs(requestedJobs, 1);
     if (std::getenv("UNISTC_BENCH_QUICK") != nullptr)
         out.request.quick = true;
     return out;

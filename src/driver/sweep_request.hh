@@ -12,8 +12,6 @@
  * The standard family (all driver-built binaries):
  *
  *   --quick / --smoke            workload shrinking (UNISTC_BENCH_QUICK)
- *   --jobs N                     worker threads (UNISTC_JOBS; 0/auto =
- *                                all cores; at most 1024)
  *   --log-level LEVEL            debug|info|warn|error|silent (or 0-4)
  *   --help, -h                   the generated usage text
  *   --version                    git sha + on-disk schema versions
@@ -26,7 +24,6 @@
 #ifndef UNISTC_DRIVER_SWEEP_REQUEST_HH
 #define UNISTC_DRIVER_SWEEP_REQUEST_HH
 
-#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -50,9 +47,7 @@ struct CliFlag
 
 /**
  * Everything the execution driver needs to know about a run, fully
- * resolved (flags beat environment beat defaults). Front-ends may
- * adjust programmatic fields (traceJobCapacity) after parsing and
- * before handing the request to a DriverSession.
+ * resolved (flags beat environment beat defaults).
  */
 struct SweepRequest
 {
@@ -60,18 +55,6 @@ struct SweepRequest
     /** --quick, --smoke (which implies it) or UNISTC_BENCH_QUICK. */
     bool quick = false;
     bool smoke = false; ///< --smoke: tiny-corpus ctest runs.
-
-    // Parallel in-process sweep (docs/PARALLELISM.md).
-    int jobs = 1; ///< Resolved worker count (env + flag + hardware).
-
-    /**
-     * Per-job trace ring capacity for the sweep executor. Not a
-     * standard flag: front-ends with a --trace option set it
-     * programmatically. Non-zero forces the plan/replay path even at
-     * --jobs 1 so the trace is byte-equal in structure for any worker
-     * count.
-     */
-    std::size_t traceJobCapacity = 0;
 
     // Log level (--log-level), applied before the driver runs.
     bool logLevelSet = false;
@@ -92,11 +75,11 @@ struct ParsedCli
 
 /**
  * Parse @p argv against the standard family plus @p extraFlags.
- * Environment fallbacks (UNISTC_JOBS, UNISTC_BENCH_QUICK) are
- * resolved here, so the returned request is
- * self-contained. Malformed or unknown options come back as a typed
- * error — front-ends raise() it — and --help/--version short-circuit
- * validation (helpRequested/versionRequested set, rest best-effort).
+ * The environment fallback (UNISTC_BENCH_QUICK) is resolved here,
+ * so the returned request is self-contained. Malformed or unknown
+ * options come back as a typed error — front-ends raise() it — and
+ * --help/--version short-circuit validation
+ * (helpRequested/versionRequested set, rest best-effort).
  */
 Result<ParsedCli> parseSweepCli(
     int argc, char **argv,

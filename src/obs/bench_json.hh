@@ -34,7 +34,7 @@ struct BenchJsonEntry
 /**
  * One engine pass record of the optional "engine" array: the pass's
  * deterministic counters only, so the document stays byte-identical
- * across runs and --jobs worker counts.
+ * across runs.
  */
 struct BenchJsonEngineEntry
 {

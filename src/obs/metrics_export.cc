@@ -91,34 +91,6 @@ registerMachineConfig(StatRegistry &reg, const MachineConfig &cfg,
 }
 
 void
-registerDramTraffic(StatRegistry &reg, const DramTraffic &traffic,
-                    const std::string &prefix)
-{
-    reg.setCounter(prefix + "readA", traffic.readA,
-                   "A operand DRAM bytes");
-    reg.setCounter(prefix + "readB", traffic.readB,
-                   "B operand DRAM bytes");
-    reg.setCounter(prefix + "writeC", traffic.writeC,
-                   "C result DRAM bytes");
-    reg.setCounter(prefix + "total", traffic.total(),
-                   "total DRAM bytes");
-}
-
-void
-registerRoofline(StatRegistry &reg, const RooflineVerdict &v,
-                 const std::string &prefix)
-{
-    reg.setScalar(prefix + "computeNs", v.computeNs,
-                  "device-wide STC time (ns)");
-    reg.setScalar(prefix + "memoryNs", v.memoryNs,
-                  "DRAM streaming time (ns)");
-    reg.setScalar(prefix + "ratio", v.ratio,
-                  "compute/memory time ratio");
-    reg.setCounter(prefix + "computeBound", v.computeBound ? 1 : 0,
-                   "1 when compute-bound");
-}
-
-void
 registerTraceSinkStats(StatRegistry &reg, const TraceSink &sink,
                        const std::string &prefix)
 {

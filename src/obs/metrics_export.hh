@@ -1,7 +1,7 @@
 /**
  * @file
  * JSON metrics exporter: standard registrations that mirror every
- * RunResult / config / memory-model quantity into a StatRegistry
+ * RunResult / config / trace-health quantity into a StatRegistry
  * under stable, schema-versioned keys, plus the stats-JSON envelope
  * writer the CLI and bench harnesses share.
  */
@@ -14,7 +14,6 @@
 
 #include "obs/stat_registry.hh"
 #include "sim/config.hh"
-#include "sim/memory.hh"
 #include "sim/result.hh"
 
 namespace unistc
@@ -38,14 +37,6 @@ void registerRunResult(StatRegistry &reg, const RunResult &res,
 /** Register the machine configuration under @p prefix. */
 void registerMachineConfig(StatRegistry &reg, const MachineConfig &cfg,
                            const std::string &prefix = "config.");
-
-/** Register a DRAM traffic estimate under @p prefix. */
-void registerDramTraffic(StatRegistry &reg, const DramTraffic &traffic,
-                         const std::string &prefix = "dram.");
-
-/** Register a roofline verdict under @p prefix. */
-void registerRoofline(StatRegistry &reg, const RooflineVerdict &v,
-                      const std::string &prefix = "roofline.");
 
 /** Register tracer health counters (recorded/dropped) of @p sink. */
 void registerTraceSinkStats(StatRegistry &reg, const TraceSink &sink,

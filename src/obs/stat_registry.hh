@@ -39,12 +39,11 @@ const char *toString(StatKind kind);
  * Registry of named statistics with deterministic (sorted) order.
  *
  * Thread safety: every member serialises on an internal mutex, so
- * concurrent registration from sweep workers is safe. Accessors
+ * concurrent registration from several threads is safe. Accessors
  * returning references (text(), histogram(), description()) hand out
  * stable map-node storage; mutating the *same* entry while another
- * thread reads that reference is still a caller-side race — the
- * sweep executor avoids it by sharding per job and merging only at
- * the barrier.
+ * thread reads that reference is still a caller-side race — shard
+ * per thread and merge() afterwards instead.
  */
 class StatRegistry
 {

@@ -118,10 +118,8 @@ class TraceSink
      * Append another sink's held events (oldest first) and process
      * names into this sink, preserving their pid/tid/timestamps.
      * Dropped and unbalanced tallies carry over so merged health
-     * counters stay truthful. Used by the sweep executor to fold
-     * per-job trace buffers together in submission order at the
-     * barrier; like every other member it must not race with
-     * concurrent writers.
+     * counters stay truthful. simulate_cli folds its per-model
+     * rings together this way, in lineup order.
      */
     void mergeFrom(const TraceSink &other);
 

@@ -21,7 +21,12 @@ SmStats::unitUtilisation(int stc_units) const
 namespace
 {
 
-/** The scheduler core over non-owning per-warp views. */
+/**
+ * The scheduler core over non-owning per-warp views: warp w executes
+ * its bundles in order; a bundle's loads serialise on the warp, then
+ * the bundle runs on the earliest-free STC unit (task generation
+ * overlapping per §IV-G).
+ */
 SmStats
 simulateSmWarpSpans(std::span<const std::span<const TaskBundle>> warp_streams,
                     int stc_units)
@@ -101,20 +106,6 @@ simulatePartitioned(std::span<const TaskBundle> bundles, int parts,
 }
 
 } // namespace
-
-SmStats
-simulateSmWarps(const std::vector<std::vector<TaskBundle>> &warp_streams,
-                int stc_units)
-{
-    SmallVector<std::span<const TaskBundle>, 16> streams;
-    streams.reserve(warp_streams.size());
-    for (const std::vector<TaskBundle> &ws : warp_streams)
-        streams.push_back(std::span<const TaskBundle>(ws));
-    return simulateSmWarpSpans(
-        std::span<const std::span<const TaskBundle>>(streams.data(),
-                                                     streams.size()),
-        stc_units);
-}
 
 SmStats
 simulateSm(const std::vector<TaskBundle> &bundles, const SmConfig &cfg)

@@ -51,16 +51,6 @@ SmStats simulateSm(const std::vector<TaskBundle> &bundles,
                    const SmConfig &cfg);
 
 /**
- * Schedule explicit per-warp streams: warp w executes its bundles in
- * order; a bundle's loads serialise on the warp, then the bundle
- * runs on the earliest-free STC unit (task generation overlapping
- * per §IV-G).
- */
-SmStats simulateSmWarps(
-    const std::vector<std::vector<TaskBundle>> &warp_streams,
-    int stc_units);
-
-/**
  * Device-level projection: split @p bundles across @p num_sms SMs
  * (contiguous chunks) and return the slowest SM's makespan.
  */

@@ -110,9 +110,9 @@ class StcModel
 
     /**
      * Deep copy preserving every construction parameter (including
-     * non-config knobs like Uni-STC's task ordering). The sweep
-     * executor clones models so each parallel job simulates on its
-     * own instance.
+     * non-config knobs like Uni-STC's task ordering). Nothing in
+     * src/ calls it; it stays while perfbench's TimedModel overrides
+     * it.
      */
     virtual std::unique_ptr<StcModel> clone() const = 0;
 

@@ -2,11 +2,10 @@
  * @file
  * Execution-driver library tests (src/driver/): the SweepRequest
  * parser shared by every binary, runKernel() routing through an
- * ExecutionContext, DriverSession's plan/replay orchestration (a
- * throwing job fails the run at any --jobs), context reuse across
- * back-to-back sweeps in one process — the embedding contract the
- * bench singletons could never offer — and
- * $TMPDIR-aware scratch paths (driver/tmpdir.hh).
+ * ExecutionContext, DriverSession running its body once (a throwing
+ * model fails the run), context reuse across back-to-back runs in
+ * one process — the embedding contract the bench singletons could
+ * never offer — and $TMPDIR-aware scratch paths (driver/tmpdir.hh).
  * Labeled "driver" so every sanitizer preset runs it (see
  * CMakePresets.json).
  */
@@ -25,6 +24,7 @@
 #include "driver/sweep_request.hh"
 #include "driver/tmpdir.hh"
 #include "driver/version.hh"
+#include "obs/trace.hh"
 #include "runner/spmv_runner.hh"
 #include "stc/registry.hh"
 #include "throwing_model.hh"
@@ -132,17 +132,17 @@ TEST(SweepRequestParse, DefaultsAreSerialAndUnsharded)
     EXPECT_FALSE(cli.versionRequested);
     EXPECT_FALSE(cli.request.quick);
     EXPECT_FALSE(cli.request.smoke);
-    EXPECT_EQ(cli.request.jobs, 1);
+    EXPECT_FALSE(cli.request.logLevelSet);
     EXPECT_TRUE(cli.extra.empty());
 }
 
 TEST(SweepRequestParse, StandardFamilyRoundTrips)
 {
-    const driver::ParsedCli cli = parseOk(
-        {"--quick", "--jobs", "3", "--log-level", "warn"});
+    const driver::ParsedCli cli =
+        parseOk({"--quick", "--log-level", "warn"});
     const driver::SweepRequest &req = cli.request;
     EXPECT_TRUE(req.quick);
-    EXPECT_EQ(req.jobs, 3);
+    EXPECT_FALSE(req.smoke);
     EXPECT_TRUE(req.logLevelSet);
     EXPECT_EQ(req.logLevel, LogLevel::Warn);
 }
@@ -150,8 +150,7 @@ TEST(SweepRequestParse, StandardFamilyRoundTrips)
 TEST(SweepRequestParse, EqualsFormAndSmokeImpliesQuick)
 {
     const driver::ParsedCli cli =
-        parseOk({"--jobs=2", "--smoke", "--log-level=error"});
-    EXPECT_EQ(cli.request.jobs, 2);
+        parseOk({"--smoke", "--log-level=error"});
     EXPECT_TRUE(cli.request.smoke);
     EXPECT_TRUE(cli.request.quick);
     EXPECT_EQ(cli.request.logLevel, LogLevel::Error);
@@ -175,21 +174,28 @@ TEST(SweepRequestParse, RejectsUnknownOption)
     EXPECT_NE(s.message().find("unknown option '--frobnicate'"),
               std::string::npos);
     EXPECT_NE(s.message().find("--help"), std::string::npos);
+    // Retired options are unknown like any other.
+    for (const char *gone : {"--jobs", "--shards", "--resume"}) {
+        EXPECT_NE(parseError({gone, "2"}).message().find(
+                      "unknown option '" + std::string(gone) + "'"),
+                  std::string::npos)
+            << gone;
+    }
 }
 
 TEST(SweepRequestParse, RejectsMissingValueAndBadNumbers)
 {
-    parseError({"--jobs"});
-    parseError({"--jobs", "three"});
-    parseError({"--jobs", "-2"});
-    // Counts above the 1024-worker cap fail instead of wrapping
-    // through the cast to int.
-    EXPECT_NE(parseError({"--jobs", "3000000000"})
-                  .message()
-                  .find("capped at 1024"),
+    EXPECT_NE(parseError({"--log-level"}).message().find(
+                  "missing a value"),
               std::string::npos);
-    parseError({"--jobs", "1025"});
-    EXPECT_EQ(parseOk({"--jobs", "1024"}).request.jobs, 1024);
+    EXPECT_NE(parseError({"--log-level", "loud"}).message().find(
+                  "unknown --log-level 'loud'"),
+              std::string::npos);
+    parseError({"--log-level", "-2"});
+    parseError({"--log-level", "9"});
+    EXPECT_NE(parseError({"--quick=1"}).message().find(
+                  "takes no value"),
+              std::string::npos);
 }
 
 TEST(SweepRequestParse, ExtraFlagsLandInExtraMap)
@@ -199,11 +205,12 @@ TEST(SweepRequestParse, ExtraFlagsLandInExtraMap)
         {"fast", false, "", "a switch"},
     };
     const driver::ParsedCli cli =
-        parseOk({"--kernel", "spmm", "--fast", "--jobs", "2"}, extra);
+        parseOk({"--kernel", "spmm", "--fast", "--log-level", "warn"},
+                extra);
     EXPECT_EQ(cli.extra.at("kernel"), "spmm");
     EXPECT_EQ(cli.extra.at("fast"), "1");
-    EXPECT_EQ(cli.extra.count("jobs"), 0u); // standard, not extra
-    EXPECT_EQ(cli.request.jobs, 2);
+    EXPECT_EQ(cli.extra.count("log-level"), 0u); // standard, not extra
+    EXPECT_EQ(cli.request.logLevel, LogLevel::Warn);
 }
 
 TEST(SweepRequestParse, UnknownExtraStillRejected)
@@ -220,7 +227,7 @@ TEST(SweepRequestParse, HelpAndVersionShortCircuit)
     EXPECT_TRUE(parseOk({"-h"}).helpRequested);
     EXPECT_TRUE(parseOk({"--version"}).versionRequested);
     // Even with a malformed tail: the request is best-effort.
-    EXPECT_TRUE(parseOk({"--help", "--jobs"}).helpRequested);
+    EXPECT_TRUE(parseOk({"--help", "--log-level"}).helpRequested);
 }
 
 TEST(SweepCliHelp, ListsExtraFlagsThenStandardFamily)
@@ -229,12 +236,13 @@ TEST(SweepCliHelp, ListsExtraFlagsThenStandardFamily)
         {"kernel", true, "NAME", "which kernel to simulate"}};
     const std::string text = driver::sweepCliHelp("x", extra);
     const std::size_t kernel_at = text.find("--kernel NAME");
-    const std::size_t jobs_at = text.find("--jobs N");
+    const std::size_t level_at = text.find("--log-level LEVEL");
     EXPECT_NE(kernel_at, std::string::npos);
-    EXPECT_NE(jobs_at, std::string::npos);
-    EXPECT_LT(kernel_at, jobs_at); // binary flags lead
+    EXPECT_NE(level_at, std::string::npos);
+    EXPECT_LT(kernel_at, level_at); // binary flags lead
     EXPECT_NE(text.find("--version"), std::string::npos);
-    for (const char *gone : {"--resume", "--strict", "--max-job-seconds"})
+    for (const char *gone :
+         {"--jobs", "--resume", "--strict", "--max-job-seconds"})
         EXPECT_EQ(text.find(gone), std::string::npos) << gone;
 }
 
@@ -304,36 +312,44 @@ runThreeModels()
 
 } // namespace
 
-TEST(DriverSessionTest, JobsReplayIsByteIdenticalToSerial)
+TEST(DriverSessionTest, BodyRunsOnceAndMatchesInlineRuns)
 {
-    // Serial baseline through a fresh context (Off mode).
-    std::vector<RunResult> serial;
+    // Baseline: the same body run through a fresh installed context.
+    std::vector<RunResult> inline_rs;
     {
         ScopedContext ctx;
-        serial = runThreeModels();
+        inline_rs = runThreeModels();
     }
 
-    // The same body driven through a --jobs 2 plan/replay session.
     driver::ExecutionContext ctx;
     driver::SweepRequest req;
-    req.jobs = 2;
-    std::vector<RunResult> driven;
+    req.quick = true;
     driver::DriverSession session(ctx);
     Argv argv({});
+    int calls = 0;
+    std::vector<RunResult> driven;
     const int rc = session.run(req, argv.argc(), argv.argv(),
-                               [&driven](int, char **) {
+                               [&](int, char **) {
+                                   ++calls;
+                                   EXPECT_EQ(driver::ExecutionContext::
+                                                 current(),
+                                             &ctx);
+                                   EXPECT_TRUE(ctx.request().quick);
                                    driven = runThreeModels();
-                                   return 0;
+                                   return 3;
                                });
-    EXPECT_EQ(rc, 0);
-    ASSERT_EQ(driven.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(rc, 3);
+    EXPECT_EQ(calls, 1);
+    EXPECT_NE(driver::ExecutionContext::current(), &ctx);
+    EXPECT_EQ(ctx.results().entries().size(), 3u);
+    ASSERT_EQ(driven.size(), inline_rs.size());
+    for (std::size_t i = 0; i < inline_rs.size(); ++i) {
         SCOPED_TRACE(i);
-        expectSameResult(serial[i], driven[i]);
+        expectSameResult(inline_rs[i], driven[i]);
     }
 }
 
-TEST(DriverSessionTest, LineupThroughJobsMatchesPerModelRuns)
+TEST(DriverSessionTest, LineupMatchesPerModelRuns)
 {
     const MachineConfig cfg = MachineConfig::fp64();
     std::vector<StcModelPtr> owned;
@@ -343,20 +359,18 @@ TEST(DriverSessionTest, LineupThroughJobsMatchesPerModelRuns)
         models.push_back(owned.back().get());
     }
 
-    std::vector<RunResult> serial;
+    std::vector<RunResult> per_model;
     {
         ScopedContext ctx;
-        serial = runThreeModels();
+        per_model = runThreeModels();
     }
 
     driver::ExecutionContext ctx;
-    driver::SweepRequest req;
-    req.jobs = 2;
     std::vector<RunResult> driven;
     driver::DriverSession session(ctx);
     Argv argv({});
     const int rc = session.run(
-        req, argv.argc(), argv.argv(),
+        driver::SweepRequest(), argv.argc(), argv.argv(),
         [&](int, char **) {
             const driver::Prepared prep("t",
                                         genBanded(192, 8, 0.5, 3));
@@ -365,55 +379,56 @@ TEST(DriverSessionTest, LineupThroughJobsMatchesPerModelRuns)
             return 0;
         });
     EXPECT_EQ(rc, 0);
-    ASSERT_EQ(driven.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_EQ(driven.size(), per_model.size());
+    for (std::size_t i = 0; i < per_model.size(); ++i) {
         SCOPED_TRACE(i);
-        expectSameResult(serial[i], driven[i]);
+        expectSameResult(per_model[i], driven[i]);
     }
+    ASSERT_EQ(ctx.results().engineEntries().size(), 1u);
+    EXPECT_EQ(ctx.results().engineEntries()[0].counters.modelsFanout,
+              3u);
 }
 
-TEST(DriverSessionTest, OneModelLineupKeepsEngineCountersAtAnyJobCount)
+TEST(DriverSessionTest, TracedOneModelLineupKeepsEngineCounters)
 {
-    // A one-model lineup records the same engine entry serially, at
-    // --jobs 2, and on the traced plan/replay path at --jobs 1.
+    // A one-model lineup records the same results and engine entry
+    // with and without a trace sink, and the traced run fills it.
     const auto model = makeStcModel("Uni-STC", MachineConfig::fp64());
     const std::vector<const StcModel *> lineup = {model.get()};
-    struct Shape
-    {
-        int jobs;
-        std::size_t traceCapacity;
-    };
+    TraceSink sink(4096);
     std::vector<PipelineCounters> seen;
-    for (const Shape shape : {Shape{1, 0}, Shape{2, 0}, Shape{1, 4096}}) {
-        SCOPED_TRACE("jobs=" + std::to_string(shape.jobs) + " trace=" +
-                     std::to_string(shape.traceCapacity));
+    std::vector<RunResult> results;
+    for (TraceSink *trace : {static_cast<TraceSink *>(nullptr), &sink}) {
+        SCOPED_TRACE(trace == nullptr ? "untraced" : "traced");
         driver::ExecutionContext ctx;
-        driver::SweepRequest req;
-        req.jobs = shape.jobs;
-        req.traceJobCapacity = shape.traceCapacity;
         driver::DriverSession session(ctx);
         Argv argv({});
-        EXPECT_EQ(session.run(req, argv.argc(), argv.argv(),
+        EXPECT_EQ(session.run(driver::SweepRequest(), argv.argc(),
+                              argv.argv(),
                               [&](int, char **) {
                                   const driver::Prepared prep(
                                       "t", genBanded(192, 8, 0.5, 3));
-                                  driver::runKernelLineup(
-                                      Kernel::SpGEMM, lineup, prep);
+                                  results.push_back(
+                                      driver::runKernelLineup(
+                                          Kernel::SpGEMM, lineup, prep,
+                                          EnergyModel(), false, nullptr,
+                                          64, {trace})
+                                          .front());
                                   return 0;
                               }),
                   0);
         ASSERT_EQ(ctx.results().engineEntries().size(), 1u);
         seen.push_back(ctx.results().engineEntries()[0].counters);
     }
+    EXPECT_GT(sink.recorded(), 0u);
+    ASSERT_EQ(seen.size(), 2u);
     EXPECT_GT(seen[0].tasksGenerated, 0u);
     EXPECT_EQ(seen[0].modelsFanout, 1u);
     EXPECT_EQ(seen[0].peakLiveTasks, 1u);
-    for (std::size_t i = 1; i < seen.size(); ++i) {
-        SCOPED_TRACE(i);
-        EXPECT_EQ(seen[i].tasksGenerated, seen[0].tasksGenerated);
-        EXPECT_EQ(seen[i].modelsFanout, seen[0].modelsFanout);
-        EXPECT_EQ(seen[i].peakLiveTasks, seen[0].peakLiveTasks);
-    }
+    EXPECT_EQ(seen[1].tasksGenerated, seen[0].tasksGenerated);
+    EXPECT_EQ(seen[1].modelsFanout, seen[0].modelsFanout);
+    EXPECT_EQ(seen[1].peakLiveTasks, seen[0].peakLiveTasks);
+    expectSameResult(results[0], results[1]);
 }
 
 TEST(DriverSessionTest, ContextServesBackToBackSweeps)
@@ -422,14 +437,14 @@ TEST(DriverSessionTest, ContextServesBackToBackSweeps)
     driver::DriverSession session(ctx);
     Argv argv({});
 
-    // Sweep 1 fans out over two workers; sweep 2 reuses the context
-    // serially. beginRun() must have dropped sweep 1's plan/replay
-    // state, and both must give the same results.
+    // Two runs reuse one context: each body sees its own request,
+    // both give the same results, and the log keeps both runs.
     driver::SweepRequest req1;
-    req1.jobs = 2;
+    req1.quick = true;
     std::vector<RunResult> first;
     EXPECT_EQ(session.run(req1, argv.argc(), argv.argv(),
                           [&](int, char **) {
+                              EXPECT_TRUE(ctx.request().quick);
                               first = runThreeModels();
                               return 0;
                           }),
@@ -439,6 +454,7 @@ TEST(DriverSessionTest, ContextServesBackToBackSweeps)
     std::vector<RunResult> second;
     EXPECT_EQ(session.run(req2, argv.argc(), argv.argv(),
                           [&](int, char **) {
+                              EXPECT_FALSE(ctx.request().quick);
                               second = runThreeModels();
                               return 0;
                           }),
@@ -448,66 +464,33 @@ TEST(DriverSessionTest, ContextServesBackToBackSweeps)
         SCOPED_TRACE(i);
         expectSameResult(first[i], second[i]);
     }
+    EXPECT_EQ(ctx.results().entries().size(), 6u);
 }
 
-TEST(DriverSessionTest, ThrowingJobFailsTheRunAtAnyJobCount)
+TEST(DriverSessionTest, ThrowingModelFailsTheRun)
 {
-    // A job that throws ends a serial run; at --jobs 2 the barrier
-    // must raise it too, naming the job.
+    // A model that throws leaves the body, and so the run.
     ScopedFatalThrow guard;
     const ThrowingModel model;
-    for (const int jobs : {1, 2}) {
-        SCOPED_TRACE(jobs);
-        driver::ExecutionContext ctx;
-        driver::SweepRequest req;
-        req.jobs = jobs;
-        driver::DriverSession session(ctx);
-        Argv argv({});
-        try {
-            const int rc = session.run(
-                req, argv.argc(), argv.argv(), [&](int, char **) {
-                    const driver::Prepared prep(
-                        "t", genBanded(192, 8, 0.5, 3));
-                    driver::runKernel(Kernel::SpMV, model, prep);
-                    return 0;
-                });
-            ADD_FAILURE() << "the run returned " << rc;
-        } catch (const UnistcError &e) {
-            const std::string what = e.what();
-            EXPECT_NE(what.find("block task refused"), std::string::npos)
-                << what;
-            if (jobs == 2) {
-                EXPECT_NE(what.find("SpMV Throwing-STC @ t"),
-                          std::string::npos)
-                    << what;
-            }
-        }
-    }
-}
-
-TEST(DriverSessionTest, ReportingPassFlagGuardsPlanPass)
-{
     driver::ExecutionContext ctx;
-    driver::SweepRequest req;
-    req.jobs = 2;
     driver::DriverSession session(ctx);
     Argv argv({});
-    std::vector<bool> seen;
-    EXPECT_EQ(session.run(req, argv.argc(), argv.argv(),
-                          [&](int, char **) {
-                              seen.push_back(ctx.reportingPass());
-                              runThreeModels();
-                              return 0;
-                          }),
-              0);
-    // Plan pass (discarded output), then the reporting replay.
-    ASSERT_EQ(seen.size(), 2u);
-    EXPECT_FALSE(seen[0]);
-    EXPECT_TRUE(seen[1]);
-    // The context is reusable state after the run: no live sweep.
-    EXPECT_EQ(ctx.sweep().mode(), driver::SweepSession::Mode::Off);
-    EXPECT_EQ(ctx.runTrace(), nullptr);
-    EXPECT_TRUE(ctx.reportingPass());
+    try {
+        const int rc = session.run(
+            driver::SweepRequest(), argv.argc(), argv.argv(),
+            [&](int, char **) {
+                const driver::Prepared prep("t",
+                                            genBanded(192, 8, 0.5, 3));
+                driver::runKernel(Kernel::SpMV, model, prep);
+                return 0;
+            });
+        ADD_FAILURE() << "the run returned " << rc;
+    } catch (const UnistcError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("block task refused"), std::string::npos)
+            << what;
+    }
+    EXPECT_TRUE(ctx.results().entries().empty());
 }
 
 TEST(Tmpdir, HonorsTmpdirEnvAndTrimsTrailingSlashes)

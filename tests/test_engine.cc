@@ -21,8 +21,6 @@
 #include "engine/kernel_pipeline.hh"
 #include "engine/plan.hh"
 #include "engine/task_stream.hh"
-#include "exec/job_spec.hh"
-#include "exec/sweep_executor.hh"
 #include "isa/uwmma.hh"
 #include "obs/trace.hh"
 #include "runner/block_driver.hh"
@@ -447,96 +445,63 @@ TEST(TaskStream, SpgemmKeepsExactlyThePairsWithProducts)
     }
 }
 
-// A JobSpec lineup (one job, N models) returns exactly what N
-// independent one-model jobs return.
-TEST(JobSpecLineup, RunMultiMatchesSingleRuns)
+// A lineup pass returns exactly what its one-model passes return, on
+// dense-B SpMM and on SpGEMM, and enumerates the stream once: its
+// task count equals each one-model pass's.
+TEST(KernelPipelineLineup, MatchesItsOneModelPassesOnSpmmAndSpgemm)
 {
     const MachineConfig cfg = MachineConfig::fp64();
-    const NamedInput &in = smokeCorpus().front();
-    const auto shared_a = std::make_shared<const BbcMatrix>(in.a);
-    const std::vector<std::string> names = {"DS-STC", "RM-STC",
-                                            "Uni-STC"};
-
-    JobSpec multi;
-    multi.kernel = Kernel::SpMM;
-    multi.matrix = "banded";
-    multi.a = shared_a;
+    const std::vector<std::string> names = {"NV-DTC", "DS-STC",
+                                            "RM-STC", "Uni-STC"};
+    std::vector<StcModelPtr> owned;
+    std::vector<KernelPipeline::ModelSlot> slots;
     for (const auto &name : names) {
-        multi.models.push_back(
-            std::shared_ptr<const StcModel>(makeStcModel(name, cfg)));
+        owned.push_back(makeStcModel(name, cfg));
+        slots.push_back({owned.back().get(), nullptr});
     }
-
-    PipelineCounters counters;
-    const std::vector<RunResult> rs = multi.run({}, &counters);
-    ASSERT_EQ(rs.size(), names.size());
-    EXPECT_EQ(counters.modelsFanout, names.size());
-    EXPECT_GT(counters.tasksGenerated, 0u);
-
-    for (std::size_t m = 0; m < names.size(); ++m) {
-        SCOPED_TRACE(names[m]);
-        JobSpec single;
-        single.kernel = Kernel::SpMM;
-        single.matrix = "banded";
-        single.models = {multi.models[m]};
-        single.a = shared_a;
-        const std::vector<RunResult> one = single.run();
-        ASSERT_EQ(one.size(), 1u);
-        expectSameResult(rs[m], one[0]);
+    for (const auto &[kernel, in] :
+         {std::pair{Kernel::SpMM, &smokeCorpus()[0]},
+          std::pair{Kernel::SpGEMM, &smokeCorpus()[2]}}) {
+        SCOPED_TRACE(in->name + " / " + toString(kernel));
+        const KernelPlanPtr plan = planFor(kernel, *in);
+        PipelineCounters counters;
+        const std::vector<RunResult> rs =
+            KernelPipeline::run(*plan, slots, EnergyModel(), &counters);
+        ASSERT_EQ(rs.size(), names.size());
+        EXPECT_EQ(counters.modelsFanout, names.size());
+        EXPECT_GT(counters.tasksGenerated, 0u);
+        for (std::size_t m = 0; m < names.size(); ++m) {
+            SCOPED_TRACE(names[m]);
+            PipelineCounters one;
+            expectSameResult(rs[m],
+                             KernelPipeline::runOne(*plan, *owned[m],
+                                                    EnergyModel(),
+                                                    nullptr, &one));
+            EXPECT_EQ(one.modelsFanout, 1u);
+            EXPECT_EQ(one.tasksGenerated, counters.tasksGenerated);
+        }
     }
 }
 
-// The sweep executor runs every job the same way: an N-model job's
-// per-model results equal N one-model jobs, for any worker count,
-// and every job carries its own engine counters.
-TEST(SweepExecutorLineup, MultiModelJobMatchesSingleJobs)
+// A model's clone() gives exactly the original's results on every
+// kernel, for every model in src/.
+TEST(StcModelClone, MatchesItsModelForEveryArchitecture)
 {
-    const MachineConfig cfg = MachineConfig::fp64();
-    const NamedInput &in = smokeCorpus()[2];
-    const auto shared_a = std::make_shared<const BbcMatrix>(in.a);
-    const std::vector<std::string> names = {"NV-DTC", "DS-STC",
-                                            "Uni-STC"};
-
-    for (const int workers : {1, 3}) {
-        SCOPED_TRACE("workers=" + std::to_string(workers));
-        SweepExecutor::Options opt;
-        opt.jobs = workers;
-        SweepExecutor exec(opt);
-
-        JobSpec multi;
-        multi.kernel = Kernel::SpGEMM;
-        multi.matrix = "powerlaw";
-        multi.a = shared_a;
-        multi.b = shared_a;
-        for (const auto &name : names) {
-            multi.models.push_back(std::shared_ptr<const StcModel>(
-                makeStcModel(name, cfg)));
-        }
-        const std::size_t mj = exec.submit(std::move(multi));
-
-        std::vector<std::size_t> singles;
-        for (const auto &name : names) {
-            JobSpec s;
-            s.kernel = Kernel::SpGEMM;
-            s.matrix = "powerlaw";
-            s.models = {std::shared_ptr<const StcModel>(
-                makeStcModel(name, cfg))};
-            s.a = shared_a;
-            s.b = shared_a;
-            singles.push_back(exec.submit(std::move(s)));
-        }
-        exec.wait();
-
-        ASSERT_EQ(exec.spec(mj).models.size(), names.size());
-        const PipelineCounters &pc = exec.countersOf(mj);
-        EXPECT_EQ(pc.modelsFanout, names.size());
-        EXPECT_GT(pc.tasksGenerated, 0u);
-        for (std::size_t m = 0; m < names.size(); ++m) {
-            SCOPED_TRACE(names[m]);
-            expectSameResult(exec.resultOf(mj, m),
-                             exec.resultOf(singles[m], 0));
-            const PipelineCounters &one = exec.countersOf(singles[m]);
-            EXPECT_EQ(one.modelsFanout, 1u);
-            EXPECT_EQ(one.tasksGenerated, pc.tasksGenerated);
+    const NamedInput &in = smokeCorpus().front();
+    for (const std::string &name : everyModelName()) {
+        SCOPED_TRACE(name);
+        const StcModelPtr model =
+            makeStcModel(name, MachineConfig::fp64());
+        const std::unique_ptr<StcModel> clone = model->clone();
+        EXPECT_EQ(clone->name(), model->name());
+        for (const Kernel k : allKernels()) {
+            SCOPED_TRACE(toString(k));
+            const KernelPlanPtr plan = planFor(k, in);
+            const RunResult original =
+                KernelPipeline::runOne(*plan, *model);
+            EXPECT_GT(original.cycles, 0u);
+            expectSameResult(original,
+                             KernelPipeline::runOne(*plan, *clone));
         }
     }
 }

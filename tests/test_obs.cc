@@ -3,8 +3,9 @@
  * Observability tests: JSON writer, stat registry (registration and
  * merge), trace sink (span nesting, ring wraparound), the Chrome
  * trace / stats JSON golden checks on a real small SpMV run, the
- * compare() degenerate-ratio guard, log-level filtering and the
- * hardened --gen spec parser.
+ * compare() degenerate-ratio guard, log-level filtering, the
+ * hardened --gen spec parser, and concurrency hammers on the stat
+ * registry and the log level.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,8 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "bbc/bbc_matrix.hh"
 #include "common/logging.hh"
@@ -884,6 +887,66 @@ TEST(GenerateFromSpec, AcceptsTheEdgesOfEachDomain)
     // A band or degree wider than the matrix just fills every row.
     EXPECT_EQ(generateFromSpec("banded:16,2147483647,1").nnz(), 256);
     EXPECT_EQ(generateFromSpec("powerlaw:16,1e12,2.1").nnz(), 256);
+}
+
+// ---------------------------------------------------------------- //
+// Concurrency hammers: the stat registry and the log level are
+// mutex- or atomic-guarded. These pass trivially without a race but
+// catch one under -fsanitize=thread (the tsan-obs preset).
+// ---------------------------------------------------------------- //
+
+/** Run task(t) for every t in [0, tasks) over @p threads threads. */
+template <typename Task>
+void
+runOnThreads(int threads, int tasks, const Task &task)
+{
+    std::vector<std::thread> workers;
+    workers.reserve(static_cast<std::size_t>(threads));
+    for (int w = 0; w < threads; ++w) {
+        workers.emplace_back([w, threads, tasks, &task] {
+            for (int t = w; t < tasks; t += threads)
+                task(t);
+        });
+    }
+    for (std::thread &worker : workers)
+        worker.join();
+}
+
+TEST(ObsThreadSafety, ConcurrentStatRegistryWrites)
+{
+    StatRegistry reg;
+    constexpr int kTasks = 64;
+    constexpr int kAddsPerTask = 100;
+    runOnThreads(4, kTasks, [&reg](int t) {
+        for (int i = 0; i < kAddsPerTask; ++i) {
+            reg.addCounter("shared.count", 1);
+            reg.setScalar("task." + std::to_string(t % 8),
+                          static_cast<double>(i));
+        }
+    });
+    EXPECT_EQ(reg.counter("shared.count"),
+              static_cast<std::uint64_t>(kTasks) * kAddsPerTask);
+}
+
+TEST(ObsThreadSafety, ConcurrentRegistryMerges)
+{
+    StatRegistry total;
+    runOnThreads(4, 32, [&total](int) {
+        StatRegistry shard;
+        shard.addCounter("merged.count", 3);
+        total.merge(shard);
+    });
+    EXPECT_EQ(total.counter("merged.count"), 32u * 3u);
+}
+
+TEST(ObsThreadSafety, ConcurrentLogLevelAccess)
+{
+    const LogLevel saved = logLevel();
+    runOnThreads(4, 32, [](int t) {
+        setLogLevel(t % 2 == 0 ? LogLevel::Warn : LogLevel::Error);
+        (void)logLevel();
+    });
+    setLogLevel(saved);
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
- * A test-only architecture model whose every block task throws: a job
- * that can never finish, for checking how the executor and the driver
- * report a failing job.
+ * A test-only architecture model whose every block task throws: a run
+ * that can never finish, for checking how the driver reports a
+ * failing run.
  */
 
 #ifndef UNISTC_TESTS_THROWING_MODEL_HH
