@@ -312,7 +312,7 @@ runThreeModels()
 
 } // namespace
 
-TEST(DriverSessionTest, BodyRunsOnceAndMatchesInlineRuns)
+TEST(DriverSessionTest, BodyMatchesInlineRuns)
 {
     // Baseline: the same body run through a fresh installed context.
     std::vector<RunResult> inline_rs;
@@ -322,12 +322,30 @@ TEST(DriverSessionTest, BodyRunsOnceAndMatchesInlineRuns)
     }
 
     driver::ExecutionContext ctx;
+    std::vector<RunResult> driven;
+    driver::DriverSession session(ctx);
+    Argv argv({});
+    const int rc = session.run(driver::SweepRequest(), argv.argc(),
+                               argv.argv(), [&driven](int, char **) {
+                                   driven = runThreeModels();
+                                   return 0;
+                               });
+    EXPECT_EQ(rc, 0);
+    ASSERT_EQ(driven.size(), inline_rs.size());
+    for (std::size_t i = 0; i < inline_rs.size(); ++i) {
+        SCOPED_TRACE(i);
+        expectSameResult(inline_rs[i], driven[i]);
+    }
+}
+
+TEST(DriverSessionTest, BodyRunsOnceInItsContext)
+{
+    driver::ExecutionContext ctx;
     driver::SweepRequest req;
     req.quick = true;
     driver::DriverSession session(ctx);
     Argv argv({});
     int calls = 0;
-    std::vector<RunResult> driven;
     const int rc = session.run(req, argv.argc(), argv.argv(),
                                [&](int, char **) {
                                    ++calls;
@@ -335,18 +353,15 @@ TEST(DriverSessionTest, BodyRunsOnceAndMatchesInlineRuns)
                                                  current(),
                                              &ctx);
                                    EXPECT_TRUE(ctx.request().quick);
-                                   driven = runThreeModels();
+                                   runThreeModels();
                                    return 3;
                                });
+    // One pass, whose exit code is the run's; the context records
+    // each of its three runs once and is uninstalled afterwards.
     EXPECT_EQ(rc, 3);
     EXPECT_EQ(calls, 1);
     EXPECT_NE(driver::ExecutionContext::current(), &ctx);
     EXPECT_EQ(ctx.results().entries().size(), 3u);
-    ASSERT_EQ(driven.size(), inline_rs.size());
-    for (std::size_t i = 0; i < inline_rs.size(); ++i) {
-        SCOPED_TRACE(i);
-        expectSameResult(inline_rs[i], driven[i]);
-    }
 }
 
 TEST(DriverSessionTest, LineupMatchesPerModelRuns)

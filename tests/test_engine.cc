@@ -445,10 +445,14 @@ TEST(TaskStream, SpgemmKeepsExactlyThePairsWithProducts)
     }
 }
 
-// A lineup pass returns exactly what its one-model passes return, on
-// dense-B SpMM and on SpGEMM, and enumerates the stream once: its
-// task count equals each one-model pass's.
-TEST(KernelPipelineLineup, MatchesItsOneModelPassesOnSpmmAndSpgemm)
+namespace
+{
+
+// A lineup pass over `kernel` returns exactly what its one-model
+// passes return, and enumerates the stream once: its task count
+// equals each one-model pass's.
+void
+expectLineupMatchesOneModelPasses(Kernel kernel, const NamedInput &in)
 {
     const MachineConfig cfg = MachineConfig::fp64();
     const std::vector<std::string> names = {"NV-DTC", "DS-STC",
@@ -459,28 +463,35 @@ TEST(KernelPipelineLineup, MatchesItsOneModelPassesOnSpmmAndSpgemm)
         owned.push_back(makeStcModel(name, cfg));
         slots.push_back({owned.back().get(), nullptr});
     }
-    for (const auto &[kernel, in] :
-         {std::pair{Kernel::SpMM, &smokeCorpus()[0]},
-          std::pair{Kernel::SpGEMM, &smokeCorpus()[2]}}) {
-        SCOPED_TRACE(in->name + " / " + toString(kernel));
-        const KernelPlanPtr plan = planFor(kernel, *in);
-        PipelineCounters counters;
-        const std::vector<RunResult> rs =
-            KernelPipeline::run(*plan, slots, EnergyModel(), &counters);
-        ASSERT_EQ(rs.size(), names.size());
-        EXPECT_EQ(counters.modelsFanout, names.size());
-        EXPECT_GT(counters.tasksGenerated, 0u);
-        for (std::size_t m = 0; m < names.size(); ++m) {
-            SCOPED_TRACE(names[m]);
-            PipelineCounters one;
-            expectSameResult(rs[m],
-                             KernelPipeline::runOne(*plan, *owned[m],
-                                                    EnergyModel(),
-                                                    nullptr, &one));
-            EXPECT_EQ(one.modelsFanout, 1u);
-            EXPECT_EQ(one.tasksGenerated, counters.tasksGenerated);
-        }
+    const KernelPlanPtr plan = planFor(kernel, in);
+    PipelineCounters counters;
+    const std::vector<RunResult> rs =
+        KernelPipeline::run(*plan, slots, EnergyModel(), &counters);
+    ASSERT_EQ(rs.size(), names.size());
+    EXPECT_EQ(counters.modelsFanout, names.size());
+    EXPECT_GT(counters.tasksGenerated, 0u);
+    for (std::size_t m = 0; m < names.size(); ++m) {
+        SCOPED_TRACE(names[m]);
+        PipelineCounters one;
+        expectSameResult(rs[m],
+                         KernelPipeline::runOne(*plan, *owned[m],
+                                                EnergyModel(), nullptr,
+                                                &one));
+        EXPECT_EQ(one.modelsFanout, 1u);
+        EXPECT_EQ(one.tasksGenerated, counters.tasksGenerated);
     }
+}
+
+} // namespace
+
+TEST(KernelPipelineLineup, MatchesItsOneModelPassesOnSpmm)
+{
+    expectLineupMatchesOneModelPasses(Kernel::SpMM, smokeCorpus()[0]);
+}
+
+TEST(KernelPipelineLineup, MatchesItsOneModelPassesOnSpgemm)
+{
+    expectLineupMatchesOneModelPasses(Kernel::SpGEMM, smokeCorpus()[2]);
 }
 
 // A model's clone() gives exactly the original's results on every
