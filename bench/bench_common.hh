@@ -12,7 +12,7 @@
  * execution family with no per-bench code (one parser, one --help,
  * one --version — driver/sweep_request.hh):
  *
- *   --quick    shrink workloads (also UNISTC_BENCH_QUICK)
+ *   --quick    shrink workloads
  *   --smoke    tiny corpus for ctest smoke runs (implies --quick)
  *
  * The body runs once, serially. To use several cores, run several
@@ -62,7 +62,7 @@ using driver::runKernelLineup;
 
 /**
  * True when the bench should shrink workloads: the run's request
- * asked for --quick, --smoke or UNISTC_BENCH_QUICK.
+ * asked for --quick or --smoke.
  */
 inline bool
 quickMode()

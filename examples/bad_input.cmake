@@ -52,6 +52,11 @@ expect_fatal("--dpgs needs an integer, got '8x'" --dpgs 8x ${small})
 expect_fatal("--dpgs needs a positive count, got 0" --dpgs 0 ${small})
 expect_fatal("--bcols needs a positive count, got -4"
              --kernel spmm --bcols -4 ${small})
+# --trace-events is checked even when --trace is absent.
+expect_fatal("--trace-events needs an integer, got 'abc'"
+             --trace-events abc ${small})
+expect_fatal("--trace-events needs a positive count, got 0"
+             --trace-events 0 ${small})
 expect_fatal("unknown --precision 'fp16'" --precision fp16 ${small})
 expect_fatal("malformed --gen spec 'random:-5'" --gen random:-5)
 expect_fatal("unknown STC model 'NoSuchModel'"

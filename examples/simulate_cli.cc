@@ -211,13 +211,14 @@ makeExperiment(const driver::ParsedCli &cli)
     else
         ex.names.push_back(model_name);
 
-    if (ex.opts.count("trace")) {
-        ex.traceEvents = TraceSink::kDefaultCapacity;
-        if (ex.opts.count("trace-events")) {
-            ex.traceEvents = static_cast<std::size_t>(
-                parseCountOpt("trace-events", ex.opts["trace-events"]));
-        }
+    // A bad --trace-events fails even without --trace.
+    std::size_t trace_events = TraceSink::kDefaultCapacity;
+    if (ex.opts.count("trace-events")) {
+        trace_events = static_cast<std::size_t>(
+            parseCountOpt("trace-events", ex.opts["trace-events"]));
     }
+    if (ex.opts.count("trace"))
+        ex.traceEvents = trace_events;
     return ex;
 }
 

@@ -120,12 +120,6 @@ BbcMatrix::toCsr() const
     return cooToCsr(std::move(coo));
 }
 
-int
-BbcMatrix::blockTileCount(std::int64_t blk) const
-{
-    return popcount16(lv1_[blk]);
-}
-
 BlockPattern
 BbcMatrix::blockPattern(std::int64_t blk) const
 {

@@ -74,9 +74,6 @@ class BbcMatrix
     }
     const std::vector<double> &vals() const { return vals_; }
 
-    /** Number of nonzero tiles in block @p blk. */
-    int blockTileCount(std::int64_t blk) const;
-
     /** Offset of block @p blk's first Lv2 word / ValPtr_Lv2 entry. */
     std::int64_t tileBase(std::int64_t blk) const
     {
@@ -118,7 +115,7 @@ class BbcMatrix
   private:
     /** File loader (bbc_io.cc) assembles fields, then validates. */
     friend class detail::BbcIoAccess;
-    /** Fault injector (robust/) corrupts fields deliberately. */
+    /** Test fault injector (tests/fault_inject.hh) corrupts fields. */
     friend class FaultPlan;
 
     int rows_ = 0;

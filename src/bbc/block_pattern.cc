@@ -85,28 +85,11 @@ BlockPattern::tilePattern(int ti, int tj) const
     return out;
 }
 
-int
-BlockPattern::tileNnz(int ti, int tj) const
-{
-    return popcount16(tilePattern(ti, tj));
-}
-
 BlockPattern
 BlockPattern::transposed() const
 {
     BlockPattern out;
     transpose16x16(rows_.data(), out.rows_.data());
-    return out;
-}
-
-BlockPattern
-BlockPattern::unionWith(const BlockPattern &other) const
-{
-    BlockPattern out;
-    for (int r = 0; r < kBlockSize; ++r) {
-        out.rows_[r] =
-            static_cast<std::uint16_t>(rows_[r] | other.rows_[r]);
-    }
     return out;
 }
 
@@ -132,17 +115,6 @@ blockProductCount(const BlockPattern &a, const BlockPattern &b)
     for (int k = 0; k < kBlockSize; ++k)
         total += popcount16(a_cols[k]) * popcount16(b.rowBits(k));
     return total;
-}
-
-std::uint16_t
-blockMvPattern(const BlockPattern &a, std::uint16_t x_mask)
-{
-    std::uint16_t y = 0;
-    for (int r = 0; r < kBlockSize; ++r) {
-        if (a.rowBits(r) & x_mask)
-            y = setBit(y, r);
-    }
-    return y;
 }
 
 int

@@ -103,14 +103,8 @@ class BlockPattern
      */
     std::uint16_t tilePattern(int ti, int tj) const;
 
-    /** Number of nonzeros inside tile (ti, tj). */
-    int tileNnz(int ti, int tj) const;
-
     /** Structural transpose. */
     BlockPattern transposed() const;
-
-    /** Structural union (element-wise OR). */
-    BlockPattern unionWith(const BlockPattern &other) const;
 
     bool operator==(const BlockPattern &other) const = default;
 
@@ -131,13 +125,6 @@ BlockPattern blockProductPattern(const BlockPattern &a,
  * Table VII and Fig. 20 (max 16^3 = 4096).
  */
 int blockProductCount(const BlockPattern &a, const BlockPattern &b);
-
-/**
- * Matrix-vector specialisation: pattern of y = A * x where x is a
- * 16-entry segment with structural mask @p x_mask. Returns the 16-bit
- * mask of touched y entries.
- */
-std::uint16_t blockMvPattern(const BlockPattern &a, std::uint16_t x_mask);
 
 /** Intermediate products of y = A * x for mask @p x_mask. */
 int blockMvProductCount(const BlockPattern &a, std::uint16_t x_mask);

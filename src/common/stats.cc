@@ -51,12 +51,6 @@ RunningStat::max() const
 }
 
 double
-RunningStat::minOr(double fallback) const
-{
-    return count_ > 0 ? min_ : fallback;
-}
-
-double
 RunningStat::maxOr(double fallback) const
 {
     return count_ > 0 ? max_ : fallback;

@@ -33,9 +33,8 @@ class RunningStat
     double max() const;
     double mean() const;
 
-    /** min()/max() when samples exist, @p fallback when empty —
+    /** max() when samples exist, @p fallback when empty —
      * export paths must not assert on a zero-sample sweep. */
-    double minOr(double fallback) const;
     double maxOr(double fallback) const;
 
   private:

@@ -1,7 +1,5 @@
 #include "driver/sweep_request.hh"
 
-#include <cstdlib>
-
 namespace unistc
 {
 namespace driver
@@ -26,8 +24,7 @@ struct StdFlag
 
 /** The standard family, in --help order. */
 const StdFlag kStdFlags[] = {
-    {"quick", false, "",
-     "shrink workloads (also UNISTC_BENCH_QUICK)"},
+    {"quick", false, "", "shrink workloads"},
     {"smoke", false, "",
      "tiny corpus for ctest smoke runs (implies --quick)"},
     {"log-level", true, "LEVEL",
@@ -148,8 +145,6 @@ parseSweepCli(int argc, char **argv,
         }
     }
 
-    if (std::getenv("UNISTC_BENCH_QUICK") != nullptr)
-        out.request.quick = true;
     return out;
 }
 

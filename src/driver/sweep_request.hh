@@ -11,7 +11,7 @@
  *
  * The standard family (all driver-built binaries):
  *
- *   --quick / --smoke            workload shrinking (UNISTC_BENCH_QUICK)
+ *   --quick / --smoke            workload shrinking
  *   --log-level LEVEL            debug|info|warn|error|silent (or 0-4)
  *   --help, -h                   the generated usage text
  *   --version                    git sha + on-disk schema versions
@@ -47,12 +47,12 @@ struct CliFlag
 
 /**
  * Everything the execution driver needs to know about a run, fully
- * resolved (flags beat environment beat defaults).
+ * resolved (flags beat defaults).
  */
 struct SweepRequest
 {
     // Workload shaping.
-    /** --quick, --smoke (which implies it) or UNISTC_BENCH_QUICK. */
+    /** --quick or --smoke (which implies it). */
     bool quick = false;
     bool smoke = false; ///< --smoke: tiny-corpus ctest runs.
 
@@ -75,8 +75,7 @@ struct ParsedCli
 
 /**
  * Parse @p argv against the standard family plus @p extraFlags.
- * The environment fallback (UNISTC_BENCH_QUICK) is resolved here,
- * so the returned request is self-contained. Malformed or unknown
+ * The returned request is self-contained. Malformed or unknown
  * options come back as a typed error — front-ends raise() it — and
  * --help/--version short-circuit validation
  * (helpRequested/versionRequested set, rest best-effort).

@@ -9,14 +9,4 @@ TaskStream::groupLabel(std::int64_t group) const
     return "T1 #" + std::to_string(group);
 }
 
-std::vector<StreamedTask>
-TaskStream::materialize()
-{
-    std::vector<StreamedTask> tasks;
-    StreamedTask t;
-    while (next(t))
-        tasks.push_back(t);
-    return tasks;
-}
-
 } // namespace unistc

@@ -69,14 +69,6 @@ class TaskStream
      * Called only when tracing is active. Default: "T1 #<group>".
      */
     virtual std::string groupLabel(std::int64_t group) const;
-
-    /**
-     * Drain the remaining tasks into a vector — for tests and for
-     * consumers that genuinely need the whole stream (e.g. the SM
-     * scheduler's warp partitioning). Production model execution
-     * should stay on next().
-     */
-    std::vector<StreamedTask> materialize();
 };
 
 } // namespace unistc

@@ -13,28 +13,6 @@
 namespace unistc
 {
 
-const char *
-mnemonic(UwmmaOp op)
-{
-    switch (op) {
-      case UwmmaOp::LoadMetaMv:
-        return "stc.load.meta_mv";
-      case UwmmaOp::LoadMetaMm:
-        return "stc.load.meta_mm";
-      case UwmmaOp::LoadA:
-        return "stc.load.a";
-      case UwmmaOp::TaskGenMv:
-        return "stc.task_gen.mv";
-      case UwmmaOp::TaskGenMm:
-        return "stc.task_gen.mm";
-      case UwmmaOp::NumericMv:
-        return "stc.numeric.mv";
-      case UwmmaOp::NumericMm:
-        return "stc.numeric.mm";
-    }
-    return "?";
-}
-
 namespace
 {
 

@@ -48,9 +48,6 @@ enum class UwmmaOp
     NumericMm,
 };
 
-/** Assembly-style mnemonic ("stc.task_gen.mm", ...). */
-const char *mnemonic(UwmmaOp op);
-
 /** One issued instruction with its resolved cycle cost. */
 struct UwmmaInstr
 {

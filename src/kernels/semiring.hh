@@ -17,7 +17,6 @@
 #include <limits>
 
 #include "sparse/csr.hh"
-#include "sparse/sparse_vector.hh"
 
 namespace unistc
 {
@@ -72,39 +71,6 @@ spmvSemiring(const CsrMatrix &a, const std::vector<double> &x)
                                      x[a.colIdx()[i]]));
         }
         y[r] = acc;
-    }
-    return y;
-}
-
-/**
- * y = A (.) x over semiring S with sparse x. The result keeps every
- * structurally touched row (even if its value equals S::zero() by
- * coincidence), matching spmspvRef's structural semantics.
- */
-template <typename S>
-SparseVector
-spmspvSemiring(const CsrMatrix &a, const SparseVector &x)
-{
-    std::vector<double> xv(a.cols(), S::zero());
-    std::vector<bool> mask(a.cols(), false);
-    for (std::size_t i = 0; i < x.idx().size(); ++i) {
-        xv[x.idx()[i]] = x.vals()[i];
-        mask[x.idx()[i]] = true;
-    }
-    SparseVector y(a.rows());
-    for (int r = 0; r < a.rows(); ++r) {
-        double acc = S::zero();
-        bool touched = false;
-        for (std::int64_t i = a.rowPtr()[r]; i < a.rowPtr()[r + 1];
-             ++i) {
-            const int c = a.colIdx()[i];
-            if (mask[c]) {
-                acc = S::add(acc, S::mul(a.vals()[i], xv[c]));
-                touched = true;
-            }
-        }
-        if (touched)
-            y.push(r, acc);
     }
     return y;
 }

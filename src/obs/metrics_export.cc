@@ -104,20 +104,6 @@ registerTraceSinkStats(StatRegistry &reg, const TraceSink &sink,
 }
 
 void
-registerRunningStat(StatRegistry &reg, const RunningStat &stat,
-                    const std::string &prefix,
-                    const std::string &desc)
-{
-    reg.setCounter(prefix + "count", stat.count(), desc);
-    if (stat.count() == 0)
-        return;
-    reg.setScalar(prefix + "min", stat.min());
-    reg.setScalar(prefix + "max", stat.max());
-    reg.setScalar(prefix + "mean", stat.mean());
-    reg.setScalar(prefix + "sum", stat.sum());
-}
-
-void
 writeStatsJson(const StatRegistry &reg, std::ostream &os)
 {
     // Open the envelope by hand so the registry body (itself a
@@ -146,14 +132,6 @@ writeStatsJsonFile(const StatRegistry &reg, const std::string &path)
     writeStatsJson(reg, os);
     if (!os.good())
         UNISTC_FATAL("error writing stats file '", path, "'");
-}
-
-std::string
-statsJson(const StatRegistry &reg)
-{
-    std::ostringstream os;
-    writeStatsJson(reg, os);
-    return os.str();
 }
 
 } // namespace unistc

@@ -43,16 +43,6 @@ void registerTraceSinkStats(StatRegistry &reg, const TraceSink &sink,
                             const std::string &prefix = "trace.");
 
 /**
- * Register a RunningStat under @p prefix: always an explicit
- * "<prefix>count" record (0 for an empty stat — a sweep that yields
- * zero samples must still export), with min/max/mean/sum only when
- * at least one sample exists (min()/max() assert on empty stats).
- */
-void registerRunningStat(StatRegistry &reg, const RunningStat &stat,
-                         const std::string &prefix,
-                         const std::string &desc = "");
-
-/**
  * Write the schema envelope around the registry body:
  *   {"schema": "unistc-stats", "version": 1, "stats": {...}}
  */
@@ -61,9 +51,6 @@ void writeStatsJson(const StatRegistry &reg, std::ostream &os);
 /** writeStatsJson() to @p path; fatal() on I/O failure. */
 void writeStatsJsonFile(const StatRegistry &reg,
                         const std::string &path);
-
-/** Whole envelope as a string (tests, log embedding). */
-std::string statsJson(const StatRegistry &reg);
 
 } // namespace unistc
 

@@ -140,15 +140,6 @@ TraceSink::counter(std::string name, std::uint64_t ts, double value)
     push(std::move(e));
 }
 
-int
-TraceSink::openSpans() const
-{
-    int open = 0;
-    for (const auto &[key, stack] : stacks_)
-        open += static_cast<int>(stack.size());
-    return open;
-}
-
 std::vector<TraceEvent>
 TraceSink::events() const
 {

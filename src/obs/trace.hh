@@ -108,9 +108,6 @@ class TraceSink
     /** end() calls that found no open span. */
     std::uint64_t unbalanced() const { return unbalanced_; }
 
-    /** Spans begun but not yet ended, across all tracks. */
-    int openSpans() const;
-
     /** Held events, oldest first. */
     std::vector<TraceEvent> events() const;
 

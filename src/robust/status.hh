@@ -139,13 +139,6 @@ class Result
         return std::move(*value_);
     }
 
-    /** Value on success, @p fallback on error (no escalation). */
-    T
-    valueOr(T fallback) const &
-    {
-        return ok() ? *value_ : std::move(fallback);
-    }
-
   private:
     Status status_;
     std::optional<T> value_;

@@ -6,7 +6,6 @@
 
 #include "bbc/bbc_matrix.hh"
 #include "common/bitops.hh"
-#include "sparse/coo.hh"
 #include "sparse/csr.hh"
 
 namespace unistc
@@ -75,30 +74,6 @@ validateCsr(const CsrMatrix &m, const std::string &label)
         if (!std::isfinite(m.vals()[i])) {
             return corrupt(label, kWho, "non-finite value ",
                            m.vals()[i], " at nnz index ", i);
-        }
-    }
-    return Status();
-}
-
-Status
-validateCoo(const CooMatrix &m, const std::string &label)
-{
-    const char *kWho = "<coo>";
-    if (m.rows() < 0 || m.cols() < 0)
-        return corrupt(label, kWho, "negative shape ", m.rows(), "x",
-                       m.cols());
-    const auto &es = m.entries();
-    for (std::size_t i = 0; i < es.size(); ++i) {
-        const CooEntry &e = es[i];
-        if (e.row < 0 || e.row >= m.rows() || e.col < 0 ||
-            e.col >= m.cols()) {
-            return corrupt(label, kWho, "entry ", i, " at (", e.row,
-                           ", ", e.col, ") outside ", m.rows(), "x",
-                           m.cols());
-        }
-        if (!std::isfinite(e.val)) {
-            return corrupt(label, kWho, "non-finite value ", e.val,
-                           " at entry ", i);
         }
     }
     return Status();

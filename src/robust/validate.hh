@@ -11,7 +11,6 @@
  *  - CSR: rowPtr is monotone with rowPtr[0] == 0 and
  *    rowPtr[rows] == nnz; column indices strictly ascending per row
  *    and in [0, cols); sizes consistent; all values finite.
- *  - COO: entries in bounds; all values finite.
  *  - BBC: outer CSR-over-blocks invariants; nonzero Lv1/Lv2 bitmaps;
  *    tileBase/valPtrLv1/valPtrLv2 prefix sums consistent with bitmap
  *    popcounts; total popcount equals the stored value count; all
@@ -29,7 +28,6 @@ namespace unistc
 {
 
 class BbcMatrix;
-class CooMatrix;
 class CsrMatrix;
 
 /**
@@ -37,9 +35,6 @@ class CsrMatrix;
  * message ("<csr>" when empty).
  */
 Status validateCsr(const CsrMatrix &m, const std::string &label = "");
-
-/** Check every COO invariant (bounds, finiteness). */
-Status validateCoo(const CooMatrix &m, const std::string &label = "");
 
 /** Check every BBC invariant, including bitmap/popcount agreement. */
 Status validateBbc(const BbcMatrix &m, const std::string &label = "");

@@ -26,15 +26,6 @@ WarpPartition::imbalance() const
     return static_cast<double>(max_load) / mean;
 }
 
-std::int64_t
-WarpPartition::totalBlocks() const
-{
-    std::int64_t total = 0;
-    for (const auto &w : warps)
-        total += w.size();
-    return total;
-}
-
 namespace
 {
 

@@ -36,9 +36,6 @@ struct WarpPartition
 
     /** Max warp load divided by mean warp load (1.0 = perfect). */
     double imbalance() const;
-
-    /** Total blocks covered (must equal the matrix block count). */
-    std::int64_t totalBlocks() const;
 };
 
 /**

@@ -116,13 +116,6 @@ simulateSm(const std::vector<TaskBundle> &bundles, const SmConfig &cfg)
 }
 
 SmStats
-simulateSmStream(TaskStream &stream, const MachineConfig &machine,
-                 const SmConfig &cfg)
-{
-    return simulateSm(bundleStream(stream, machine), cfg);
-}
-
-SmStats
 simulateDevice(const std::vector<TaskBundle> &bundles,
                const SmConfig &cfg, int num_sms)
 {

@@ -22,8 +22,6 @@
 namespace unistc
 {
 
-class TaskStream;
-
 /** SM configuration. */
 struct SmConfig
 {
@@ -56,17 +54,6 @@ SmStats simulateSm(const std::vector<TaskBundle> &bundles,
  */
 SmStats simulateDevice(const std::vector<TaskBundle> &bundles,
                        const SmConfig &cfg, int num_sms);
-
-/**
- * Schedule a kernel plan's T1 task stream on the SM: each streamed
- * task becomes its UWMMA bundle (built with @p machine) and the
- * bundles are partitioned across warps as in simulateSm(). The one
- * stream consumer that genuinely needs the whole stream — §V-A
- * static balancing requires the total bundle count up front.
- */
-SmStats simulateSmStream(TaskStream &stream,
-                         const MachineConfig &machine,
-                         const SmConfig &cfg);
 
 } // namespace unistc
 

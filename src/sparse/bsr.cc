@@ -36,17 +36,6 @@ BsrMatrix::at(int r, int c) const
     return vals_[blk * blockSize_ * blockSize_ + lr * blockSize_ + lc];
 }
 
-std::int64_t
-BsrMatrix::logicalNnz() const
-{
-    std::int64_t n = 0;
-    for (double v : vals_) {
-        if (v != 0.0)
-            ++n;
-    }
-    return n;
-}
-
 std::uint64_t
 BsrMatrix::storageBytes() const
 {

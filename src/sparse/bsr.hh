@@ -46,9 +46,6 @@ class BsrMatrix
     /** Value at element coordinates (r, c); 0 when block absent. */
     double at(int r, int c) const;
 
-    /** Logical (structural CSR) nonzero count, i.e. nonzero values. */
-    std::int64_t logicalNnz() const;
-
     /**
      * Storage footprint in bytes: 8-byte block-row pointers, 4-byte
      * block column indices, 8-byte values for every (possibly zero)

@@ -31,66 +31,30 @@ cooToCsr(CooMatrix coo)
                      std::move(col_idx), std::move(vals));
 }
 
-CooMatrix
-csrToCoo(const CsrMatrix &csr)
-{
-    CooMatrix coo(csr.rows(), csr.cols());
-    for (int r = 0; r < csr.rows(); ++r) {
-        for (std::int64_t i = csr.rowPtr()[r]; i < csr.rowPtr()[r + 1];
-             ++i) {
-            coo.add(r, csr.colIdx()[i], csr.vals()[i]);
-        }
-    }
-    return coo;
-}
-
-CscMatrix
-csrToCsc(const CsrMatrix &csr)
-{
-    const int rows = csr.rows();
-    const int cols = csr.cols();
-    std::vector<std::int64_t> col_ptr(cols + 1, 0);
-    for (int c : csr.colIdx())
-        ++col_ptr[c + 1];
-    for (int c = 0; c < cols; ++c)
-        col_ptr[c + 1] += col_ptr[c];
-    std::vector<int> row_idx(csr.nnz());
-    std::vector<double> vals(csr.nnz());
-    std::vector<std::int64_t> cursor(col_ptr.begin(),
-                                     col_ptr.end() - 1);
-    for (int r = 0; r < rows; ++r) {
-        for (std::int64_t i = csr.rowPtr()[r]; i < csr.rowPtr()[r + 1];
-             ++i) {
-            const int c = csr.colIdx()[i];
-            const std::int64_t pos = cursor[c]++;
-            row_idx[pos] = r;
-            vals[pos] = csr.vals()[i];
-        }
-    }
-    return CscMatrix(rows, cols, std::move(col_ptr),
-                     std::move(row_idx), std::move(vals));
-}
-
-CsrMatrix
-cscToCsr(const CscMatrix &csc)
-{
-    CooMatrix coo(csc.rows(), csc.cols());
-    for (int c = 0; c < csc.cols(); ++c) {
-        for (std::int64_t i = csc.colPtr()[c]; i < csc.colPtr()[c + 1];
-             ++i) {
-            coo.add(csc.rowIdx()[i], c, csc.vals()[i]);
-        }
-    }
-    return cooToCsr(std::move(coo));
-}
-
 CsrMatrix
 transposeCsr(const CsrMatrix &csr)
 {
-    const CscMatrix csc = csrToCsc(csr);
-    // A CSC of A has exactly the CSR layout of A^T.
-    return CsrMatrix(csr.cols(), csr.rows(), csc.colPtr(),
-                     csc.rowIdx(), csc.vals());
+    // Counting transpose: column counts of A are the row pointers of
+    // A^T, and walking A's rows in order fills each row of A^T with
+    // increasing column (= A's row) indices.
+    std::vector<std::int64_t> row_ptr(csr.cols() + 1, 0);
+    for (int c : csr.colIdx())
+        ++row_ptr[c + 1];
+    for (int c = 0; c < csr.cols(); ++c)
+        row_ptr[c + 1] += row_ptr[c];
+    std::vector<int> col_idx(csr.nnz());
+    std::vector<double> vals(csr.nnz());
+    std::vector<std::int64_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
+    for (int r = 0; r < csr.rows(); ++r) {
+        for (std::int64_t i = csr.rowPtr()[r]; i < csr.rowPtr()[r + 1];
+             ++i) {
+            const std::int64_t pos = cursor[csr.colIdx()[i]]++;
+            col_idx[pos] = r;
+            vals[pos] = csr.vals()[i];
+        }
+    }
+    return CsrMatrix(csr.cols(), csr.rows(), std::move(row_ptr),
+                     std::move(col_idx), std::move(vals));
 }
 
 BsrMatrix
@@ -130,54 +94,6 @@ csrToBsr(const CsrMatrix &csr, int block_size)
     bsr.assign(std::move(block_row_ptr), std::move(block_col_idx),
                std::move(vals));
     return bsr;
-}
-
-CsrMatrix
-bsrToCsr(const BsrMatrix &bsr)
-{
-    CooMatrix coo(bsr.rows(), bsr.cols());
-    const int bs = bsr.blockSize();
-    for (int br = 0; br < bsr.blockRows(); ++br) {
-        for (std::int64_t i = bsr.blockRowPtr()[br];
-             i < bsr.blockRowPtr()[br + 1]; ++i) {
-            const int bc = bsr.blockColIdx()[i];
-            for (int lr = 0; lr < bs; ++lr) {
-                for (int lc = 0; lc < bs; ++lc) {
-                    const double v = bsr.vals()[i * bs * bs +
-                                                lr * bs + lc];
-                    if (v != 0.0)
-                        coo.add(br * bs + lr, bc * bs + lc, v);
-                }
-            }
-        }
-    }
-    return cooToCsr(std::move(coo));
-}
-
-DenseMatrix
-csrToDense(const CsrMatrix &csr)
-{
-    DenseMatrix out(csr.rows(), csr.cols());
-    for (int r = 0; r < csr.rows(); ++r) {
-        for (std::int64_t i = csr.rowPtr()[r]; i < csr.rowPtr()[r + 1];
-             ++i) {
-            out.at(r, csr.colIdx()[i]) = csr.vals()[i];
-        }
-    }
-    return out;
-}
-
-CsrMatrix
-denseToCsr(const DenseMatrix &dense)
-{
-    CooMatrix coo(dense.rows(), dense.cols());
-    for (int r = 0; r < dense.rows(); ++r) {
-        for (int c = 0; c < dense.cols(); ++c) {
-            if (dense.at(r, c) != 0.0)
-                coo.add(r, c, dense.at(r, c));
-        }
-    }
-    return cooToCsr(std::move(coo));
 }
 
 } // namespace unistc

@@ -1,8 +1,8 @@
 /**
  * @file
  * Conversions between the sparse formats. All conversions are exact
- * (structure and values) and validated; round-trips are covered by the
- * format tests.
+ * (structure and values) and validated; the format tests check every
+ * element of each result against the source matrix.
  */
 
 #ifndef UNISTC_SPARSE_CONVERT_HH
@@ -10,9 +10,7 @@
 
 #include "sparse/bsr.hh"
 #include "sparse/coo.hh"
-#include "sparse/csc.hh"
 #include "sparse/csr.hh"
-#include "sparse/dense.hh"
 
 namespace unistc
 {
@@ -20,29 +18,11 @@ namespace unistc
 /** COO (normalised internally) to CSR. */
 CsrMatrix cooToCsr(CooMatrix coo);
 
-/** CSR to COO (already sorted row-major). */
-CooMatrix csrToCoo(const CsrMatrix &csr);
-
-/** CSR to CSC (exact transpose of the index structure). */
-CscMatrix csrToCsc(const CsrMatrix &csr);
-
-/** CSC back to CSR. */
-CsrMatrix cscToCsr(const CscMatrix &csc);
-
 /** Structural + numerical transpose. */
 CsrMatrix transposeCsr(const CsrMatrix &csr);
 
 /** CSR to BSR with square blocks of @p block_size. */
 BsrMatrix csrToBsr(const CsrMatrix &csr, int block_size);
-
-/** BSR back to CSR (drops stored-zero fill). */
-CsrMatrix bsrToCsr(const BsrMatrix &bsr);
-
-/** CSR to dense. */
-DenseMatrix csrToDense(const CsrMatrix &csr);
-
-/** Dense to CSR keeping exact nonzeros. */
-CsrMatrix denseToCsr(const DenseMatrix &dense);
 
 } // namespace unistc
 

@@ -31,17 +31,6 @@ DenseMatrix::approxEquals(const DenseMatrix &other, double tol) const
     return true;
 }
 
-std::int64_t
-DenseMatrix::countNonzeros() const
-{
-    std::int64_t n = 0;
-    for (double v : data_) {
-        if (v != 0.0)
-            ++n;
-    }
-    return n;
-}
-
 double
 maxAbsDiff(const std::vector<double> &a, const std::vector<double> &b)
 {

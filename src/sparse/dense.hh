@@ -34,9 +34,6 @@ class DenseMatrix
     /** Element-wise approximate equality within @p tol (relative). */
     bool approxEquals(const DenseMatrix &other, double tol = 1e-9) const;
 
-    /** Number of elements whose value is not exactly zero. */
-    std::int64_t countNonzeros() const;
-
   private:
     std::size_t
     idx(int r, int c) const

@@ -8,7 +8,6 @@
 #include <limits>
 #include <sstream>
 
-#include "common/logging.hh"
 #include "robust/validate.hh"
 #include "sparse/convert.hh"
 
@@ -228,39 +227,9 @@ tryReadMatrixMarketFile(const std::string &path)
 }
 
 CsrMatrix
-readMatrixMarket(std::istream &in)
-{
-    return tryReadMatrixMarket(in).value();
-}
-
-CsrMatrix
 readMatrixMarketFile(const std::string &path)
 {
     return tryReadMatrixMarketFile(path).value();
-}
-
-void
-writeMatrixMarket(std::ostream &out, const CsrMatrix &m)
-{
-    out << "%%MatrixMarket matrix coordinate real general\n";
-    out << m.rows() << " " << m.cols() << " " << m.nnz() << "\n";
-    out.precision(17);
-    for (int r = 0; r < m.rows(); ++r) {
-        for (std::int64_t i = m.rowPtr()[r]; i < m.rowPtr()[r + 1];
-             ++i) {
-            out << (r + 1) << " " << (m.colIdx()[i] + 1) << " "
-                << m.vals()[i] << "\n";
-        }
-    }
-}
-
-void
-writeMatrixMarketFile(const std::string &path, const CsrMatrix &m)
-{
-    std::ofstream out(path);
-    if (!out)
-        UNISTC_FATAL("cannot open '", path, "' for writing");
-    writeMatrixMarket(out, m);
 }
 
 } // namespace unistc

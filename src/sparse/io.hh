@@ -1,6 +1,6 @@
 /**
  * @file
- * Matrix Market (.mtx) reader/writer. Supports the coordinate format
+ * Matrix Market (.mtx) reader. Supports the coordinate format
  * with real/integer/pattern fields and general/symmetric symmetry —
  * enough to load any SuiteSparse matrix a user drops into the corpus.
  *
@@ -9,7 +9,7 @@
  * duplicate-entry rejection, truncation and trailing-garbage
  * detection — every failure is a typed error naming the offending
  * line. The try* functions return Result/Status and never
- * terminate; the classic wrappers raise() (throw or exit, per
+ * terminate; readMatrixMarketFile raise()s (throw or exit, per
  * FatalBehavior) on failure.
  */
 
@@ -36,17 +36,8 @@ Result<CsrMatrix> tryReadMatrixMarket(std::istream &in,
 /** Load a .mtx file with full input validation. */
 Result<CsrMatrix> tryReadMatrixMarketFile(const std::string &path);
 
-/** Parse a Matrix Market stream into CSR; raise()s on error. */
-CsrMatrix readMatrixMarket(std::istream &in);
-
 /** Load a .mtx file; raise()s on error. */
 CsrMatrix readMatrixMarketFile(const std::string &path);
-
-/** Write CSR as "coordinate real general" Matrix Market. */
-void writeMatrixMarket(std::ostream &out, const CsrMatrix &m);
-
-/** Save a .mtx file. */
-void writeMatrixMarketFile(const std::string &path, const CsrMatrix &m);
 
 } // namespace unistc
 

@@ -58,17 +58,6 @@ SparseVector::toDense() const
     return out;
 }
 
-SparseVector
-SparseVector::fromDense(const std::vector<double> &dense)
-{
-    SparseVector out(static_cast<int>(dense.size()));
-    for (std::size_t i = 0; i < dense.size(); ++i) {
-        if (dense[i] != 0.0)
-            out.push(static_cast<int>(i), dense[i]);
-    }
-    return out;
-}
-
 void
 SparseVector::validate() const
 {

@@ -41,9 +41,6 @@ class SparseVector
     /** Expand into a dense vector of length size(). */
     std::vector<double> toDense() const;
 
-    /** Build from a dense vector, keeping exact nonzeros. */
-    static SparseVector fromDense(const std::vector<double> &dense);
-
     /** Abort if indices are out of range or unsorted. */
     void validate() const;
 

@@ -45,15 +45,6 @@ makeCoreLineup(const MachineConfig &cfg)
     return models;
 }
 
-std::vector<StcModelPtr>
-makeFullLineup(const MachineConfig &cfg)
-{
-    std::vector<StcModelPtr> models;
-    for (const auto &name : allModelNames())
-        models.push_back(makeStcModel(name, cfg));
-    return models;
-}
-
 std::vector<std::string>
 allModelNames()
 {

@@ -26,9 +26,6 @@ StcModelPtr makeStcModel(const std::string &name,
 /** The three-way line-up most figures use (DS, RM, Uni). */
 std::vector<StcModelPtr> makeCoreLineup(const MachineConfig &cfg);
 
-/** The full seven-architecture line-up (Fig. 16). */
-std::vector<StcModelPtr> makeFullLineup(const MachineConfig &cfg);
-
 /** All recognised model names in canonical order. */
 std::vector<std::string> allModelNames();
 

@@ -8,7 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
-#include "unistc/buffers.hh"
+
+#include "buffers.hh"
 
 namespace unistc
 {

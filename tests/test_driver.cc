@@ -156,18 +156,6 @@ TEST(SweepRequestParse, EqualsFormAndSmokeImpliesQuick)
     EXPECT_EQ(cli.request.logLevel, LogLevel::Error);
 }
 
-TEST(SweepRequestParse, QuickComesFromTheEnvironment)
-{
-    {
-        ScopedEnv unset("UNISTC_BENCH_QUICK", nullptr);
-        EXPECT_FALSE(parseOk({}).request.quick);
-    }
-    ScopedEnv quick("UNISTC_BENCH_QUICK", "1");
-    const driver::ParsedCli cli = parseOk({});
-    EXPECT_TRUE(cli.request.quick);
-    EXPECT_FALSE(cli.request.smoke);
-}
-
 TEST(SweepRequestParse, RejectsUnknownOption)
 {
     const Status s = parseError({"--frobnicate"});

@@ -68,6 +68,18 @@ expectSameResult(const RunResult &a, const RunResult &b)
         EXPECT_EQ(a.utilHist.bucketCount(h), b.utilHist.bucketCount(h));
 }
 
+/** Every task a fresh stream over @p plan yields, in order. */
+std::vector<StreamedTask>
+drain(const KernelPlan &plan)
+{
+    std::vector<StreamedTask> tasks;
+    const auto stream = plan.stream();
+    StreamedTask t;
+    while (stream->next(t))
+        tasks.push_back(t);
+    return tasks;
+}
+
 /** One smoke-corpus input: encoded matrix plus a 50%-dense vector. */
 struct NamedInput
 {
@@ -181,7 +193,7 @@ TEST(EngineDifferential, AllKernelsAllModelsSinglePassMatchesLegacy)
                     const KernelPlanPtr plan =
                         planFor(kernel, in, b_cols);
                     const std::uint64_t single_count =
-                        plan->stream()->materialize().size();
+                        drain(*plan).size();
 
                     PipelineCounters counters;
                     const std::vector<RunResult> multi =
@@ -237,7 +249,7 @@ TEST(EngineDifferential, TracedAndUntracedSlotsAgree)
 
             TraceSink loop(64);
             RunResult unused;
-            for (const StreamedTask &st : plan.stream()->materialize())
+            for (const StreamedTask &st : drain(plan))
                 owned[m]->runBlock(st.task, unused, &loop);
             EXPECT_EQ(sinks[m]->recorded(),
                       loop.recorded() + 1 +
@@ -266,17 +278,16 @@ TEST(EngineDifferential, RunnersMatchPipelineRunOne)
         KernelPipeline::runOne(SpgemmPlan(in.a, in.a), *uni));
 }
 
-// materialize() is just a drained next() loop: a second stream over
-// the same plan yields the same tasks, and group ids never decrease
-// (the pipeline's trace spans depend on this).
+// A second stream over the same plan yields the tasks of a drained
+// first one, and group ids never decrease (the pipeline's trace spans
+// depend on this).
 TEST(TaskStream, MaterializeMatchesPullAndGroupsAreMonotone)
 {
     for (const NamedInput &in : smokeCorpus()) {
         for (const Kernel kernel : allKernels()) {
             SCOPED_TRACE(in.name + " / " + toString(kernel));
             const KernelPlanPtr plan = planFor(kernel, in);
-            const std::vector<StreamedTask> eager =
-                plan->stream()->materialize();
+            const std::vector<StreamedTask> eager = drain(*plan);
 
             const auto stream = plan->stream();
             StreamedTask item;
@@ -305,8 +316,7 @@ TEST(TaskStream, SpmspvStreamOutlivesItsPlan)
     for (const NamedInput &in : smokeCorpus()) {
         SCOPED_TRACE(in.name);
         const KernelPlanPtr plan = planFor(Kernel::SpMSpV, in);
-        const std::vector<StreamedTask> want =
-            plan->stream()->materialize();
+        const std::vector<StreamedTask> want = drain(*plan);
         const auto stream = planFor(Kernel::SpMSpV, in)->stream();
         StreamedTask item;
         std::size_t n = 0;
@@ -331,7 +341,7 @@ TEST(TaskStream, SpmmMarksTheFullWidthRepeatsOfEachABlock)
         for (const int b_cols : kSpmmWidths) {
             SCOPED_TRACE(in.name + " / bCols " + std::to_string(b_cols));
             const std::vector<StreamedTask> items =
-                SpmmPlan(in.a, b_cols).stream()->materialize();
+                drain(SpmmPlan(in.a, b_cols));
             const auto per_block =
                 static_cast<std::size_t>(ceilDiv(b_cols, kBlockSize));
             const auto full =
@@ -432,15 +442,14 @@ TEST(TaskStream, SpgemmKeepsExactlyThePairsWithProducts)
         SCOPED_TRACE(in.name);
         const std::vector<StreamedTask> want = bruteForceSpgemm(in.a, in.a);
         const std::vector<StreamedTask> self =
-            SpgemmPlan(in.a, in.a).stream()->materialize();
+            drain(SpgemmPlan(in.a, in.a));
         expectSameTasks(self, want);
         const BbcMatrix copy = in.a;
-        expectSameTasks(SpgemmPlan(in.a, copy).stream()->materialize(),
-                        want);
+        expectSameTasks(drain(SpgemmPlan(in.a, copy)), want);
 
         const BbcMatrix b = BbcMatrix::fromCsr(
             genRandomUniform(in.a.cols(), 70, 0.04, 21));
-        expectSameTasks(SpgemmPlan(in.a, b).stream()->materialize(),
+        expectSameTasks(drain(SpgemmPlan(in.a, b)),
                         bruteForceSpgemm(in.a, b));
     }
 }
@@ -518,7 +527,7 @@ TEST(StcModelClone, MatchesItsModelForEveryArchitecture)
 }
 
 // SM-level integration consumes plans through the stream interface:
-// simulateSmStream over a plan's stream equals simulateSm over the
+// the bundles built from a plan's stream schedule exactly like the
 // eagerly-built bundle list.
 TEST(SmIntegration, SimulateSmStreamMatchesEagerBundles)
 {
@@ -529,7 +538,7 @@ TEST(SmIntegration, SimulateSmStreamMatchesEagerBundles)
     const SmStats eager = simulateSm(traceSpmv(in.a, cfg), sm);
 
     const auto stream = SpmvPlan(in.a).stream();
-    const SmStats streamed = simulateSmStream(*stream, cfg, sm);
+    const SmStats streamed = simulateSm(bundleStream(*stream, cfg), sm);
 
     EXPECT_EQ(streamed.makespanCycles, eager.makespanCycles);
     EXPECT_EQ(streamed.busyUnitCycles, eager.busyUnitCycles);

@@ -142,8 +142,8 @@ TEST(Integration, SimulationDoesNotPerturbNumerics)
     // for exact numeric verification afterwards.
     const CsrMatrix a = genBanded(80, 6, 0.6, 778);
     const BbcMatrix bbc = BbcMatrix::fromCsr(a);
-    for (const auto &model : makeFullLineup(kFp64))
-        (void)runSpmv(*model, bbc);
+    for (const auto &name : allModelNames())
+        (void)runSpmv(*makeStcModel(name, kFp64), bbc);
     EXPECT_TRUE(bbc.toCsr().approxEquals(a, 0.0));
 }
 

@@ -29,13 +29,6 @@ bundleOf(const BlockPattern &a, const BlockPattern &b, bool is_mv)
     return buildTaskBundle(task, kFp64);
 }
 
-TEST(Uwmma, Mnemonics)
-{
-    EXPECT_STREQ(mnemonic(UwmmaOp::LoadMetaMv), "stc.load.meta_mv");
-    EXPECT_STREQ(mnemonic(UwmmaOp::TaskGenMm), "stc.task_gen.mm");
-    EXPECT_STREQ(mnemonic(UwmmaOp::NumericMv), "stc.numeric.mv");
-}
-
 TEST(Uwmma, BundleRespectsTableVBounds)
 {
     Rng rng(11);

@@ -11,11 +11,25 @@
 #include "corpus/generators.hh"
 #include "kernels/reference.hh"
 #include "sparse/convert.hh"
+#include "sparse/dense.hh"
 
 namespace unistc
 {
 namespace
 {
+
+DenseMatrix
+csrToDense(const CsrMatrix &csr)
+{
+    DenseMatrix out(csr.rows(), csr.cols());
+    for (int r = 0; r < csr.rows(); ++r) {
+        for (std::int64_t i = csr.rowPtr()[r]; i < csr.rowPtr()[r + 1];
+             ++i) {
+            out.at(r, csr.colIdx()[i]) = csr.vals()[i];
+        }
+    }
+    return out;
+}
 
 std::vector<double>
 denseSpmv(const DenseMatrix &a, const std::vector<double> &x)
@@ -116,9 +130,10 @@ TEST_P(KernelsRef, FlopsCountsIntermediateProducts)
 {
     const CsrMatrix a = genRandomUniform(30, 30, 0.1, GetParam());
     std::int64_t expect = 0;
-    const CscMatrix a_csc = csrToCsc(a);
+    // Row k of A^T holds column k of A.
+    const CsrMatrix a_t = transposeCsr(a);
     for (int k = 0; k < a.cols(); ++k)
-        expect += a_csc.colNnz(k) * a.rowNnz(k);
+        expect += a_t.rowNnz(k) * a.rowNnz(k);
     EXPECT_EQ(spgemmFlops(a, a), expect);
 }
 

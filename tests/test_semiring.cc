@@ -52,26 +52,6 @@ TEST(Semiring, MinPlusIdentityElement)
     EXPECT_TRUE(std::isinf(MinPlus::mul(1.0, MinPlus::zero())));
 }
 
-TEST(Semiring, SparseAgreesWithDenseOverBoolean)
-{
-    const CsrMatrix a = genPowerLaw(64, 5.0, 2.4, 993);
-    SparseVector x(a.cols());
-    Rng rng(994);
-    for (int i = 0; i < a.cols(); ++i) {
-        if (rng.nextBool(0.3))
-            x.push(i, 1.0);
-    }
-    const SparseVector ys = spmspvSemiring<BoolOrAnd>(a, x);
-    const auto yd = spmvSemiring<BoolOrAnd>(a, x.toDense());
-    // Every structurally touched row agrees; untouched rows are 0.
-    const auto ysd = ys.toDense();
-    for (int r = 0; r < a.rows(); ++r) {
-        if (yd[r] != 0.0) {
-            EXPECT_EQ(ysd[r], yd[r]);
-        }
-    }
-}
-
 std::vector<double>
 dijkstra(const CsrMatrix &adj, int source)
 {

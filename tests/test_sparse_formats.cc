@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "common/rng.hh"
 #include "corpus/generators.hh"
 #include "sparse/convert.hh"
@@ -82,34 +85,32 @@ TEST(Csr, ApproxEquals)
     EXPECT_FALSE(a.approxEquals(b, 1e-9));
 }
 
-TEST(Convert, CsrCooRoundTrip)
-{
-    const CsrMatrix m = genRandomUniform(60, 45, 0.08, 5);
-    const CsrMatrix back = cooToCsr(csrToCoo(m));
-    EXPECT_TRUE(m.approxEquals(back, 0.0));
-}
-
-TEST(Convert, CsrCscRoundTrip)
-{
-    const CsrMatrix m = genRandomUniform(64, 64, 0.1, 6);
-    const CscMatrix csc = csrToCsc(m);
-    EXPECT_EQ(csc.nnz(), m.nnz());
-    csc.validate();
-    EXPECT_TRUE(cscToCsr(csc).approxEquals(m, 0.0));
-}
-
 TEST(Convert, TransposeTwiceIsIdentity)
 {
-    const CsrMatrix m = genRandomUniform(40, 70, 0.1, 7);
-    const CsrMatrix t = transposeCsr(m);
-    EXPECT_EQ(t.rows(), m.cols());
-    EXPECT_EQ(t.cols(), m.rows());
-    t.validate();
-    EXPECT_TRUE(transposeCsr(t).approxEquals(m, 0.0));
-    // Spot-check a few coordinates.
-    for (int r = 0; r < 10; ++r) {
-        for (int c = 0; c < 10; ++c)
-            EXPECT_DOUBLE_EQ(m.at(r, c), t.at(c, r));
+    // Non-square, with every fourth row and fifth column empty (the
+    // last row and column among them), plus the empty matrix.
+    const CsrMatrix full = genRandomUniform(40, 70, 0.1, 7);
+    CooMatrix coo(40, 70);
+    for (int r = 0; r < full.rows(); ++r) {
+        for (std::int64_t i = full.rowPtr()[r]; i < full.rowPtr()[r + 1];
+             ++i) {
+            const int c = full.colIdx()[i];
+            if (r % 4 != 3 && c % 5 != 4)
+                coo.add(r, c, full.vals()[i]);
+        }
+    }
+    const CsrMatrix holes = cooToCsr(std::move(coo));
+    for (const CsrMatrix &m : {holes, CsrMatrix(10, 10)}) {
+        const CsrMatrix t = transposeCsr(m);
+        EXPECT_EQ(t.rows(), m.cols());
+        EXPECT_EQ(t.cols(), m.rows());
+        EXPECT_EQ(t.nnz(), m.nnz());
+        t.validate();
+        EXPECT_TRUE(transposeCsr(t).approxEquals(m, 0.0));
+        for (int r = 0; r < m.rows(); ++r) {
+            for (int c = 0; c < m.cols(); ++c)
+                EXPECT_EQ(t.at(c, r), m.at(r, c)) << r << "," << c;
+        }
     }
 }
 
@@ -119,25 +120,24 @@ TEST(Convert, BsrRoundTripAndAccounting)
     for (int bs : {4, 16}) {
         const BsrMatrix bsr = csrToBsr(m, bs);
         bsr.validate();
-        EXPECT_EQ(bsr.logicalNnz(), m.nnz());
-        EXPECT_TRUE(bsrToCsr(bsr).approxEquals(m, 0.0));
+        // One stored block per block holding a nonzero, no more.
+        std::set<std::pair<int, int>> blocks;
+        for (int r = 0; r < m.rows(); ++r) {
+            for (std::int64_t i = m.rowPtr()[r]; i < m.rowPtr()[r + 1];
+                 ++i)
+                blocks.emplace(r / bs, m.colIdx()[i] / bs);
+        }
+        EXPECT_EQ(bsr.numBlocks(),
+                  static_cast<std::int64_t>(blocks.size()));
         // BSR stores full blocks: storage never smaller than values.
         EXPECT_GE(bsr.storageBytes(),
                   static_cast<std::uint64_t>(m.nnz()) * 8);
-        // Element lookup agrees with CSR.
-        for (int r = 0; r < 20; ++r) {
-            for (int c = 0; c < 20; ++c)
-                EXPECT_DOUBLE_EQ(bsr.at(r, c), m.at(r, c));
+        // Element lookup agrees with CSR everywhere.
+        for (int r = 0; r < m.rows(); ++r) {
+            for (int c = 0; c < m.cols(); ++c)
+                EXPECT_EQ(bsr.at(r, c), m.at(r, c)) << r << "," << c;
         }
     }
-}
-
-TEST(Convert, DenseRoundTrip)
-{
-    const CsrMatrix m = genRandomUniform(33, 29, 0.15, 9);
-    const DenseMatrix d = csrToDense(m);
-    EXPECT_EQ(d.countNonzeros(), m.nnz());
-    EXPECT_TRUE(denseToCsr(d).approxEquals(m, 0.0));
 }
 
 TEST(SparseVector, DenseRoundTrip)
@@ -149,9 +149,6 @@ TEST(SparseVector, DenseRoundTrip)
     EXPECT_DOUBLE_EQ(d[1], 2.0);
     EXPECT_DOUBLE_EQ(d[7], -3.0);
     EXPECT_DOUBLE_EQ(d[0], 0.0);
-    const SparseVector back = SparseVector::fromDense(d);
-    EXPECT_EQ(back.idx(), v.idx());
-    EXPECT_EQ(back.vals(), v.vals());
 }
 
 TEST(SparseVector, ConstructorSortsUnsortedInput)
@@ -165,11 +162,9 @@ TEST(EmptyShapes, AllFormatsHandleEmpty)
 {
     const CsrMatrix empty(10, 10);
     EXPECT_EQ(empty.nnz(), 0);
-    const CscMatrix csc = csrToCsc(empty);
-    EXPECT_EQ(csc.nnz(), 0);
     const BsrMatrix bsr = csrToBsr(empty, 4);
     EXPECT_EQ(bsr.numBlocks(), 0);
-    EXPECT_TRUE(bsrToCsr(bsr).approxEquals(empty, 0.0));
+    EXPECT_EQ(bsr.at(9, 9), 0.0);
 }
 
 } // namespace

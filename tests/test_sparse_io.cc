@@ -1,28 +1,20 @@
 /**
  * @file
- * Matrix Market reader/writer tests.
+ * Matrix Market reader tests.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
-#include "corpus/generators.hh"
 #include "sparse/io.hh"
 
 namespace unistc
 {
 namespace
 {
-
-TEST(MatrixMarket, WriteReadRoundTrip)
-{
-    const CsrMatrix m = genRandomUniform(40, 30, 0.1, 21);
-    std::stringstream ss;
-    writeMatrixMarket(ss, m);
-    const CsrMatrix back = readMatrixMarket(ss);
-    EXPECT_TRUE(m.approxEquals(back, 1e-14));
-}
 
 TEST(MatrixMarket, ReadsGeneralRealCoordinate)
 {
@@ -33,7 +25,7 @@ TEST(MatrixMarket, ReadsGeneralRealCoordinate)
         "1 1 2.5\n"
         "3 4 -1\n"
         "2 2 7\n");
-    const CsrMatrix m = readMatrixMarket(ss);
+    const CsrMatrix m = tryReadMatrixMarket(ss).value();
     EXPECT_EQ(m.rows(), 3);
     EXPECT_EQ(m.cols(), 4);
     EXPECT_EQ(m.nnz(), 3);
@@ -49,7 +41,7 @@ TEST(MatrixMarket, ExpandsSymmetric)
         "3 3 2\n"
         "2 1 4\n"
         "3 3 1\n");
-    const CsrMatrix m = readMatrixMarket(ss);
+    const CsrMatrix m = tryReadMatrixMarket(ss).value();
     EXPECT_EQ(m.nnz(), 3); // off-diagonal mirrored, diagonal not
     EXPECT_DOUBLE_EQ(m.at(1, 0), 4.0);
     EXPECT_DOUBLE_EQ(m.at(0, 1), 4.0);
@@ -63,7 +55,7 @@ TEST(MatrixMarket, ReadsPatternAsOnes)
         "2 2 2\n"
         "1 2\n"
         "2 1\n");
-    const CsrMatrix m = readMatrixMarket(ss);
+    const CsrMatrix m = tryReadMatrixMarket(ss).value();
     EXPECT_EQ(m.nnz(), 2);
     EXPECT_DOUBLE_EQ(m.at(0, 1), 1.0);
     EXPECT_DOUBLE_EQ(m.at(1, 0), 1.0);
@@ -105,13 +97,22 @@ TEST(MatrixMarket, RejectsDuplicateFromSymmetricExpansion)
 
 TEST(MatrixMarket, FileRoundTrip)
 {
-    const CsrMatrix m = genRandomUniform(25, 25, 0.15, 23);
     const std::string path =
         testing::TempDir() + "/unistc_io_test.mtx";
-    writeMatrixMarketFile(path, m);
-    const CsrMatrix back = readMatrixMarketFile(path);
-    EXPECT_TRUE(m.approxEquals(back, 1e-14));
+    {
+        std::ofstream out(path);
+        out << "%%MatrixMarket matrix coordinate real general\n"
+               "2 3 2\n"
+               "1 3 0.1\n"
+               "2 1 -2.5e-3\n";
+    }
+    const CsrMatrix m = readMatrixMarketFile(path);
     std::remove(path.c_str());
+    EXPECT_EQ(m.rows(), 2);
+    EXPECT_EQ(m.cols(), 3);
+    EXPECT_EQ(m.nnz(), 2);
+    EXPECT_EQ(m.at(0, 2), 0.1);
+    EXPECT_EQ(m.at(1, 0), -2.5e-3);
 }
 
 } // namespace

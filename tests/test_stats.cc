@@ -102,13 +102,11 @@ TEST(Histogram, MergeAndScale)
     EXPECT_EQ(a.totalCount(), 8u);
 }
 
-TEST(RunningStat, MinOrMaxOrOnEmptyStat)
+TEST(RunningStat, MaxOrOnEmptyStat)
 {
     RunningStat s;
-    EXPECT_DOUBLE_EQ(s.minOr(-1.0), -1.0);
     EXPECT_DOUBLE_EQ(s.maxOr(42.0), 42.0);
     s.add(3.0);
-    EXPECT_DOUBLE_EQ(s.minOr(-1.0), 3.0);
     EXPECT_DOUBLE_EQ(s.maxOr(42.0), 3.0);
 }
 
